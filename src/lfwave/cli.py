@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import re
 import sys
@@ -55,6 +54,27 @@ def _split_args(text: str, line_no: int):
 
 _CALL = re.compile(r"^([A-Za-z_][\w-]*)\s*\((.*)\)$", re.DOTALL)
 
+# (fewest, most) arguments of each call form; None is unbounded
+_ARITY = {
+    "shell": (1, 1), "ball": (2, 2), "inter": (1, None), "diff": (2, 2),
+    "scale": (2, 2), "translate": (2, 2), "scaling": (2, 2), "indicator": (1, 2),
+    "tower": (1, 1), "shell-tuple": (1, 1), "scaled-shannon": (1, 1),
+}
+
+
+def _call(text: str, line_no: int):
+    """(name, args) of a call `name(a, b, ..)` with its argument count
+    checked; (None, None) when text is not a call."""
+    m = _CALL.match(text)
+    if not m:
+        return None, None
+    fn, args = m.group(1), _split_args(m.group(2), line_no)
+    lo, hi = _ARITY.get(fn, (0, None))
+    if len(args) < lo or (hi is not None and len(args) > hi):
+        want = lo if hi == lo else f"{lo} or more" if hi is None else f"{lo} to {hi}"
+        raise SpecError(line_no, f"{fn}() takes {want} arguments, got {len(args)}")
+    return fn, args
+
 
 def parse_set_expr(cfg: FieldConfig, text: str, env: dict, line_no: int) -> ClopenSet:
     text = text.strip()
@@ -65,15 +85,11 @@ def parse_set_expr(cfg: FieldConfig, text: str, env: dict, line_no: int) -> Clop
     m = re.match(r"^P\^(-?\d+)$", text)
     if m:
         return fractional_ideal(cfg, int(m.group(1)))
-    m = _CALL.match(text)
-    if m:
-        fn, body = m.group(1), m.group(2)
-        args = _split_args(body, line_no)
+    fn, args = _call(text, line_no)
+    if fn:
         if fn == "shell":
             return shell(cfg, int(args[0]))
         if fn == "ball":
-            if len(args) != 2:
-                raise SpecError(line_no, "ball(<element>, <scale>) takes 2 arguments")
             return ClopenSet.from_ball(
                 Ball(cfg, parse_element(cfg, args[0]), int(args[1]))
             )
@@ -88,8 +104,6 @@ def parse_set_expr(cfg: FieldConfig, text: str, env: dict, line_no: int) -> Clop
                 out = out.intersect(parse_set_expr(cfg, a, env, line_no))
             return out
         if fn == "diff":
-            if len(args) != 2:
-                raise SpecError(line_no, "diff(A, B) takes 2 arguments")
             return parse_set_expr(cfg, args[0], env, line_no).subtract(
                 parse_set_expr(cfg, args[1], env, line_no)
             )
@@ -114,7 +128,7 @@ def parse_set_expr(cfg: FieldConfig, text: str, env: dict, line_no: int) -> Clop
 
 _VALUE_TERM = re.compile(
     r"^\s*(?:zeta\^(?P<zk>-?\d+)|qhalf\^(?P<qe>-?\d+)"
-    r"|(?P<rat>-?\d+(?:/\d+)?))\s*$"
+    r"|(?P<rat>-?\d+(?:/0*[1-9]\d*)?))\s*$"
 )
 
 
@@ -139,9 +153,8 @@ def parse_value(cfg: FieldConfig, text: str, line_no: int) -> CycloScalar:
 
 def parse_fn_expr(cfg: FieldConfig, text: str, env: dict, line_no: int) -> StepFunction:
     text = text.strip()
-    m = _CALL.match(text)
-    if m and m.group(1) == "indicator":
-        args = _split_args(m.group(2), line_no)
+    fn, args = _call(text, line_no)
+    if fn == "indicator":
         support = parse_set_expr(cfg, args[0], env, line_no)
         value = parse_value(cfg, args[1], line_no) if len(args) > 1 else None
         return StepFunction.indicator(support, value)
@@ -164,16 +177,26 @@ def parse_fn_expr(cfg: FieldConfig, text: str, env: dict, line_no: int) -> StepF
     raise SpecError(line_no, f"unknown function expression {text!r}")
 
 
+def _list_items(text: str, line_no: int):
+    """The items of a nonempty `[a, b, ..]` list."""
+    if not text.endswith("]"):
+        raise SpecError(line_no, f"unclosed list {text!r}")
+    items = _split_args(text[1:-1], line_no)
+    if not items:
+        raise SpecError(line_no, "empty list")
+    return items
+
+
 def _name_list(cfg, text, env, line_no, kind):
+    """A `[..]` list or a family name: sets for kind "set", else functions."""
+    parse, want = (parse_set_expr, ClopenSet) if kind == "set" else (parse_fn_expr, StepFunction)
     text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        items = _split_args(text[1:-1], line_no)
-        if kind == "set":
-            return [parse_set_expr(cfg, a, env, line_no) for a in items]
-        return [parse_fn_expr(cfg, a, env, line_no) for a in items]
-    if text in env and isinstance(env[text], list):
-        return env[text]
-    raise SpecError(line_no, f"expected [..] list or family name, got {text!r}")
+    if text.startswith("["):
+        return [parse(cfg, a, env, line_no) for a in _list_items(text, line_no)]
+    fam = env.get(text)
+    if isinstance(fam, list) and all(isinstance(x, want) for x in fam):
+        return fam
+    raise SpecError(line_no, f"expected [..] list or {kind} family name, got {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +229,17 @@ def parse_spec(text: str) -> SpecDocument:
                 params[key.strip()] = val.strip()
             if "p" not in params:
                 raise SpecError(line_no, "field block needs p")
-            modulus = None
-            if "modulus" in params:
-                modulus = tuple(
-                    int(x) for x in params["modulus"].strip("[]").split(",")
+            try:
+                modulus = None
+                if "modulus" in params:
+                    modulus = tuple(
+                        int(x) for x in params["modulus"].strip("[]").split(",")
+                    )
+                doc.config = FieldConfig(
+                    int(params["p"]), int(params.get("c", 1)), modulus
                 )
-            doc.config = FieldConfig(
-                int(params["p"]), int(params.get("c", 1)), modulus
-            )
+            except ValueError as exc:
+                raise SpecError(line_no, str(exc)) from None
             continue
         keyword, _, rest = line.partition(" ")
         if keyword not in (
@@ -243,6 +269,12 @@ def _scalar_str(x) -> str:
 
 _KEYVAL = re.compile(r"(\w[\w-]*)=(\S+)")
 
+_STOCK_FAMILIES = {
+    "scaled-shannon": construct.scaled_shannon_family,
+    "shell-tuple": construct.shell_tuple,
+    "tower": construct.tower_components,
+}
+
 
 def _options(text: str):
     return {m.group(1): m.group(2) for m in _KEYVAL.finditer(text)}
@@ -259,8 +291,8 @@ def _run_check(cfg, rest, env, line_no):
             parse_set_expr(cfg, expr, env, line_no), mode or "packing"
         )
     if kind == "parseval-multiwavelet":
-        return verify.verify_parseval_multiwavelet_set(
-            _name_list(cfg, args, env, line_no, "set")
+        return verify.verify_multiwavelet_set(
+            _name_list(cfg, args, env, line_no, "set"), mode="parseval"
         )
     if kind == "multiwavelet":
         return verify.verify_multiwavelet_set(_name_list(cfg, args, env, line_no, "set"))
@@ -306,8 +338,6 @@ def run(doc: SpecDocument, seed: int = 0) -> dict:
         "field": {"p": cfg.p, "c": cfg.c, "q": cfg.q} if cfg else {},
         "directives": [],
         "passed": True,
-        # accepted for interface compatibility; execution is sequential
-        "threads": int(os.environ.get("LFW_THREADS", "1")),
     }
     for line_no, keyword, rest in doc.statements:
         entry = {"line": line_no, "directive": f"{keyword} {rest}"}
@@ -323,18 +353,13 @@ def run(doc: SpecDocument, seed: int = 0) -> dict:
             elif keyword == "family":
                 name, _, expr = rest.partition("=")
                 expr = expr.strip()
+                fn, args = _call(expr, line_no)
                 if expr == "shannon":
                     fam = construct.shannon_family(cfg)
-                elif expr.startswith("scaled-shannon"):
-                    fam = construct.scaled_shannon_family(
-                        cfg, int(_CALL.match(expr).group(2))
-                    )
-                elif expr.startswith("shell-tuple"):
-                    fam = construct.shell_tuple(cfg, int(_CALL.match(expr).group(2)))
-                elif expr.startswith("tower"):
-                    fam = construct.tower_components(cfg, int(_CALL.match(expr).group(2)))
+                elif fn in _STOCK_FAMILIES:
+                    fam = _STOCK_FAMILIES[fn](cfg, int(args[0]))
                 elif expr.startswith("["):
-                    items = _split_args(expr[1:-1], line_no)
+                    items = _list_items(expr, line_no)
                     try:
                         fam = [parse_set_expr(cfg, a, env, line_no) for a in items]
                     except SpecError:
@@ -362,7 +387,7 @@ def run(doc: SpecDocument, seed: int = 0) -> dict:
                     "unbounded" if max_m is None else max_m
                 )
             elif keyword == "solve":
-                m = re.match(r"^(\w+)\s+from\s+(\S+|\[.*\])\s+(.*)$", rest)
+                m = re.match(r"^(\w+)\s+from\s+(\[.*?\]|\S+)\s+(.*)$", rest)
                 if not m:
                     raise SpecError(
                         line_no, "expected: solve NAME from [W..] shells=a..b max-scale=r"
@@ -383,7 +408,7 @@ def run(doc: SpecDocument, seed: int = 0) -> dict:
             elif keyword == "simulate":
                 kind, _, args = rest.partition(" ")
                 opts = _options(args)
-                fam_expr = args.split()[0]
+                fam_expr = _KEYVAL.sub("", args)
                 R, S = (int(x) for x in opts["window"].split(","))
                 model = framesim.FiniteModel(cfg, R, S)
                 fns = _name_list(cfg, fam_expr, env, line_no, "fn")

@@ -280,25 +280,8 @@ class ClopenSet:
         return pieces, residual
 
     def fold(self) -> "FoldResult":
-        """Translate every ball back into the ring of integers.
-
-        Each ball is refined to scale >= 0 (so it sits inside a single coset),
-        then shifted by the canonical representative of its coset.  The
-        overlap set witnesses any collision between translates.
-        """
-        fragments = []
-        for b in self.balls:
-            for piece in b.split_to(max(b.scale, 0)):
-                n, rem = split_integral(piece.center)
-                fragments.append((Ball(self.config, rem, piece.scale), n))
-        fragments.sort(key=lambda fr: (fr[1], fr[0].sort_key()))
-        coverage = ClopenSet.empty(self.config)
-        overlap = ClopenSet.empty(self.config)
-        for frag, _ in fragments:
-            fs = ClopenSet.from_ball(frag)
-            overlap = overlap.union(coverage.intersect(fs))
-            coverage = coverage.union(fs)
-        return FoldResult(fragments, coverage, overlap)
+        """Translate every ball back into the ring of integers; see joint_fold."""
+        return joint_fold(self.config, [self])
 
     def inv_norm_integral(self):
         """Integral of 1/|xi| over the set: exact rational, or +inf when the
@@ -324,6 +307,41 @@ class FoldResult:
     fragments: list  # (Ball inside O, source coset index)
     coverage: ClopenSet
     overlap: ClopenSet
+
+    def measure(self) -> Fraction:
+        """Total fragment measure: the coverage counted with multiplicity."""
+        return sum((frag.measure() for frag, _ in self.fragments), Fraction(0))
+
+
+def overlay(config: FieldConfig, sets):
+    """(coverage, overlap): the union of the sets, and the points lying in
+    two or more of them."""
+    coverage = ClopenSet.empty(config)
+    overlap = ClopenSet.empty(config)
+    for s in sets:
+        overlap = overlap.union(coverage.intersect(s))
+        coverage = coverage.union(s)
+    return coverage, overlap
+
+
+def joint_fold(config: FieldConfig, sets) -> FoldResult:
+    """Translate every ball of every set back into the ring of integers.
+
+    Each ball is refined to scale >= 0 (so it sits inside a single coset),
+    then shifted by the canonical representative of its coset.  The
+    overlap set witnesses any collision between translates, within one set
+    or across sets.
+    """
+    fragments = []
+    for s in sets:
+        for b in s.balls:
+            for piece in b.split_to(max(b.scale, 0)):
+                n, rem = split_integral(piece.center)
+                fragments.append((Ball(s.config, rem, piece.scale), n))
+    fragments.sort(key=lambda fr: (fr[1], fr[0].sort_key()))
+    coverage, overlap = overlay(
+        config, (ClopenSet.from_ball(frag) for frag, _ in fragments))
+    return FoldResult(fragments, coverage, overlap)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,8 @@ an orthonormal super-wavelet at a stated finite resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .clopen import Ball, ClopenSet, fractional_ideal, integers, shell, units
+from .clopen import Ball, ClopenSet, fractional_ideal, integers, joint_fold, shell, units
 from .gfq import FieldConfig
 from .lfield import FieldElement, coset_rep
 from .verify import (
@@ -78,11 +77,7 @@ def tower_audit(components, target) -> dict:
     translates fold bijectively onto `target` adds measure(target) to the
     joint fold, so the joint translates tile the integers only if the total
     is exactly 1."""
-    cfg = components[0].config
-    comp = Fraction(0)
-    for W in components:
-        fold = W.fold()
-        comp += sum((frag.measure() for frag, _ in fold.fragments), Fraction(0))
+    comp = joint_fold(target.config, components).measure()
     total = comp + target.measure()
     return {
         "component_fold_measure": comp,
@@ -159,8 +154,6 @@ class SolveResult:
 
 def _solver_preconditions(existing, config) -> tuple[Verdict, ClopenSet]:
     v = Verdict()
-    coverage = ClopenSet.empty(config)
-    overlap = ClopenSet.empty(config)
     for i, W in enumerate(existing, 1):
         dil = check_dilation_tiling(W)
         v.add(f"existing-{i}-dilation-tiling", dil.passed,
@@ -168,12 +161,10 @@ def _solver_preconditions(existing, config) -> tuple[Verdict, ClopenSet]:
         tr = check_translation(W, "packing")
         v.add(f"existing-{i}-translation-packing", tr.passed,
               next((c.witness for c in tr.checks if not c.ok), None))
-        fold = W.fold()
-        overlap = overlap.union(coverage.intersect(fold.coverage)).union(fold.overlap)
-        coverage = coverage.union(fold.coverage)
-    v.add("existing-joint-packing", overlap.is_empty(),
-          None if overlap.is_empty() else witness_set(overlap))
-    target = integers(config).subtract(coverage)
+    fold = joint_fold(config, existing)
+    v.add("existing-joint-packing", fold.overlap.is_empty(),
+          None if fold.overlap.is_empty() else witness_set(fold.overlap))
+    target = integers(config).subtract(fold.coverage)
     v.add("complement-nonempty", not target.is_empty())
     return v, target
 

@@ -180,10 +180,3 @@ class CycloScalar:
         a = self.approx()
         approx = f"{a.real:.6g}" if abs(a.imag) < 1e-9 else f"{a:.6g}"
         return f"{s} ({approx})"
-
-
-def format_exact(x) -> str:
-    """Report-friendly rendering of a Fraction or CycloScalar."""
-    if isinstance(x, Fraction):
-        return str(x)
-    return repr(x)

@@ -55,10 +55,6 @@ class FiniteModel:
         for b in self.window.balls:
             yield from b.split_to(self.S)
 
-    def mesh_deltas(self):
-        for a in self.atoms():
-            yield StepFunction.indicator(ClopenSet.from_ball(a))
-
     def random_step(self, rng: random.Random, n_cells: int = 5) -> StepFunction:
         """Seeded random window function: distinct mesh atoms with nonzero
         cyclotomic values on a small rational lattice."""
@@ -76,6 +72,11 @@ class FiniteModel:
 
 def _rat(cfg, x) -> CycloScalar:
     return CycloScalar.rational(cfg.p, cfg.q, x)
+
+
+def _check_away_from_zero(psi: StepFunction):
+    if any(b.contains_zero() for b, _ in psi.cells):
+        raise ValueError("analyzing spectrum charged at zero: dilation sum diverges")
 
 
 def _norm_sq(f: StepFunction) -> CycloScalar:
@@ -99,6 +100,32 @@ def _zero_cell(f: StepFunction):
     return None
 
 
+def _cell_products(a: StepFunction, b: StepFunction):
+    """(cell, a(c) * conj(b(c))) over the common refinement of a and b, for
+    the cells where neither value is zero; b is evaluated only where a is
+    nonzero."""
+    for cell in common_refinement(a.config, [a, b]):
+        av = a.evaluate(cell.center)
+        if av.is_zero():
+            continue
+        bv = b.evaluate(cell.center)
+        if bv.is_zero():
+            continue
+        yield cell, av * bv.conj()
+
+
+def _character_terms(a: StepFunction, b: StepFunction, y: FieldElement):
+    """Per-cell terms of the integral of a * conj(b) * chi(y, .): exact,
+    because the character is either constant on a refinement cell or
+    averages to zero over it."""
+    cfg = a.config
+    vy = y.valuation()  # +inf for y = 0: the trivial character
+    for cell, t in _cell_products(a, b):
+        if vy < -cell.scale:
+            continue  # character averages to zero over the cell
+        yield t * character(y, cell.center) * _rat(cfg, cell.measure())
+
+
 def affine_coef(f: StepFunction, psi: StepFunction, j: int, k: int) -> CycloScalar:
     """<f, D^j T^k psi> via Plancherel: the analyzing spectrum at xi is
     q**(-j/2) * conj(chi(u(k) p^j xi)) * psi^(p^j xi), and the character
@@ -108,20 +135,8 @@ def affine_coef(f: StepFunction, psi: StepFunction, j: int, k: int) -> CycloScal
     if k < 0:
         raise ValueError("translation index must be non-negative")
     psi_j = psi.precompose(-j)  # xi -> psi^(p^j xi)
-    mesh = common_refinement(cfg, [f, psi_j])
-    uk = coset_rep(cfg, k)
-    total = CycloScalar.zero(cfg.p, cfg.q)
-    for cell in mesh:
-        fv = f.evaluate(cell.center)
-        if fv.is_zero():
-            continue
-        pv = psi_j.evaluate(cell.center)
-        if pv.is_zero():
-            continue
-        y = uk.scale_exponents(j)
-        if y and y.valuation() < -cell.scale:
-            continue  # character averages to zero over the cell
-        total = total + fv * pv.conj() * character(y, cell.center) * _rat(cfg, cell.measure())
+    y = coset_rep(cfg, k).scale_exponents(j)
+    total = sum(_character_terms(f, psi_j, y), CycloScalar.zero(cfg.p, cfg.q))
     return total.q_half_shift(-j)
 
 
@@ -170,16 +185,8 @@ def _coef_cells(f: StepFunction, psi_j: StepFunction):
     """Refinement cells (center, scale, t) entering the coefficient sum,
     with t = f(b) * conj(psi_j(b)) * measure(cell)."""
     cfg = f.config
-    out = []
-    for cell in common_refinement(cfg, [f, psi_j]):
-        fv = f.evaluate(cell.center)
-        if fv.is_zero():
-            continue
-        pv = psi_j.evaluate(cell.center)
-        if pv.is_zero():
-            continue
-        out.append((cell.center, cell.scale, fv * pv.conj() * _rat(cfg, cell.measure())))
-    return out
+    return [(cell.center, cell.scale, t * _rat(cfg, cell.measure()))
+            for cell, t in _cell_products(f, psi_j)]
 
 
 def _total_energy(cfg: FieldConfig, pairs, bounds=None):
@@ -197,8 +204,7 @@ def _total_energy(cfg: FieldConfig, pairs, bounds=None):
     for f, psi in pairs:
         if not f.cells or not psi.cells:
             continue
-        if any(b.contains_zero() for b, _ in psi.cells):
-            raise ValueError("analyzing spectrum charged at zero: dilation sum diverges")
+        _check_away_from_zero(psi)
         live.append((f, psi))
     if not live:
         return zero
@@ -314,21 +320,10 @@ def gram_entry(etas, a: tuple[int, int], b: tuple[int, int]) -> CycloScalar:
     j1, k1 = a
     j2, k2 = b
     cfg = etas[0].config
+    y = coset_rep(cfg, k2).scale_exponents(j2) - coset_rep(cfg, k1).scale_exponents(j1)
     total = CycloScalar.zero(cfg.p, cfg.q)
     for eta in etas:
-        e1 = eta.precompose(-j1)
-        e2 = eta.precompose(-j2)
-        y = coset_rep(cfg, k2).scale_exponents(j2) - coset_rep(cfg, k1).scale_exponents(j1)
-        for cell in common_refinement(cfg, [e1, e2]):
-            v1 = e1.evaluate(cell.center)
-            if v1.is_zero():
-                continue
-            v2 = e2.evaluate(cell.center)
-            if v2.is_zero():
-                continue
-            if y and y.valuation() < -cell.scale:
-                continue
-            total = total + v1 * v2.conj() * character(y, cell.center) * _rat(cfg, cell.measure())
+        total = sum(_character_terms(eta.precompose(-j1), eta.precompose(-j2), y), total)
     return total.q_half_shift(-j1 - j2)
 
 
@@ -346,6 +341,9 @@ def mesh_delta_residuals(model: FiniteModel, psis):
     layers = []
     for psi in psis:
         model.check_analyzer(psi)
+        _check_away_from_zero(psi)
+        if not psi.cells:
+            continue
         pa, pb = _shell_bounds(psi)
         for j in range(pa - (model.R + S), pb + model.R + 1):
             psi_j = psi.precompose(-j)

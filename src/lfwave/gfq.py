@@ -247,15 +247,3 @@ class FqElement:
         if self.config.c == 1:
             return str(self.coords[0])
         return "[" + ",".join(str(a) for a in self.coords) + "]"
-
-
-def gf_mul(a: FqElement, b: FqElement) -> FqElement:
-    return a * b
-
-
-def gf_inv(a: FqElement) -> FqElement:
-    return a.inverse()
-
-
-def gf_trace(a: FqElement) -> int:
-    return a.trace()

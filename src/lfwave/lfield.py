@@ -212,17 +212,13 @@ def parse_element(config: FieldConfig, text: str) -> FieldElement:
                 raise ElementSyntaxError(f"expected '+' in {text!r}")
             i += 1
 
-    first = True
     while i < len(tokens):
-        if not first:
-            pass  # '+' consumed below
         tok = tokens[i]
         if tok.group("u"):
             idx = int(tok.group("u")[2:-1])
             result = result + coset_rep(config, idx)
             i += 1
             expect_plus()
-            first = False
             continue
         # term := [coeff *] p [^ exp]   |   coeff
         coeff = None
@@ -264,7 +260,6 @@ def parse_element(config: FieldConfig, text: str) -> FieldElement:
             exp = 0
         result = result + FieldElement.monomial(config, coeff, exp)
         expect_plus()
-        first = False
     return result
 
 

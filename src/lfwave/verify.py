@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .clopen import Ball, ClopenSet, integers, units
+from .clopen import Ball, ClopenSet, integers, joint_fold, overlay, units
 from .cyclo import CycloScalar
 from .lfield import FieldElement, coset_rep, format_element
 from .stepfn import StepFunction, common_refinement, periodized_weight
@@ -112,12 +112,7 @@ def check_dilation_tiling(W: ClopenSet) -> Verdict:
         return v
     v.add("no-ball-at-zero", True)
     target = units(cfg)
-    coverage = ClopenSet.empty(cfg)
-    overlap = ClopenSet.empty(cfg)
-    for s, piece in pieces:
-        n = piece.scale_by(-s)
-        overlap = overlap.union(coverage.intersect(n))
-        coverage = coverage.union(n)
+    coverage, overlap = overlay(cfg, (piece.scale_by(-s) for s, piece in pieces))
     v.add("dilates-disjoint", overlap.is_empty(),
           None if overlap.is_empty() else witness_set(overlap))
     gap = target.subtract(coverage)
@@ -148,54 +143,24 @@ def check_translation(W: ClopenSet, mode: str = "packing") -> Verdict:
     return v
 
 
-def _disjoint_components(components) -> Verdict:
+def verify_multiwavelet_set(components, mode: str = "orthonormal") -> Verdict:
+    """Set criterion for a multiwavelet: disjoint components whose union
+    tiles under dilation, and every component tiles (orthonormal) or packs
+    (semi-orthogonal Parseval frame) under translation."""
+    if mode not in ("orthonormal", "parseval"):
+        raise ValueError(f"unknown mode {mode!r}")
     v = Verdict()
-    cfg = components[0].config
-    acc = ClopenSet.empty(cfg)
-    bad = ClopenSet.empty(cfg)
-    for W in components:
-        bad = bad.union(acc.intersect(W))
-        acc = acc.union(W)
+    union, bad = overlay(components[0].config, components)
     v.add("components-disjoint", bad.is_empty(),
           None if bad.is_empty() else witness_set(bad))
-    return v
-
-
-def verify_parseval_multiwavelet_set(components) -> Verdict:
-    """Set criterion for a semi-orthogonal Parseval frame multiwavelet:
-    the union tiles under dilation and every component packs under
-    translation."""
-    v = _disjoint_components(components)
     if not v.passed:
         return v
-    union = components[0]
-    for W in components[1:]:
-        union = union.union(W)
     dil = check_dilation_tiling(union)
     for c in dil.checks:
         v.checks.append(Check("union-dilation:" + c.name, c.ok, c.witness, c.binding))
+    translation = "tiling" if mode == "orthonormal" else "packing"
     for i, W in enumerate(components, 1):
-        tr = check_translation(W, "packing")
-        for c in tr.checks:
-            v.checks.append(Check(f"component-{i}:" + c.name, c.ok, c.witness, c.binding))
-    v.bounds["order"] = len(components)
-    return v
-
-
-def verify_multiwavelet_set(components) -> Verdict:
-    """Set criterion for an orthonormal multiwavelet: dilation tiling of the
-    union plus translation tiling of every component."""
-    v = _disjoint_components(components)
-    if not v.passed:
-        return v
-    union = components[0]
-    for W in components[1:]:
-        union = union.union(W)
-    dil = check_dilation_tiling(union)
-    for c in dil.checks:
-        v.checks.append(Check("union-dilation:" + c.name, c.ok, c.witness, c.binding))
-    for i, W in enumerate(components, 1):
-        tr = check_translation(W, "tiling")
+        tr = check_translation(W, translation)
         for c in tr.checks:
             v.checks.append(Check(f"component-{i}:" + c.name, c.ok, c.witness, c.binding))
     v.bounds["order"] = len(components)
@@ -219,21 +184,14 @@ def verify_superwavelet(components, mode: str = "orthonormal") -> Verdict:
         v.add(f"(b)-component-{i}-translation-packing", tr.passed,
               None if tr.passed else next(
                   (c.witness for c in tr.checks if not c.ok), None))
-    coverage = ClopenSet.empty(cfg)
-    overlap = ClopenSet.empty(cfg)
-    joint_measure = Fraction(0)
-    for W in components:
-        fold = W.fold()
-        joint_measure += sum((frag.measure() for frag, _ in fold.fragments), Fraction(0))
-        overlap = overlap.union(coverage.intersect(fold.coverage)).union(fold.overlap)
-        coverage = coverage.union(fold.coverage)
-    v.add("(c)-joint-translates-disjoint", overlap.is_empty(),
-          None if overlap.is_empty() else witness_set(overlap))
+    fold = joint_fold(cfg, components)
+    v.add("(c)-joint-translates-disjoint", fold.overlap.is_empty(),
+          None if fold.overlap.is_empty() else witness_set(fold.overlap))
     if mode == "orthonormal":
-        gap = integers(cfg).subtract(coverage)
+        gap = integers(cfg).subtract(fold.coverage)
         v.add("(c)-joint-translates-cover", gap.is_empty(),
               None if gap.is_empty() else witness_set(gap))
-    v.bounds["joint_fold_measure"] = str(joint_measure)
+    v.bounds["joint_fold_measure"] = str(fold.measure())
     v.bounds["length"] = len(components)
     return v
 
@@ -271,12 +229,10 @@ def verify_frame_pointwise(fns) -> Verdict:
     smin, smax = rng
 
     # dilation square sum == 1, checked on the unit shell (the sum is
-    # invariant under scaling the argument by p)
+    # invariant under scaling the argument by p); with no cells it is 0
     target = units(cfg)
-    scaled = []
-    for f in fns:
-        for j in range(-smax, -smin + 1):
-            scaled.append(f.precompose(j=j))
+    dilations = range(-smax, -smin + 1) if smin < INF else ()
+    scaled = [f.precompose(j=j) for f in fns for j in dilations]
     mesh = common_refinement(cfg, scaled, extras=[target])
     one = CycloScalar.rational(cfg.p, cfg.q, 1)
     bad = None
@@ -298,24 +254,16 @@ def verify_frame_pointwise(fns) -> Verdict:
     s_max = cfg.q ** max(-smin, 0) - 1
     v.bounds["j_max"] = j_max
     v.bounds["s_max"] = s_max
-    zero = CycloScalar.zero(cfg.p, cfg.q)
     bad = None
     for s in range(1, s_max + 1):
         if s % cfg.q == 0:
             continue
         us = coset_rep(cfg, s)
-        pairs = []
-        for f in fns:
-            for j in range(0, j_max + 1):
-                pairs.append((f.precompose(j=j), f.precompose(j=j, shift=us)))
+        pairs = [(f.precompose(j=j), f.precompose(j=j, shift=us))
+                 for f in fns for j in range(0, j_max + 1)]
         mesh = common_refinement(cfg, [g for gh in pairs for g in gh])
-        for cell in mesh:
-            total = zero
-            for g, h in pairs:
-                total = total + g.evaluate(cell.center) * h.evaluate(cell.center).conj()
-            if not total.is_zero():
-                bad = (s, cell)
-                break
+        bad = next(((s, cell) for cell, total in _pair_sums(cfg, pairs, mesh)
+                    if not total.is_zero()), None)
         if bad:
             break
     v.add("translation-correlation", bad is None,
@@ -387,54 +335,46 @@ def verify_super_functions(fns) -> Verdict:
     v.bounds["k_max"] = k_max
 
     shifts = [coset_rep(cfg, k) for k in range(0, k_max + 1)]
-    base = {}
-    dil = {}
-    for i, f in enumerate(fns):
-        for k, uk in enumerate(shifts):
-            base[i, k] = f.precompose(0, shift=uk)
-            for j in range(0, j_max + 1):
-                dil[i, j, k] = f.precompose(j, shift=uk)
-    mesh = common_refinement(
-        cfg, list(base.values()) + list(dil.values()), extras=[integers(cfg)]
-    )
+    mesh = _correlation_mesh(fns, range(j_max + 1), shifts)
     one = CycloScalar.rational(cfg.p, cfg.q, 1)
-    bad = None
-    for cell in mesh:
-        if cell.center.valuation() < 0:
-            continue
-        for j in range(0, j_max + 1):
-            total = CycloScalar.zero(cfg.p, cfg.q)
-            for i in range(len(fns)):
-                for k in range(len(shifts)):
-                    total = total + dil[i, j, k].evaluate(cell.center) * base[
-                        i, k].evaluate(cell.center).conj()
-            want = one if j == 0 else CycloScalar.zero(cfg.p, cfg.q)
-            if total != want:
-                bad = (j, cell, total)
-                break
-        if bad:
-            break
+    zero = CycloScalar.zero(cfg.p, cfg.q)
+    # cell-major, scale offset inner: the first failing cell is the witness
+    rows = zip(*(_correlations(fns, j, mesh, shifts) for j in range(j_max + 1)))
+    bad = next(((j, cell, total) for row in rows
+                for j, (cell, total) in enumerate(row)
+                if total != (one if j == 0 else zero)), None)
     v.add("(iii)-joint-correlation", bad is None,
           None if bad is None else witness_point(bad[1].center),
           note="" if bad is None else f"j={bad[0]}, sum = {bad[2]!r}")
     return v
 
 
-def _correlation_values(fns, n, mesh, shifts):
-    out = []
+def _correlation_mesh(fns, offsets, shifts):
+    """Refinement of the integers on which every f(p**-n * (x + u)) is
+    constant, for f in fns, n in offsets and u in shifts."""
     cfg = fns[0].config
-    for cell in mesh:
-        if cell.center.valuation() < 0:
-            out.append(None)
-            continue
+    pool = [f.precompose(n, shift=uk) for f in fns for uk in shifts for n in offsets]
+    return common_refinement(cfg, pool, extras=[integers(cfg)])
+
+
+def _pair_sums(cfg, pairs, cells):
+    """(cell, sum over (g, h) in pairs of g(x) * conj(h(x))) for each cell,
+    with x the cell center."""
+    for cell in cells:
         total = CycloScalar.zero(cfg.p, cfg.q)
-        for f in fns:
-            for uk in shifts:
-                total = total + f.precompose(n, shift=uk).evaluate(
-                    cell.center
-                ) * f.precompose(0, shift=uk).evaluate(cell.center).conj()
-        out.append(total)
-    return out
+        for g, h in pairs:
+            total = total + g.evaluate(cell.center) * h.evaluate(cell.center).conj()
+        yield cell, total
+
+
+def _correlations(fns, n, mesh, shifts):
+    """(cell, periodized correlation at scale offset n) for every mesh cell
+    inside the integers: the sum over f in fns and u in shifts of
+    f(p**-n * (x + u)) * conj(f(x + u)) at the cell center x."""
+    pairs = [(f.precompose(n, shift=uk), f.precompose(0, shift=uk))
+             for f in fns for uk in shifts]
+    inside = (cell for cell in mesh if cell.center.valuation() >= 0)
+    return _pair_sums(fns[0].config, pairs, inside)
 
 
 def equivalent_superwavelets(a_fns, b_fns) -> Verdict:
@@ -457,20 +397,10 @@ def equivalent_superwavelets(a_fns, b_fns) -> Verdict:
     shifts = [coset_rep(cfg, k) for k in range(0, k_max + 1)]
     bad = None
     for n in range(0, n_max + 1):
-        pool = []
-        for f in list(a_fns) + list(b_fns):
-            for uk in shifts:
-                pool.append(f.precompose(n, shift=uk))
-                pool.append(f.precompose(0, shift=uk))
-        mesh = common_refinement(cfg, pool, extras=[integers(cfg)])
-        va = _correlation_values(a_fns, n, mesh, shifts)
-        vb = _correlation_values(b_fns, n, mesh, shifts)
-        for cell, x, y in zip(mesh, va, vb):
-            if x is None:
-                continue
-            if x != y:
-                bad = (n, cell)
-                break
+        mesh = _correlation_mesh(list(a_fns) + list(b_fns), (0, n), shifts)
+        pairs = zip(_correlations(a_fns, n, mesh, shifts),
+                    _correlations(b_fns, n, mesh, shifts))
+        bad = next(((n, cell) for (cell, x), (_, y) in pairs if x != y), None)
         if bad:
             break
     v.add("correlations-agree", bad is None,

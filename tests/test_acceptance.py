@@ -44,7 +44,6 @@ from lfwave.verify import (
     extendability_bound,
     mra_scaling_check,
     verify_multiwavelet_set,
-    verify_parseval_multiwavelet_set,
     verify_superwavelet,
 )
 
@@ -89,7 +88,7 @@ def test_acceptance_2_shell_families():
         cfg = CONFIGS[q]
         for m in (1, 2, 3):
             W = shell_wavelet(cfg, m)
-            assert verify_parseval_multiwavelet_set([W]).passed
+            assert verify_multiwavelet_set([W], mode="parseval").passed
             v = verify_multiwavelet_set([W])
             assert not v.passed
             gap = v.check("component-1:translates-cover")
@@ -107,7 +106,7 @@ def test_acceptance_3_contracted_coset_families():
     for m in (1, 2):
         fam = scaled_shannon_family(CFG3, m)
         assert len(fam) == 2  # order q - 1
-        assert verify_parseval_multiwavelet_set(fam).passed
+        assert verify_multiwavelet_set(fam, mode="parseval").passed
         S, certified = scaling_set(union(fam), 6)
         assert certified and S.measure() == Fraction(3) ** -m
 

@@ -2,6 +2,8 @@
 and the command-line entry points."""
 
 import json
+import random
+import re
 
 import pytest
 
@@ -181,3 +183,115 @@ def test_main_construct_and_exit_codes(tmp_path, capsys):
     bad.write_text("field {p=2}\ncheck multiwavelet [O*]\n")
     assert main(["check", str(bad)]) == 1
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# Seeded grammar fuzzer: every mutated document either runs to a report or
+# raises SpecError naming a line; no stray AttributeError or IndexError.
+# ---------------------------------------------------------------------------
+
+_FUZZ_DOCS = [
+    "field {p=2}\nfamily T = tower(3)\ncheck superwavelet T orthonormal\n",
+    "field {p=3}\nfamily W = shannon\ncheck multiwavelet W\n",
+    "field {p=2}\nfamily S = shell-tuple(2)\ncheck superwavelet S parseval\n",
+    "field {p=3}\nfamily W = scaled-shannon(1)\ncheck parseval-multiwavelet W\n",
+    "field {p=2, c=2}\nset A = union(shell(1), ball(p, 2))\n"
+    "check dilation A\ncheck translation A packing\n",
+    "field {p=3}\nset A = diff(O, P^1)\nset B = scale(translate(O, u(1)), 1)\n"
+    "check translation inter(A, B) tiling\n",
+    "field {p=2}\nfn a = indicator(shell(1))\nfn b = indicator(shell(2), zeta^1)\n"
+    "check equivalent [a], [b]\ncheck super-functions [a, b]\n",
+    "field {p=3}\nfn f = step{(ball(1, 1), 1/2), (ball(2, 1), qhalf^-2)}\n"
+    "check frame [f]\ncheck translates f parseval\nbound decomposability f\n",
+    "field {p=2}\nfn a = indicator(translate(O, u(1)))\nfamily F = [a]\n"
+    "simulate parseval F window=1,1 trials=1\nsimulate gram F window=1,1 jmax=1 kmax=2\n",
+    "field {p=3}\nfn a = indicator(translate(O, u(1)))\nfn b = indicator(translate(O, u(2)))\n"
+    "simulate parseval [a, b] window=1,1 trials=1\n",
+    "field {p=2}\nfamily T = tower(2)\nsolve X from T shells=-1..1 max-scale=2\n",
+    "field {p=2}\nset W = translate(O, u(1))\ncheck scaling W, scaling(W, 2)\n"
+    "bound extendability indicator(W)\n",
+]
+
+_FUZZ_VOCAB = [
+    "(", ")", "[", "]", "{", "}", ",", "=", "^", "*", "+", "-", "/", "..", "#", "\n",
+    "0", "1", "2", "3", "1/0", "O", "O*", "P^1", "u(1)", "p", "c", "A", "T", "[a]", "[]",
+    "shell", "ball", "union", "inter", "diff", "scale", "translate", "scaling",
+    "indicator", "step", "step{}", "zeta^1", "qhalf^2", "tower", "shell-tuple",
+    "scaled-shannon", "shannon", "set", "fn", "family", "check", "bound", "solve",
+    "simulate", "field", "window", "trials", "parseval", "orthonormal", "packing",
+    "tiling", "equivalent", "multiwavelet", "superwavelet", "frame",
+]
+
+_FUZZ_TOKEN = re.compile(r"[\w*-]+|\s+|\S")
+
+
+def _mutate(rng, text):
+    tokens = _FUZZ_TOKEN.findall(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(tokens))
+        action = rng.randrange(3)
+        # padded, so no number gains a digit: a window or scale that large never ends
+        new = f" {rng.choice(_FUZZ_VOCAB)} "
+        if action == 0:
+            tokens[i] = new
+        elif action == 1:
+            tokens.insert(i, new)
+        elif tokens[i]:
+            j = rng.randrange(len(tokens[i]))
+            tokens[i] = tokens[i][:j] + tokens[i][j + 1:]
+    return "".join(tokens)
+
+
+def test_grammar_fuzz_reports_or_spec_errors():
+    rng = random.Random(20151123)
+    crashes = []
+    for case in range(2400):
+        text = _mutate(rng, _FUZZ_DOCS[case % len(_FUZZ_DOCS)])
+        try:
+            json.dumps(run_text(text), sort_keys=True)
+        except SpecError as exc:
+            if not isinstance(exc.line_no, int):
+                crashes.append((text, "line_no", exc.line_no))
+        except Exception as exc:  # noqa: BLE001 - any other escape is a crash
+            crashes.append((text, type(exc).__name__, str(exc)))
+    assert not crashes, crashes[:5]
+
+
+def test_front_end_errors_name_their_line():
+    cases = [
+        ("field {p=2}\nfamily T = tower\ncheck superwavelet T orthonormal\n", 2),
+        ("field {p=2}\nfamily T = tower tower(3)\n", 2),
+        ("field {p=2}\nfamily T = shell-tuple(3\n", 2),
+        ("field {p=2}\nset A = shell()\ncheck dilation A\n", 2),
+        ("field {p=2}\nfn f = indicator()\n", 2),
+        ("field {p=2}\nset A = scale(O)\n", 2),
+        ("field {p=2}\nset A = translate(O)\n", 2),
+        ("field {p=2}\nset A = scaling(O)\n", 2),
+        ("field {p=2}\nset A = ball(0)\n", 2),
+        ("field {p=2}\nset A = inter()\n", 2),
+        ("field {p=2}\nfamily T = [\ncheck superwavelet T\n", 2),
+        ("field {p=2}\nfn a = indicator(O*)\ncheck equivalent [a], []\n", 3),
+        ("field {p=2}\nfamily W = shannon\ncheck frame W\n", 3),
+        ("field {p=2}\nfn f = indicator(O, 1/0)\n", 2),
+        ("field {p=4}\n", 1),
+    ]
+    for text, line in cases:
+        with pytest.raises(SpecError) as err:
+            run_text(text)
+        assert err.value.line_no == line, text
+
+
+def test_inline_family_lists():
+    head = ("field {p=3}\nfn a = indicator(translate(O, u(1)))\n"
+            "fn b = indicator(translate(O, u(2)))\n")
+    inline = run_text(head + "simulate parseval [a, b] window=1,1 trials=2\n", seed=3)
+    named = run_text(head + "family F = [a, b]\nsimulate parseval F window=1,1 trials=2\n",
+                     seed=3)
+    assert inline["passed"] and inline["directives"][-1]["nonzero_residuals"] == 0
+    assert inline["directives"][-1]["nonzero_residuals"] == \
+        named["directives"][-1]["nonzero_residuals"]
+    solve = "shells=-1..1 max-scale=3\n"
+    inline = run_text("field {p=2}\nsolve X from [shell(0), shell(1)] " + solve)
+    named = run_text("field {p=2}\nfamily T = tower(3)\nsolve X from T " + solve)
+    assert inline["directives"][-1]["result"] == named["directives"][-1]["result"]
+    assert inline["directives"][-1]["result"]["status"] == "unsat"

@@ -11,6 +11,7 @@ from lfwave.clopen import (
     ClopenSet,
     fractional_ideal,
     integers,
+    joint_fold,
     shell,
     units,
 )
@@ -206,3 +207,16 @@ def test_canonical_json_serialization():
     X = parse_element(CFG2, "p^-1")
     B = Ball(CFG2, X, 0)
     assert B.as_json() == {"center": "p^-1", "scale": 0}
+
+
+def test_joint_fold_finds_collisions_across_sets():
+    for cfg in (CFG2, CFG3):
+        U = units(cfg)
+        # one copy of O* packs; two copies collide on all of O*
+        assert U.fold().overlap.is_empty()
+        res = joint_fold(cfg, [U, U])
+        assert res.overlap == U and res.coverage == U
+        assert res.measure() == 2 * U.measure()
+        # the one-set case is ClopenSet.fold, and no sets fold to nothing
+        assert joint_fold(cfg, [U]) == U.fold()
+        assert joint_fold(cfg, []).coverage.is_empty()

@@ -22,7 +22,6 @@ from lfwave.gfq import FieldConfig
 from lfwave.lfield import FieldElement, coset_rep
 from lfwave.verify import (
     verify_multiwavelet_set,
-    verify_parseval_multiwavelet_set,
     verify_superwavelet,
 )
 
@@ -53,7 +52,7 @@ def test_shell_wavelet():
     for m in (1, 2, 3):
         for cfg in (CFG2, CFG3):
             Wm = shell_wavelet(cfg, m)
-            assert verify_parseval_multiwavelet_set([Wm]).passed
+            assert verify_multiwavelet_set([Wm], mode="parseval").passed
             assert not verify_multiwavelet_set([Wm]).passed
     with pytest.raises(ValueError):
         shell_wavelet(CFG2, 0)
@@ -64,7 +63,7 @@ def test_scaled_shannon_family():
     assert len(fam) == 2 and all(W.measure() == Fraction(1, 3) for W in fam)
     for m in (1, 2):
         fam = scaled_shannon_family(CFG3, m)
-        assert verify_parseval_multiwavelet_set(fam).passed
+        assert verify_multiwavelet_set(fam, mode="parseval").passed
         assert not verify_multiwavelet_set(fam).passed
 
 
@@ -177,3 +176,9 @@ def test_solver_result_serialization():
     js = res.as_json()
     assert js["status"] == "sat"
     assert js["complement"] == [{"center": "p^-1", "scale": 0}]
+
+
+def test_solver_rejects_family_whose_joint_translates_collide():
+    for cfg in (CFG2, CFG3):
+        with pytest.raises(ValueError, match="'existing-joint-packing', 'status': 'fail'"):
+            solve_complement([units(cfg), units(cfg)], (0, 1), 2)

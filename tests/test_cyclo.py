@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from lfwave.cyclo import CycloScalar, GradeMismatch, format_exact
+from lfwave.cyclo import CycloScalar, GradeMismatch
 
 PQ = {2: 2, 3: 3, 5: 5}
 
@@ -140,4 +140,4 @@ def test_rationality_detection():
 
 def test_exact_formatting_round_trips_value():
     a = CycloScalar.rational(2, 2, Fraction(-3, 4))
-    assert "3/4" in format_exact(a)
+    assert "3/4" in repr(a)

@@ -21,7 +21,6 @@ from lfwave.verify import (
     mra_scaling_check,
     verify_frame_pointwise,
     verify_multiwavelet_set,
-    verify_parseval_multiwavelet_set,
     verify_super_functions,
     verify_superwavelet,
     verify_translates,
@@ -144,13 +143,13 @@ def test_translation_examples():
 
 
 def test_parseval_multiwavelet_set():
-    assert verify_parseval_multiwavelet_set([shell(CFG2, 1)]).passed
+    assert verify_multiwavelet_set([shell(CFG2, 1)], mode="parseval").passed
     fam = [W.scale_by(1) for W in shannon(CFG3)]
-    v = verify_parseval_multiwavelet_set(fam)
+    v = verify_multiwavelet_set(fam, mode="parseval")
     assert v.passed and v.bounds["order"] == 2
-    assert not verify_parseval_multiwavelet_set([integers(CFG2)]).passed
+    assert not verify_multiwavelet_set([integers(CFG2)], mode="parseval").passed
     # overlapping components are rejected up front
-    v = verify_parseval_multiwavelet_set([units(CFG2), units(CFG2)])
+    v = verify_multiwavelet_set([units(CFG2), units(CFG2)], mode="parseval")
     assert not v.passed and v.check("components-disjoint").witness is not None
 
 
@@ -162,7 +161,7 @@ def test_multiwavelet_set():
     for cfg in (CFG2, CFG3):
         v = verify_multiwavelet_set([units(cfg)])
         assert not v.passed  # the fold never reaches pO
-        assert verify_parseval_multiwavelet_set([units(cfg)]).passed
+        assert verify_multiwavelet_set([units(cfg)], mode="parseval").passed
 
 
 def test_superwavelet_set_criterion():
@@ -223,7 +222,7 @@ def test_set_and_pointwise_criteria_agree_on_indicator_families():
                for W in fam):
             continue
         done += 1
-        set_v = verify_parseval_multiwavelet_set(fam)
+        set_v = verify_multiwavelet_set(fam, mode="parseval")
         pt_v = verify_frame_pointwise([StepFunction.indicator(W) for W in fam])
         packs = all(check_translation(W, "packing").passed for W in fam)
         if set_v.passed:
@@ -358,3 +357,48 @@ def test_mra_scaling_examples():
     # wrong scaling set: measure law and layer checks fail
     v = mra_scaling_check(shell(CFG2, 1), fractional_ideal(CFG2, 1))
     assert not v.passed
+
+
+def test_superwavelet_joint_fold_overlap_across_components():
+    for cfg in (CFG2, CFG3):
+        v = verify_superwavelet([units(cfg), units(cfg)], "parseval")
+        assert not v.passed
+        # each component packs on its own; only the joint translates collide
+        assert v.check("(b)-component-1-translation-packing").ok
+        assert v.check("(b)-component-2-translation-packing").ok
+        c = v.check("(c)-joint-translates-disjoint")
+        assert not c.ok
+        assert c.witness == {"kind": "set", "balls": units(cfg).as_json()}
+
+
+def test_correlation_witnesses_are_the_first_failing_cell():
+    a, b = (StepFunction.indicator(shell(CFG2, m)) for m in (1, 2))
+    c = verify_super_functions([a, b]).check("(iii)-joint-correlation")
+    assert (c.ok, c.witness, c.note) == (
+        False, {"kind": "point", "point": "1"}, "j=0, sum = 0")
+    # translates tile, so every j = 0 sum is 1; the first failure is at j = 1
+    W = ClopenSet(CFG2, [Ball(CFG2, parse_element(CFG2, x), 1)
+                         for x in ("p^-1", "p^-2 + 1")])
+    w = StepFunction.indicator(W)
+    v = verify_super_functions([w])
+    c = v.check("(iii)-joint-correlation")
+    assert (c.ok, c.witness, c.note) == (
+        False, {"kind": "point", "point": "p"}, "j=1, sum = 1 (1)")
+    assert v.bounds == {"j_max": 1, "k_max": 3}
+
+    v = equivalent_superwavelets([a], [b])
+    c = v.check("correlations-agree")
+    assert (c.ok, c.witness, c.note) == (
+        False, {"kind": "point", "point": "p"}, "first discrepancy at scale offset n=0")
+    assert v.bounds == {"n_max": 1, "k_max": 0}
+    shannon1 = StepFunction.indicator(integers(CFG2).translate(coset_rep(CFG2, 1)))
+    v = equivalent_superwavelets([w], [shannon1])
+    c = v.check("correlations-agree")
+    assert (c.ok, c.witness, c.note) == (
+        False, {"kind": "point", "point": "p"}, "first discrepancy at scale offset n=1")
+    assert v.bounds == {"n_max": 1, "k_max": 3}
+
+
+def test_multiwavelet_mode_is_checked():
+    with pytest.raises(ValueError, match="unknown mode"):
+        verify_multiwavelet_set([units(CFG2)], mode="tiling")
