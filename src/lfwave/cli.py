@@ -280,6 +280,19 @@ def _options(text: str):
     return {m.group(1): m.group(2) for m in _KEYVAL.finditer(text)}
 
 
+def _int_option(opts, name, default, line_no, minimum=None):
+    text = opts.get(name)
+    if text is None:
+        return default
+    try:
+        value = int(text)
+    except ValueError:
+        raise SpecError(line_no, f"{name}= needs an integer, got {text!r}") from None
+    if minimum is not None and value < minimum:
+        raise SpecError(line_no, f"{name}= must be at least {minimum}, got {value}")
+    return value
+
+
 def _run_check(cfg, rest, env, line_no):
     kind, _, args = rest.partition(" ")
     args = args.strip()
@@ -407,14 +420,21 @@ def run(doc: SpecDocument, seed: int = 0) -> dict:
                     report["passed"] = False
             elif keyword == "simulate":
                 kind, _, args = rest.partition(" ")
+                if kind not in ("parseval", "gram"):
+                    raise SpecError(line_no, f"unknown simulate kind {kind!r}")
                 opts = _options(args)
-                fam_expr = _KEYVAL.sub("", args)
-                R, S = (int(x) for x in opts["window"].split(","))
-                model = framesim.FiniteModel(cfg, R, S)
-                fns = _name_list(cfg, fam_expr, env, line_no, "fn")
+                window = re.fullmatch(r"(\d+),(\d+)", opts.get("window", ""))
+                if not window and (kind == "parseval" or "window" in opts):
+                    raise SpecError(
+                        line_no, "expected window=R,S with integers R, S >= 0"
+                    )
+                trials = _int_option(opts, "trials", 0, line_no, minimum=0)
+                jmax = _int_option(opts, "jmax", 2, line_no)
+                kmax = _int_option(opts, "kmax", 8, line_no)
+                fns = _name_list(cfg, _KEYVAL.sub("", args), env, line_no, "fn")
                 if kind == "parseval":
+                    model = framesim.FiniteModel(cfg, int(window[1]), int(window[2]))
                     rng = random.Random(seed)
-                    trials = int(opts.get("trials", 0))
                     worst = CycloScalar.zero(cfg.p, cfg.q)
                     failures = 0
                     for _, residual in framesim.mesh_delta_residuals(model, fns):
@@ -431,9 +451,7 @@ def run(doc: SpecDocument, seed: int = 0) -> dict:
                     if failures:
                         entry["last_residual"] = _scalar_str(worst)
                         report["passed"] = False
-                elif kind == "gram":
-                    jmax = int(opts.get("jmax", 2))
-                    kmax = int(opts.get("kmax", 8))
+                else:
                     bad = 0
                     for j1 in range(-jmax, jmax + 1):
                         for k1 in range(kmax):
@@ -448,8 +466,6 @@ def run(doc: SpecDocument, seed: int = 0) -> dict:
                     entry["non_delta_entries"] = bad
                     if bad:
                         report["passed"] = False
-                else:
-                    raise SpecError(line_no, f"unknown simulate kind {kind!r}")
         except SpecError:
             raise
         except (ValueError, KeyError) as exc:

@@ -55,18 +55,31 @@ class FiniteModel:
         for b in self.window.balls:
             yield from b.split_to(self.S)
 
+    def _atom(self, i: int) -> Ball:
+        """The i-th atom in the order of atoms(): the base-q digits of i, most
+        significant first, at exponents -R..S-1."""
+        cfg = self.config
+        q = cfg.q
+        digits = {}
+        for e in range(-self.R, self.S):
+            d = i // q ** (self.S - 1 - e) % q
+            if d:
+                digits[e] = cfg.from_index(d)
+        return Ball(cfg, FieldElement(cfg, digits), self.S)
+
     def random_step(self, rng: random.Random, n_cells: int = 5) -> StepFunction:
         """Seeded random window function: distinct mesh atoms with nonzero
-        cyclotomic values on a small rational lattice."""
+        cyclotomic values on a small rational lattice.  The atoms are drawn
+        by index, which picks the same atoms as sampling the list atoms()."""
         cfg = self.config
-        atoms = list(self.atoms())
+        n = cfg.q ** (self.R + self.S)
         cells = []
-        for a in rng.sample(atoms, min(n_cells, len(atoms))):
+        for i in rng.sample(range(n), min(n_cells, n)):
             while True:
                 coeffs = [Fraction(rng.randrange(-2, 3)) for _ in range(cfg.p - 1)]
                 if any(coeffs):
                     break
-            cells.append((a, CycloScalar(cfg.p, cfg.q, coeffs)))
+            cells.append((self._atom(i), CycloScalar(cfg.p, cfg.q, coeffs)))
         return StepFunction(cfg, cells)
 
 
@@ -140,11 +153,6 @@ def affine_coef(f: StepFunction, psi: StepFunction, j: int, k: int) -> CycloScal
     return total.q_half_shift(-j)
 
 
-def _vanishes_on(x: FieldElement, n: int) -> bool:
-    """No nonzero digits at exponents 0..n-1."""
-    return all(e < 0 or e >= n for e in x.digits)
-
-
 def _k_sum(config: FieldConfig, j: int, cells) -> CycloScalar:
     """Sum over all k >= 0 of |q**(j/2) * coef(j,k)|**2 where
     coef(j,k) = q**(-j/2) * sum over active cells of t * chi(u(k) p^j b).
@@ -154,30 +162,52 @@ def _k_sum(config: FieldConfig, j: int, cells) -> CycloScalar:
     sums over all representatives of length < N collapse:
     sum_k chi(u(k) z) = q**N when z has no digits at exponents 0..N-1, else
     0.  The result is the exact full k-sum, not a truncation.
+
+    Addition is digitwise (no carries), so two cells pair up at level n
+    exactly when p^j b1 and p^j b2 agree on their digits at exponents
+    0..n-1, and the level-n pair sum is a sum over digit-prefix groups of
+    |sum of t|**2.  Each group's integer weight is accumulated over all
+    levels, and only the groups left with a nonzero weight are squared.
     """
     zero = CycloScalar.zero(config.p, config.q)
     q = config.q
     if not cells:
         return zero
+    # mixed parities pair into odd grades, which reduce_grade refuses
+    grades = [t.grade for _, _, t in cells if not t.is_zero()]
+    odd = [g for g in grades if (g - grades[0]) % 2]
+    if odd:
+        raise ValueError(f"odd half-grade {grades[0] + odd[0]} cannot be reduced")
+    l_max = max(max(j + s for _, s, _ in cells), 0)
+    # the digit of p^j b at exponent n is the digit of b at exponent n - j
+    keys = [tuple(b.digit(e).coords for e in range(-j, l_max - j)) for b, _, _ in cells]
+    weights = {}
 
-    def pair_sum(n, active):
-        acc = zero
-        for b1, _, t1 in active:
-            for b2, _, t2 in active:
-                d = (b1 - b2).scale_exponents(j)
-                if _vanishes_on(d, n):
-                    acc = acc + (t1 * t2.conj()).reduce_grade()
-        return acc
+    def weigh(n, active, w):
+        groups = {}
+        for i in active:
+            groups.setdefault(keys[i][:n], []).append(i)
+        for members in groups.values():
+            members = tuple(members)
+            weights[members] = weights.get(members, 0) + w
 
-    l_max = max(j + s for _, s, _ in cells)
-    total = pair_sum(0, cells)  # the k = 0 term
-    for L in range(1, max(l_max, 0) + 1):
-        active = [c for c in cells if j + c[1] >= L]
-        if not active:
+    weigh(0, range(len(cells)), 1)  # the k = 0 term
+    for L in range(1, l_max + 1):
+        active = [i for i, (_, s, _) in enumerate(cells) if j + s >= L]
+        if active:
+            weigh(L, active, q ** L)
+            weigh(L - 1, active, -q ** (L - 1))
+    total = zero
+    for members, w in weights.items():
+        if not w:
             continue
-        hi = _rat(config, Fraction(q) ** L) * pair_sum(L, active)
-        lo = _rat(config, Fraction(q) ** (L - 1)) * pair_sum(L - 1, active)
-        total = total + hi - lo
+        sums = {}  # per grade, so that mixed grades pair as in reduce_grade
+        for i in members:
+            t = cells[i][2]
+            sums[t.grade] = sums[t.grade] + t if t.grade in sums else t
+        for a in sums.values():
+            for b in sums.values():
+                total = total + _rat(config, w) * (a * b.conj()).reduce_grade()
     return total
 
 
@@ -241,8 +271,7 @@ def _total_energy(cfg: FieldConfig, pairs, bounds=None):
         total = total + c * _rat(cfg, geom)
         if bounds is not None:
             bounds["j_tail"] = j_tail
-    start = j_tail + 1 if tail_cells else j_tail + 1
-    for j in range(start, j_hi + 1):
+    for j in range(j_tail + 1, j_hi + 1):
         cells = []
         for f, psi in live:
             cells.extend(_coef_cells(f, psi.precompose(-j)))
@@ -330,10 +359,13 @@ def gram_entry(etas, a: tuple[int, int], b: tuple[int, int]) -> CycloScalar:
 def mesh_delta_residuals(model: FiniteModel, psis):
     """Residuals of all mesh deltas at once.
 
-    For atoms away from zero the analysis layers of each dilate are
-    precomputed per atom, so a delta's coefficient cells are a dictionary
-    lookup instead of a fresh refinement; the zero atom goes through the
-    general path (it needs the geometric tail).
+    Each analysis layer (psi, j) is tabled once: its dilated cells of scale
+    <= S by their sort key, and its finer cells grouped under the sort key
+    of their scale-S host.  For an atom away from zero, the coefficient
+    cells are then the one coarse cell holding it, found by the atom's
+    digit prefix at each coarse scale (the cells are disjoint), or else the
+    fine cells inside it.  The zero atom goes through the general path (it
+    needs the geometric tail).
     """
     cfg = model.config
     S = model.S
@@ -346,31 +378,34 @@ def mesh_delta_residuals(model: FiniteModel, psis):
             continue
         pa, pb = _shell_bounds(psi)
         for j in range(pa - (model.R + S), pb + model.R + 1):
-            psi_j = psi.precompose(-j)
-            table = {}
-            for ball, v in psi_j.cells:
+            coarse, fine = {}, {}
+            for ball, v in psi.precompose(-j).cells:
                 if ball.scale <= S:
-                    for a in ball.split_to(S):
-                        table.setdefault(a, []).append((a.center, S, v.conj()))
+                    coarse[ball.sort_key()] = v.conj()
                 else:
-                    host = Ball(cfg, ball.center, S)
-                    table.setdefault(host, []).append(
-                        (ball.center, ball.scale, v.conj()))
-            if table:
-                layers.append((j, table))
+                    host = Ball(cfg, ball.center, S).sort_key()
+                    fine.setdefault(host, []).append((ball.center, ball.scale, v.conj()))
+            layers.append((j, coarse, sorted({s for s, _ in coarse}), fine))
     out = []
     base = _rat(cfg, q ** (-S))
     for a in model.atoms():
-        delta = StepFunction.indicator(ClopenSet.from_ball(a))
         if a.contains_zero():
+            delta = StepFunction.indicator(ClopenSet.from_ball(a))
             residual, _ = parseval_residual(model, psis, delta)
             out.append((a, residual))
             continue
+        key = a.sort_key()
         residual = base  # ||delta||^2
-        for j, table in layers:
-            entries = table.get(a)
-            if not entries:
-                continue
+        for j, coarse, scales, fine in layers:
+            for s in scales:
+                v = coarse.get((s, tuple(d for d in key[1] if d[0] < s)))
+                if v is not None:
+                    entries = [(a.center, S, v)]
+                    break
+            else:
+                entries = fine.get(key)
+                if not entries:
+                    continue
             cells = [(c, s, v * _rat(cfg, q ** (-s))) for c, s, v in entries]
             residual = residual - _rat(cfg, q ** (-j)) * _k_sum(cfg, j, cells)
         out.append((a, residual))

@@ -140,6 +140,33 @@ def test_run_simulate_directives():
     assert report["directives"][2]["nonzero_residuals"] > 0
 
 
+def test_simulate_options_are_checked():
+    head = "field {p=2}\nfn a = indicator(translate(O, u(1)))\nfamily F = [a]\n"
+    bad = [
+        ("parseval", ""),
+        ("parseval", "trials=2"),
+        ("parseval", "window=2"),
+        ("parseval", "window=1,x"),
+        ("parseval", "window=-1,1"),
+        ("parseval", "window=1,1 trials=x"),
+        ("parseval", "window=1,1 trials=1.5"),
+        ("parseval", "window=1,1 trials=-1"),
+        ("gram", "jmax=x"),
+        ("gram", "kmax=2.0"),
+        ("gram", "window=1"),
+    ]
+    for kind, opts in bad:
+        with pytest.raises(SpecError) as err:
+            run_text(head + f"simulate {kind} F {opts}\n")
+        assert err.value.line_no == 4, (kind, opts)
+    # gram never builds the window model, so it needs no window
+    report = run_text(head + "simulate gram F jmax=1 kmax=4\n")
+    assert report["passed"]
+    assert report["directives"][-1]["non_delta_entries"] == 0
+    report = run_text(head + "simulate gram F window=1,1 jmax=1 kmax=4\n")
+    assert report["directives"][-1]["non_delta_entries"] == 0
+
+
 def test_run_is_deterministic():
     text = (
         "field {p=3}\n"

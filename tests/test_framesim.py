@@ -13,6 +13,7 @@ from lfwave.cyclo import CycloScalar
 from lfwave.framesim import (
     FiniteModel,
     WindowEscape,
+    _k_sum,
     affine_coef,
     gram_entry,
     mesh_delta_residuals,
@@ -21,11 +22,13 @@ from lfwave.framesim import (
     truncation_spot_check,
 )
 from lfwave.gfq import FieldConfig
-from lfwave.lfield import FieldElement, coset_rep
+from lfwave.lfield import FieldElement, coset_rep, parse_element
 from lfwave.stepfn import StepFunction, common_refinement
 
 CFG2 = FieldConfig(2, 1)
 CFG3 = FieldConfig(3, 1)
+CFG4 = FieldConfig(2, 2)
+CFG5 = FieldConfig(5, 1)
 
 
 def rat(cfg, x, grade=0):
@@ -231,15 +234,144 @@ def test_super_residual_matches_single_slot_case():
 
 
 def test_mesh_delta_residuals_match_general_path():
-    model = FiniteModel(CFG2, 2, 2)
-    for psis in (shannon_spectra(CFG2), [ind(shell(CFG2, 1))],
-                 [ind(units(CFG2), rat(CFG2, Fraction(1, 2)))]):
-        batched = mesh_delta_residuals(model, psis)
-        assert len(batched) == 2 ** 4
-        for atom, res in batched:
-            delta = ind(ClopenSet.from_ball(atom))
-            direct, _ = parseval_residual(model, psis, delta)
-            assert res == direct
+    for cfg, R, S in ((CFG2, 2, 2), (CFG3, 1, 1), (CFG4, 1, 1)):
+        model = FiniteModel(cfg, R, S)
+        z = CycloScalar.zeta_pow(cfg.p, cfg.q, 1)
+        half = rat(cfg, Fraction(1, 2))
+        families = [
+            (shannon_spectra(cfg), False),
+            ([ind(shell(cfg, 1))], False),
+            ([ind(units(cfg), half)], True),
+            # cyclotomic values off the unit circle
+            ([ind(shell(cfg, 1), z + half), ind(shell(cfg, -1), z)], True),
+            # cells finer than the mesh, inside atoms away from zero
+            ([StepFunction(cfg, [
+                (Ball(cfg, FieldElement.one(cfg), S + 1), z),
+                (Ball(cfg, parse_element(cfg, f"p^-1 + p^{S}"), S + 2), half),
+            ])], True),
+        ]
+        for psis, deficient in families:
+            batched = mesh_delta_residuals(model, psis)
+            assert [atom for atom, _ in batched] == list(model.atoms())
+            assert len(batched) == cfg.q ** (R + S)
+            for atom, res in batched:
+                delta = ind(ClopenSet.from_ball(atom))
+                direct, _ = parseval_residual(model, psis, delta)
+                assert res == direct
+            assert any(not res.is_zero() for _, res in batched) == deficient
+
+
+# ---------------------------------------------------------------------------
+# Kernels against their enumerating forms
+# ---------------------------------------------------------------------------
+
+WINDOWS = ((0, 0), (1, 0), (0, 2), (2, 1), (3, 2))
+
+
+def test_atom_index_decodes_the_atoms_order():
+    for cfg in (CFG2, CFG3, CFG4, CFG5):
+        for R, S in WINDOWS:
+            model = FiniteModel(cfg, R, S)
+            atoms = list(model.atoms())
+            assert len(atoms) == cfg.q ** (R + S)
+            for i, atom in enumerate(atoms):
+                got = model._atom(i)
+                assert got == atom and got.sort_key() == atom.sort_key()
+
+
+def reference_random_step(model, rng, n_cells=5):
+    """random_step as a sample of the enumerated atom list."""
+    cfg = model.config
+    atoms = list(model.atoms())
+    cells = []
+    for a in rng.sample(atoms, min(n_cells, len(atoms))):
+        while True:
+            coeffs = [Fraction(rng.randrange(-2, 3)) for _ in range(cfg.p - 1)]
+            if any(coeffs):
+                break
+        cells.append((a, CycloScalar(cfg.p, cfg.q, coeffs)))
+    return StepFunction(cfg, cells)
+
+
+def test_random_step_matches_sampling_the_atom_list():
+    for cfg in (CFG2, CFG3, CFG4, CFG5):
+        for R, S in ((0, 0), (1, 0), (0, 2), (2, 1)):
+            model = FiniteModel(cfg, R, S)
+            for seed in range(12):
+                for k in (0, 1, 2, 3, 5, 17, 40):
+                    rng, ref = random.Random(seed), random.Random(seed)
+                    got = model.random_step(rng, k)
+                    want = reference_random_step(model, ref, k)
+                    assert repr(got) == repr(want)
+                    assert rng.getstate() == ref.getstate()
+
+
+def pair_sum_k_sum(config, j, cells):
+    """The collapsed k-sum in its O(n**2) pair-sum form: level n pairs two
+    cells when p^j (b1 - b2) has no digits at exponents 0..n-1."""
+    zero = CycloScalar.zero(config.p, config.q)
+    q = config.q
+    if not cells:
+        return zero
+
+    def vanishes_on(x, n):
+        return all(e < 0 or e >= n for e in x.digits)
+
+    def pair_sum(n, active):
+        acc = zero
+        for b1, _, t1 in active:
+            for b2, _, t2 in active:
+                if vanishes_on((b1 - b2).scale_exponents(j), n):
+                    acc = acc + (t1 * t2.conj()).reduce_grade()
+        return acc
+
+    l_max = max(j + s for _, s, _ in cells)
+    total = pair_sum(0, cells)
+    for L in range(1, max(l_max, 0) + 1):
+        active = [c for c in cells if j + c[1] >= L]
+        if not active:
+            continue
+        hi = rat(config, Fraction(q) ** L) * pair_sum(L, active)
+        lo = rat(config, Fraction(q) ** (L - 1)) * pair_sum(L - 1, active)
+        total = total + hi - lo
+    return total
+
+
+def random_k_cells(cfg, rng, j, n, grades):
+    """n cells whose centers share a few digit prefixes at the exponents
+    that p^j moves to 0, 1, 2, with cyclotomic values (some zero)."""
+    prefixes = [{e: rng.randrange(cfg.q) for e in range(-j, -j + 3)} for _ in range(3)]
+    cells = []
+    for _ in range(n):
+        digits = dict(rng.choice(prefixes))
+        for e in range(-j - 2, -j + 5):
+            if e not in digits or rng.random() < 0.2:
+                digits[e] = rng.randrange(cfg.q)
+        b = FieldElement(cfg, {e: cfg.from_index(d) for e, d in digits.items()})
+        if rng.random() < 0.1:
+            t = CycloScalar.zero(cfg.p, cfg.q)
+        else:
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(cfg.p - 1)]
+            t = CycloScalar(cfg.p, cfg.q, coeffs, rng.choice(grades))
+        cells.append((b, rng.randint(-j - 1, -j + 5), t))
+    return cells
+
+
+def test_k_sum_matches_pair_sum():
+    rng = random.Random(20151123)
+    for cfg in (CFG2, CFG3, CFG4, CFG5):
+        for j in range(-2, 4):
+            for grades in ((0,), (1,), (-3,), (0, 2, -2)):
+                for n in (1, 2, 5, 12):
+                    cells = random_k_cells(cfg, rng, j, n, grades)
+                    assert _k_sum(cfg, j, cells) == pair_sum_k_sum(cfg, j, cells)
+            cells = [c for c in random_k_cells(cfg, rng, j, 6, (1,)) if not c[2].is_zero()]
+            cells += random_k_cells(cfg, rng, j, 6, (2,))
+            with pytest.raises(ValueError, match="odd half-grade"):
+                pair_sum_k_sum(cfg, j, cells)
+            with pytest.raises(ValueError, match="odd half-grade"):
+                _k_sum(cfg, j, cells)
+    assert _k_sum(CFG2, 0, []).is_zero()
 
 
 def test_truncation_spot_check():
