@@ -281,8 +281,11 @@ def _options(text: str):
 
 
 def _int_option(opts, name, default, line_no, minimum=None):
+    """The integer option name=N; a default of None makes it required."""
     text = opts.get(name)
     if text is None:
+        if default is None:
+            raise SpecError(line_no, f"missing {name}=")
         return default
     try:
         value = int(text)
@@ -293,16 +296,23 @@ def _int_option(opts, name, default, line_no, minimum=None):
     return value
 
 
+def _split_mode(args, modes):
+    """(expression, mode): a trailing word in modes is the mode; otherwise
+    the whole text is the expression and the mode is modes[0]."""
+    expr, _, mode = args.rpartition(" ")
+    if mode in modes:
+        return expr, mode
+    return args, modes[0]
+
+
 def _run_check(cfg, rest, env, line_no):
     kind, _, args = rest.partition(" ")
     args = args.strip()
     if kind == "dilation":
         return verify.check_dilation_tiling(parse_set_expr(cfg, args, env, line_no))
     if kind == "translation":
-        expr, _, mode = args.rpartition(" ")
-        return verify.check_translation(
-            parse_set_expr(cfg, expr, env, line_no), mode or "packing"
-        )
+        expr, mode = _split_mode(args, ("packing", "tiling"))
+        return verify.check_translation(parse_set_expr(cfg, expr, env, line_no), mode)
     if kind == "parseval-multiwavelet":
         return verify.verify_multiwavelet_set(
             _name_list(cfg, args, env, line_no, "set"), mode="parseval"
@@ -310,18 +320,14 @@ def _run_check(cfg, rest, env, line_no):
     if kind == "multiwavelet":
         return verify.verify_multiwavelet_set(_name_list(cfg, args, env, line_no, "set"))
     if kind == "superwavelet":
-        expr, _, mode = args.rpartition(" ")
-        if mode not in ("orthonormal", "parseval"):
-            expr, mode = args, "orthonormal"
+        expr, mode = _split_mode(args, ("orthonormal", "parseval"))
         return verify.verify_superwavelet(
             _name_list(cfg, expr, env, line_no, "set"), mode
         )
     if kind == "frame":
         return verify.verify_frame_pointwise(_name_list(cfg, args, env, line_no, "fn"))
     if kind == "translates":
-        expr, _, mode = args.rpartition(" ")
-        if mode not in ("parseval", "orthonormal"):
-            expr, mode = args, "parseval"
+        expr, mode = _split_mode(args, ("parseval", "orthonormal"))
         return verify.verify_translates(parse_fn_expr(cfg, expr, env, line_no), mode)
     if kind == "super-functions":
         return verify.verify_super_functions(_name_list(cfg, args, env, line_no, "fn"))
@@ -403,15 +409,18 @@ def run(doc: SpecDocument, seed: int = 0) -> dict:
                 m = re.match(r"^(\w+)\s+from\s+(\[.*?\]|\S+)\s+(.*)$", rest)
                 if not m:
                     raise SpecError(
-                        line_no, "expected: solve NAME from [W..] shells=a..b max-scale=r"
+                        line_no, "expected: solve NAME from F shells=a..b max-scale=r [node-cap=N]"
                     )
                 name, fam_expr, opt_text = m.groups()
-                fam = _name_list(cfg, fam_expr, env, line_no, "set")
                 opts = _options(opt_text)
-                lo, hi = (int(x) for x in opts["shells"].split(".."))
+                shells = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", opts.get("shells", ""))
+                if not shells:
+                    raise SpecError(line_no, "expected shells=a..b with integers a, b")
+                max_scale = _int_option(opts, "max-scale", None, line_no)
+                node_cap = _int_option(opts, "node-cap", 2_000_000, line_no, minimum=1)
+                fam = _name_list(cfg, fam_expr, env, line_no, "set")
                 result = construct.solve_complement(
-                    fam, (lo, hi), int(opts["max-scale"]),
-                    node_cap=int(opts.get("node-cap", 2_000_000)),
+                    fam, (int(shells[1]), int(shells[2])), max_scale, node_cap=node_cap
                 )
                 entry["result"] = result.as_json()
                 if result.status == "sat":

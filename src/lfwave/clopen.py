@@ -324,20 +324,22 @@ def overlay(config: FieldConfig, sets):
     return coverage, overlap
 
 
+def fold_ball(ball: Ball):
+    """(fragment, coset index) for the pieces of the ball at scale >= 0 (each
+    inside a single coset), shifted by the canonical coset representative
+    into the ring of integers."""
+    for piece in ball.split_to(max(ball.scale, 0)):
+        n, rem = split_integral(piece.center)
+        yield Ball(ball.config, rem, piece.scale), n
+
+
 def joint_fold(config: FieldConfig, sets) -> FoldResult:
     """Translate every ball of every set back into the ring of integers.
 
-    Each ball is refined to scale >= 0 (so it sits inside a single coset),
-    then shifted by the canonical representative of its coset.  The
-    overlap set witnesses any collision between translates, within one set
-    or across sets.
+    Each ball is folded by fold_ball.  The overlap set witnesses any
+    collision between translates, within one set or across sets.
     """
-    fragments = []
-    for s in sets:
-        for b in s.balls:
-            for piece in b.split_to(max(b.scale, 0)):
-                n, rem = split_integral(piece.center)
-                fragments.append((Ball(s.config, rem, piece.scale), n))
+    fragments = [fr for s in sets for b in s.balls for fr in fold_ball(b)]
     fragments.sort(key=lambda fr: (fr[1], fr[0].sort_key()))
     coverage, overlap = overlay(
         config, (ClopenSet.from_ball(frag) for frag, _ in fragments))

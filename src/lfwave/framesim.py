@@ -115,16 +115,10 @@ def _zero_cell(f: StepFunction):
 
 def _cell_products(a: StepFunction, b: StepFunction):
     """(cell, a(c) * conj(b(c))) over the common refinement of a and b, for
-    the cells where neither value is zero; b is evaluated only where a is
-    nonzero."""
-    for cell in common_refinement(a.config, [a, b]):
-        av = a.evaluate(cell.center)
-        if av.is_zero():
-            continue
-        bv = b.evaluate(cell.center)
-        if bv.is_zero():
-            continue
-        yield cell, av * bv.conj()
+    the cells where neither value is zero."""
+    for cell, (av, bv) in common_refinement(a.config, [a, b]):
+        if not (av.is_zero() or bv.is_zero()):
+            yield cell, av * bv.conj()
 
 
 def _character_terms(a: StepFunction, b: StepFunction, y: FieldElement):

@@ -9,10 +9,10 @@ point per refinement cell.
 
 from __future__ import annotations
 
-from .clopen import Ball, ClopenSet
+from .clopen import ClopenSet, fold_ball
 from .cyclo import CycloScalar
 from .gfq import ConfigMismatch, FieldConfig
-from .lfield import FieldElement, split_integral
+from .lfield import FieldElement
 
 
 class StepFunction:
@@ -50,19 +50,13 @@ class StepFunction:
             value = CycloScalar.rational(cfg.p, cfg.q, 1)
         return cls(cfg, [(b, value) for b in support.balls])
 
-    def one_value(self) -> CycloScalar:
-        return CycloScalar.rational(self.config.p, self.config.q, 1)
-
-    def zero_value(self) -> CycloScalar:
-        return CycloScalar.zero(self.config.p, self.config.q)
-
     # -- evaluation ------------------------------------------------------------
 
     def evaluate(self, x: FieldElement) -> CycloScalar:
         for ball, value in self.cells:
             if ball.contains_point(x):
                 return value
-        return self.zero_value()
+        return CycloScalar.zero(self.config.p, self.config.q)
 
     def support(self) -> ClopenSet:
         return ClopenSet(self.config, [b for b, _ in self.cells])
@@ -93,10 +87,7 @@ class StepFunction:
     def __eq__(self, other):
         if not isinstance(other, StepFunction) or self.config != other.config:
             return NotImplemented
-        mesh = common_refinement(self.config, [self, other])
-        return all(
-            self.evaluate(cell.center) == other.evaluate(cell.center) for cell in mesh
-        )
+        return all(a == b for _, (a, b) in common_refinement(self.config, [self, other]))
 
     def __hash__(self):
         raise TypeError("step functions compare by refinement; not hashable")
@@ -111,29 +102,33 @@ def common_refinement(config, fns, extras=()):
     """A pairwise-disjoint ball mesh on which every input function is constant
     and which covers every input support and extra set.
 
-    Returns the mesh as a list of balls; cell representatives are centers.
+    Returns a list of (cell, values) sorted by cell, where values[i] is the
+    value of fns[i] on the cell (zero off its support).
     """
-    pool = []
-    for f in fns:
-        pool.extend(b for b, _ in f.cells)
+    pool = [(b, i, v) for i, f in enumerate(fns) for b, v in f.cells]
     for s in extras:
-        pool.extend(s.balls)
-    universe = ClopenSet(config, pool)
+        pool.extend((b, None, None) for b in s.balls)
+    universe = ClopenSet(config, [b for b, _, _ in pool])
+    zero = CycloScalar.zero(config.p, config.q)
 
     def cells(ball, relevant):
-        if all(b.contains_ball(ball) for b in relevant):
-            yield ball
+        if all(b.contains_ball(ball) for b, _, _ in relevant):
+            values = [zero] * len(fns)
+            for _, i, v in relevant:
+                if i is not None:
+                    values[i] = v
+            yield ball, values
             return
         for child in ball.children():
-            sub = [b for b in relevant if not child.is_disjoint(b)]
+            sub = [c for c in relevant if not child.is_disjoint(c[0])]
             if sub:
                 yield from cells(child, sub)
 
     mesh = []
     for region in universe.balls:
-        relevant = [b for b in pool if not region.is_disjoint(b)]
+        relevant = [c for c in pool if not region.is_disjoint(c[0])]
         mesh.extend(cells(region, relevant))
-    mesh.sort(key=Ball.sort_key)
+    mesh.sort(key=lambda cv: cv[0].sort_key())
     return mesh
 
 
@@ -142,22 +137,16 @@ def periodized_weight(f: StepFunction) -> StepFunction:
     integers.  The fold is finite because the support is bounded; the result
     is integral periodic by construction."""
     cfg = f.config
-    folded = []
+    pieces = []
     for ball, value in f.cells:
         sq = value.abs_sq().reduce_grade()
-        for piece in ball.split_to(max(ball.scale, 0)):
-            _, rem = split_integral(piece.center)
-            folded.append((Ball(cfg, rem, piece.scale), sq))
-    if not folded:
-        return StepFunction.zero(cfg)
-    pieces = [StepFunction(cfg, [cell], _canonical=True) for cell in folded]
-    mesh = common_refinement(cfg, pieces)
+        pieces.extend(
+            StepFunction(cfg, [(frag, sq)], _canonical=True) for frag, _ in fold_ball(ball)
+        )
+    zero = CycloScalar.zero(cfg.p, cfg.q)
     cells = []
-    for cell in mesh:
-        total = CycloScalar.zero(cfg.p, cfg.q)
-        for ball, sq in folded:
-            if ball.contains_point(cell.center):
-                total = total + sq
+    for cell, values in common_refinement(cfg, pieces):
+        total = sum(values, zero)
         if not total.is_zero():
             cells.append((cell, total))
     return StepFunction(cfg, cells, _canonical=True)

@@ -233,15 +233,14 @@ def verify_frame_pointwise(fns) -> Verdict:
     target = units(cfg)
     dilations = range(-smax, -smin + 1) if smin < INF else ()
     scaled = [f.precompose(j=j) for f in fns for j in dilations]
-    mesh = common_refinement(cfg, scaled, extras=[target])
     one = CycloScalar.rational(cfg.p, cfg.q, 1)
     bad = None
-    for cell in mesh:
+    for cell, values in common_refinement(cfg, scaled, extras=[target]):
         if cell.center.valuation() != 0:
             continue
         total = CycloScalar.zero(cfg.p, cfg.q)
-        for g in scaled:
-            total = total + g.evaluate(cell.center).abs_sq().reduce_grade()
+        for x in values:
+            total = total + x.abs_sq().reduce_grade()
         if total != one:
             bad = (cell, total)
             break
@@ -259,10 +258,11 @@ def verify_frame_pointwise(fns) -> Verdict:
         if s % cfg.q == 0:
             continue
         us = coset_rep(cfg, s)
-        pairs = [(f.precompose(j=j), f.precompose(j=j, shift=us))
-                 for f in fns for j in range(0, j_max + 1)]
-        mesh = common_refinement(cfg, [g for gh in pairs for g in gh])
-        bad = next(((s, cell) for cell, total in _pair_sums(cfg, pairs, mesh)
+        pool = [g for f in fns for j in range(0, j_max + 1)
+                for g in (f.precompose(j=j), f.precompose(j=j, shift=us))]
+        mesh = common_refinement(cfg, pool)
+        pairs = [(i, i + 1) for i in range(0, len(pool), 2)]
+        bad = next(((s, cell) for cell, total in _pair_sums(cfg, mesh, pairs)
                     if not total.is_zero()), None)
         if bad:
             break
@@ -335,11 +335,13 @@ def verify_super_functions(fns) -> Verdict:
     v.bounds["k_max"] = k_max
 
     shifts = [coset_rep(cfg, k) for k in range(0, k_max + 1)]
-    mesh = _correlation_mesh(fns, range(j_max + 1), shifts)
+    offsets = range(j_max + 1)
+    mesh = _correlation_mesh(fns, offsets, shifts)
+    blocks = range(0, len(fns) * len(shifts) * len(offsets), len(offsets))
     one = CycloScalar.rational(cfg.p, cfg.q, 1)
     zero = CycloScalar.zero(cfg.p, cfg.q)
     # cell-major, scale offset inner: the first failing cell is the witness
-    rows = zip(*(_correlations(fns, j, mesh, shifts) for j in range(j_max + 1)))
+    rows = zip(*(_pair_sums(cfg, mesh, [(b + j, b) for b in blocks]) for j in offsets))
     bad = next(((j, cell, total) for row in rows
                 for j, (cell, total) in enumerate(row)
                 if total != (one if j == 0 else zero)), None)
@@ -350,31 +352,25 @@ def verify_super_functions(fns) -> Verdict:
 
 
 def _correlation_mesh(fns, offsets, shifts):
-    """Refinement of the integers on which every f(p**-n * (x + u)) is
-    constant, for f in fns, n in offsets and u in shifts."""
+    """The cells inside the integers of a refinement on which every
+    f(p**-n * (x + u)) is constant, for f in fns, u in shifts and n in
+    offsets.  The values run in that order: the block of (f, u) starts at a
+    multiple of len(offsets), so a periodized correlation pairs each block
+    start b + i (offset offsets[i]) with b (offset 0)."""
     cfg = fns[0].config
     pool = [f.precompose(n, shift=uk) for f in fns for uk in shifts for n in offsets]
-    return common_refinement(cfg, pool, extras=[integers(cfg)])
+    mesh = common_refinement(cfg, pool, extras=[integers(cfg)])
+    return [(cell, values) for cell, values in mesh if cell.center.valuation() >= 0]
 
 
-def _pair_sums(cfg, pairs, cells):
-    """(cell, sum over (g, h) in pairs of g(x) * conj(h(x))) for each cell,
-    with x the cell center."""
-    for cell in cells:
+def _pair_sums(cfg, mesh, pairs):
+    """(cell, sum over (a, b) in pairs of values[a] * conj(values[b])) for
+    each (cell, values) of a common refinement."""
+    for cell, values in mesh:
         total = CycloScalar.zero(cfg.p, cfg.q)
-        for g, h in pairs:
-            total = total + g.evaluate(cell.center) * h.evaluate(cell.center).conj()
+        for a, b in pairs:
+            total = total + values[a] * values[b].conj()
         yield cell, total
-
-
-def _correlations(fns, n, mesh, shifts):
-    """(cell, periodized correlation at scale offset n) for every mesh cell
-    inside the integers: the sum over f in fns and u in shifts of
-    f(p**-n * (x + u)) * conj(f(x + u)) at the cell center x."""
-    pairs = [(f.precompose(n, shift=uk), f.precompose(0, shift=uk))
-             for f in fns for uk in shifts]
-    inside = (cell for cell in mesh if cell.center.valuation() >= 0)
-    return _pair_sums(fns[0].config, pairs, inside)
 
 
 def equivalent_superwavelets(a_fns, b_fns) -> Verdict:
@@ -395,11 +391,13 @@ def equivalent_superwavelets(a_fns, b_fns) -> Verdict:
     v.bounds["n_max"] = n_max
     v.bounds["k_max"] = k_max
     shifts = [coset_rep(cfg, k) for k in range(0, k_max + 1)]
+    # offsets (0, n): a block of two per (f, u), a_fns first
+    split = 2 * len(a_fns) * len(shifts)
+    blocks = range(0, split, 2), range(split, split + 2 * len(b_fns) * len(shifts), 2)
     bad = None
     for n in range(0, n_max + 1):
         mesh = _correlation_mesh(list(a_fns) + list(b_fns), (0, n), shifts)
-        pairs = zip(_correlations(a_fns, n, mesh, shifts),
-                    _correlations(b_fns, n, mesh, shifts))
+        pairs = zip(*(_pair_sums(cfg, mesh, [(b + 1, b) for b in bs]) for bs in blocks))
         bad = next(((n, cell) for (cell, x), (_, y) in pairs if x != y), None)
         if bad:
             break

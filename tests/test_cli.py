@@ -117,6 +117,29 @@ def test_run_solve_directive():
     assert report["directives"][1]["result"]["status"] == "cap"
 
 
+def test_check_modes_default_when_omitted():
+    # the trailing mode word is optional; without it each check takes its
+    # default, also when the expression itself contains spaces
+    cases = [
+        ("translation", "O", "packing"),
+        ("translation", "union(O, P^1)", "packing"),
+        ("translation", "union(translate(O, u(1)), O*)", "packing"),
+        ("superwavelet", "T", "orthonormal"),
+        ("superwavelet", "[shell(0), shell(1)]", "orthonormal"),
+        ("translates", "f", "parseval"),
+        ("translates", "indicator(union(O*, P^1))", "parseval"),
+    ]
+    head = "field {p=2}\nfamily T = tower(2)\nfn f = indicator(translate(O, u(1)))\n"
+    for kind, expr, default in cases:
+        bare = run_text(head + f"check {kind} {expr}\n")["directives"][-1]
+        named = run_text(head + f"check {kind} {expr} {default}\n")["directives"][-1]
+        assert "error" not in bare, (kind, expr, bare)
+        assert bare["verdict"] == named["verdict"], (kind, expr)
+    tiling = run_text("field {p=2}\ncheck translation union(O, P^1) tiling\n")
+    names = [c["name"] for c in tiling["directives"][-1]["verdict"]["checks"]]
+    assert names == ["translates-disjoint", "translates-cover"]
+
+
 def test_run_simulate_directives():
     text = (
         "field {p=2}\n"
@@ -301,6 +324,17 @@ def test_front_end_errors_name_their_line():
         ("field {p=2}\nfamily W = shannon\ncheck frame W\n", 3),
         ("field {p=2}\nfn f = indicator(O, 1/0)\n", 2),
         ("field {p=4}\n", 1),
+        ("field {p=2}\nfamily T = tower(2)\nsolve X from T shells=-1..1\n", 3),
+        ("field {p=2}\nfamily T = tower(2)\nsolve X from T shells=1 max-scale=2\n", 3),
+        ("field {p=2}\nfamily T = tower(2)\nsolve X from T shells=a..1 max-scale=2\n", 3),
+        ("field {p=2}\nfamily T = tower(2)\nsolve X from T max-scale=2\n", 3),
+        ("field {p=2}\nfamily T = tower(2)\nsolve X from T shells=-1..1 max-scale=x\n", 3),
+        ("field {p=2}\nfamily T = tower(2)\n"
+         "solve X from T shells=-1..1 max-scale=2 node-cap=-5\n", 3),
+        ("field {p=2}\nfamily T = tower(2)\n"
+         "solve X from T shells=-1..1 max-scale=2 node-cap=0\n", 3),
+        ("field {p=2}\nfamily T = tower(2)\n"
+         "solve X from T shells=-1..1 max-scale=2 node-cap=many\n", 3),
     ]
     for text, line in cases:
         with pytest.raises(SpecError) as err:

@@ -58,7 +58,7 @@ def energy_by_enumeration(cfg, f, psis):
         pa, pb = shell_bounds(psi)
         for j in range(pa - fhi, pb - flo + 1):
             mesh = common_refinement(cfg, [f, psi.precompose(-j)])
-            sigma = max(b.scale for b in mesh)
+            sigma = max(b.scale for b, _ in mesh)
             for k in range(cfg.q ** max(j + sigma, 0)):
                 c = affine_coef(f, psi, j, k)
                 total = total + c.abs_sq().reduce_grade()
@@ -91,7 +91,7 @@ def test_affine_coef_against_riemann_sum_oracle():
             y = coset_rep(cfg, k).scale_exponents(j)
             fine = max(4, -min(y.valuation(), 0) + 1) if y else 4
             total = CycloScalar.zero(cfg.p, cfg.q)
-            for cell in common_refinement(cfg, [f, psi_j]):
+            for cell, _ in common_refinement(cfg, [f, psi_j]):
                 for a in cell.split_to(fine):
                     v = f.evaluate(a.center) * psi_j.evaluate(a.center).conj()
                     if v.is_zero():

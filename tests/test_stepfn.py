@@ -27,7 +27,7 @@ def test_evaluation():
 
 def test_common_refinement_examples():
     f = StepFunction.indicator(units(CFG3))
-    mesh = common_refinement(CFG3, [f])
+    mesh = [cell for cell, _ in common_refinement(CFG3, [f])]
     assert sorted(mesh, key=Ball.sort_key) == \
         sorted(units(CFG3).balls, key=Ball.sort_key)
     # disjoint supports stay separate cells
@@ -36,7 +36,7 @@ def test_common_refinement_examples():
     assert len(common_refinement(CFG2, [g, h])) == 2
     # nesting splits: O against pO gives cells O* and pO
     k = StepFunction.indicator(fractional_ideal(CFG2, 1))
-    mesh = common_refinement(CFG2, [h, k])
+    mesh = [cell for cell, _ in common_refinement(CFG2, [h, k])]
     got = sorted(mesh, key=Ball.sort_key)
     expect = sorted(units(CFG2).balls + fractional_ideal(CFG2, 1).balls,
                     key=Ball.sort_key)
@@ -45,6 +45,7 @@ def test_common_refinement_examples():
 
 def test_inputs_constant_on_refinement_cells():
     rng = random.Random(31)
+    zero_seen = 0
     for _ in range(100):
         fns = []
         for _ in range(3):
@@ -53,12 +54,21 @@ def test_inputs_constant_on_refinement_cells():
             cells = [(b, rat(CFG3, rng.randrange(1, 4))) for b in
                      ClopenSet(CFG3, balls).balls]
             fns.append(StepFunction(CFG3, cells))
-        mesh = common_refinement(CFG3, fns)
-        for cell in mesh:
-            for f in fns:
+        extra = ClopenSet(CFG3, [Ball(CFG3, coset_rep(CFG3, rng.randrange(27)),
+                                      rng.randrange(-2, 2))])
+        mesh = common_refinement(CFG3, fns, extras=[extra])
+        cells = [cell for cell, _ in mesh]
+        assert cells == sorted(cells, key=Ball.sort_key)
+        assert ClopenSet(CFG3, cells).contains_set(extra)
+        for cell, values in mesh:
+            assert len(values) == len(fns)
+            for f, value in zip(fns, values):
                 v = f.evaluate(cell.center)
+                assert value == v
+                zero_seen += v.is_zero()
                 for child in cell.children():
                     assert f.evaluate(child.center) == v
+    assert zero_seen
 
 
 def test_equality_is_refinement_stable():
@@ -80,7 +90,7 @@ def test_precompose_dilation_and_shift():
     h = f.precompose(0, shift=t)  # xi -> f(xi + t)
     assert h.support() == units(CFG2).translate(-t)
     one = FieldElement.one(CFG2)
-    assert h.evaluate(one + t + t).is_zero() or True  # value sanity below
+    assert h.evaluate(one + t + t).is_zero()
     assert h.evaluate(one - t) == rat(CFG2, 1)
 
 
