@@ -169,57 +169,60 @@ def _solver_preconditions(existing, config) -> tuple[Verdict, ClopenSet]:
     return v, target
 
 
+def _bits(mask):
+    """Indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _exact_cover(columns, rows, node_cap):
-    """Deterministic Algorithm X: `columns` maps element -> candidate row
-    ids, `rows` maps row id -> frozenset of elements.  Maintains live row
-    sets per column so the fewest-rows column choice and the empty-column
-    cutoff are exact; returns (solution row ids, nodes) or (None, nodes);
-    raises _CapExceeded beyond node_cap."""
-    live = {c: set(rs) for c, rs in columns.items()}
+    """Deterministic Algorithm X over integer bitsets: `columns[c]` is the
+    mask of the rows covering column c, `rows[r]` the mask of the columns
+    row r covers.  Each node branches on the first uncovered column with the
+    fewest live rows and tries its rows lowest id first; choosing row r
+    drops every row that shares a column with it.  Returns (solution row
+    ids, nodes) or (None, nodes); raises _CapExceeded beyond node_cap."""
+    clash = []
+    for cols in rows:
+        m = 0
+        for c in _bits(cols):
+            m |= columns[c]
+        clash.append(m)
+    live = (1 << len(rows)) - 1
+    uncovered = (1 << len(columns)) - 1
+    stack = []  # (live, uncovered, untried) of every open node
     solution = []
     nodes = 0
-
-    def eliminate(rid):
-        """Remove every row clashing with rid and every column it covers;
-        returns an undo list of (column, row) removals."""
-        undo = []
-        for e in rows[rid]:
-            for r2 in live[e]:
-                for e2 in rows[r2]:
-                    if e2 != e and r2 in live[e2]:
-                        live[e2].discard(r2)
-                        undo.append((e2, r2))
-            undo.append((e, live.pop(e)))
-        return undo
-
-    def restore(undo):
-        for e, r in reversed(undo):
-            if isinstance(r, set):
-                live[e] = r
-            else:
-                live[e].add(r)
-
-    def search():
-        nonlocal nodes
+    while True:
         nodes += 1
         if nodes > node_cap:
             raise _CapExceeded
-        if not live:
-            return True
-        col = min(live, key=lambda c: (len(live[c]), c))
-        if not live[col]:
-            return False
-        for rid in sorted(live[col]):
-            undo = eliminate(rid)
-            solution.append(rid)
-            if search():
-                return True
+        if not uncovered:
+            return solution, nodes
+        fewest = len(rows) + 1
+        for c in _bits(uncovered):
+            n = (columns[c] & live).bit_count()
+            if n < fewest:
+                fewest, col = n, c
+                if not n:
+                    break
+        stack.append((live, uncovered, columns[col] & live))
+        while True:
+            live, uncovered, untried = stack[-1]
+            if untried:
+                break
+            stack.pop()
+            if not stack:
+                return None, nodes
             solution.pop()
-            restore(undo)
-        return False
-
-    ok = search()
-    return (list(solution) if ok else None), nodes
+        low = untried & -untried
+        stack[-1] = (live, uncovered, untried ^ low)
+        rid = low.bit_length() - 1
+        solution.append(rid)
+        live &= ~clash[rid]
+        uncovered &= ~rows[rid]
 
 
 class _CapExceeded(Exception):
@@ -278,15 +281,25 @@ def solve_complement(existing, shells: tuple[int, int], max_scale: int,
     if r < t_min:
         raise ValueError(f"max_scale {r} below target resolution {t_min}")
 
-    # universes
-    unit_atoms = []
-    for b in units(config).balls:
-        unit_atoms.extend(b.split_to(r - lo))
-    fold_atoms = []
-    for b in target.balls:
-        fold_atoms.extend(b.split_to(r))
-    unit_ix = {b: ("u", i) for i, b in enumerate(sorted(unit_atoms, key=Ball.sort_key))}
-    fold_ix = {b: ("f", i) for i, b in enumerate(sorted(fold_atoms, key=Ball.sort_key))}
+    # universes: fold atoms are columns 0..F-1, unit atoms F..F+U-1, each in
+    # sort-key order; a ball's columns are looked up by its sort key in a
+    # table keyed by every ancestor (scale, digit prefix) of every atom
+    fold_atoms = sorted((a for b in target.balls for a in b.split_to(r)),
+                        key=Ball.sort_key)
+    unit_atoms = sorted((a for b in units(config).balls for a in b.split_to(r - lo)),
+                        key=Ball.sort_key)
+
+    def under(atoms, first):
+        table = {}
+        for i, a in enumerate(atoms, first):
+            scale, digits = a.sort_key()
+            for t in range(scale + 1):
+                key = (t, tuple(d for d in digits if d[0] < t))
+                table[key] = table.get(key, 0) | 1 << i
+        return table
+
+    fold_under = under(fold_atoms, 0)
+    unit_under = under(unit_atoms, len(fold_atoms))
 
     # candidate cells: X + u(l) with X a sub-ball of the target
     sub_balls = []
@@ -295,9 +308,8 @@ def solve_complement(existing, shells: tuple[int, int], max_scale: int,
             sub_balls.extend(b.split_to(t))
     sub_balls = sorted(set(sub_balls), key=Ball.sort_key)
 
-    rows = {}
-    row_cells = {}
-    rid = 0
+    rows = []
+    row_cells = []
     l = 0
     while True:
         ul = coset_rep(config, l)
@@ -311,20 +323,15 @@ def solve_complement(existing, shells: tuple[int, int], max_scale: int,
             if not lo <= s <= hi:
                 continue
             norm = cell.scale_by(-s)
-            elems = frozenset(
-                [unit_ix[a] for a in norm.split_to(r - lo)]
-                + [fold_ix[a] for a in X.split_to(r)]
-            )
-            rows[rid] = elems
-            row_cells[rid] = cell
-            rid += 1
+            rows.append(unit_under[norm.sort_key()] | fold_under[X.sort_key()])
+            row_cells.append(cell)
         l += 1
 
-    columns = {e: set() for e in list(unit_ix.values()) + list(fold_ix.values())}
-    for i, elems in rows.items():
-        for e in elems:
-            columns[e].add(i)
-    if any(not rs for rs in columns.values()):
+    columns = [0] * (len(fold_atoms) + len(unit_atoms))
+    for i, m in enumerate(rows):
+        for c in _bits(m):
+            columns[c] |= 1 << i
+    if not all(columns):
         return SolveResult(
             status="unsat",
             certificate={"kind": "uncoverable-atom",
@@ -338,7 +345,7 @@ def solve_complement(existing, shells: tuple[int, int], max_scale: int,
         return SolveResult(status="cap",
                            stats={"candidates": len(rows), "node_cap": node_cap})
     stats = {"candidates": len(rows), "nodes": nodes,
-             "unit_atoms": len(unit_ix), "fold_atoms": len(fold_ix)}
+             "unit_atoms": len(unit_atoms), "fold_atoms": len(fold_atoms)}
     if picked is None:
         return SolveResult(
             status="unsat",

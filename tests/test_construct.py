@@ -1,12 +1,15 @@
 """Builders, scaling sets with certified tails, tower-family audits, and the
 double-exact-cover complement solver."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from lfwave.clopen import Ball, ClopenSet, fractional_ideal, integers, shell, units
 from lfwave.construct import (
+    _CapExceeded,
+    _exact_cover,
     scaled_shannon_family,
     scaling_set,
     shannon_family,
@@ -182,3 +185,131 @@ def test_solver_rejects_family_whose_joint_translates_collide():
     for cfg in (CFG2, CFG3):
         with pytest.raises(ValueError, match="'existing-joint-packing', 'status': 'fail'"):
             solve_complement([units(cfg), units(cfg)], (0, 1), 2)
+
+
+def test_solver_uncoverable_atom_certificate():
+    # the target O has the atoms pO and 1 + pO at scale 1; with shells 0..0
+    # the only candidate is 1 + pO, since u(1) = p**-1 leaves the shell
+    # range, so the atom pO has no candidate cell
+    res = solve_complement([], shells=(0, 0), max_scale=1, config=CFG2)
+    assert res.status == "unsat"
+    assert res.certificate["kind"] == "uncoverable-atom"
+    assert res.stats == {"candidates": 1}
+
+
+def test_solver_search_order_is_pinned():
+    # candidate order, column tie-break and row order fix the node count
+    cases = [
+        (CFG2, (-3, 3), 5, {"candidates": 242, "nodes": 2268, "unit_atoms": 128, "fold_atoms": 16}),
+        (CFG2, (-4, 4), 5, {"candidates": 491, "nodes": 7461, "unit_atoms": 256, "fold_atoms": 16}),
+        (CFG4, (-2, 2), 3, {"candidates": 333, "nodes": 79, "unit_atoms": 768, "fold_atoms": 16}),
+    ]
+    for cfg, shells, max_scale, stats in cases:
+        res = solve_complement(tower_components(cfg, 2), shells, max_scale)
+        assert res.status == "unsat" and res.certificate["kind"] == "exhausted"
+        assert res.stats == stats
+
+
+def test_exact_cover_is_not_recursive():
+    # a chain of 1,500 singleton rows is 1,500 levels deep
+    n = 1500
+    masks = [1 << i for i in range(n)]
+    solution, nodes = _exact_cover(masks, masks, 10_000)
+    assert solution == list(range(n))
+    assert nodes == n + 1
+
+
+def _reference_exact_cover(columns, rows, node_cap):
+    """The set-based Algorithm X the bitset search replaced: `columns` maps
+    element -> candidate row ids, `rows` maps row id -> frozenset of
+    elements.  Kept as the oracle for solutions, node counts and caps."""
+    live = {c: set(rs) for c, rs in columns.items()}
+    solution = []
+    nodes = 0
+
+    def eliminate(rid):
+        undo = []
+        for e in rows[rid]:
+            for r2 in live[e]:
+                for e2 in rows[r2]:
+                    if e2 != e and r2 in live[e2]:
+                        live[e2].discard(r2)
+                        undo.append((e2, r2))
+            undo.append((e, live.pop(e)))
+        return undo
+
+    def restore(undo):
+        for e, r in reversed(undo):
+            if isinstance(r, set):
+                live[e] = r
+            else:
+                live[e].add(r)
+
+    def search():
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_cap:
+            raise _CapExceeded
+        if not live:
+            return True
+        col = min(live, key=lambda c: (len(live[c]), c))
+        if not live[col]:
+            return False
+        for rid in sorted(live[col]):
+            undo = eliminate(rid)
+            solution.append(rid)
+            if search():
+                return True
+            solution.pop()
+            restore(undo)
+        return False
+
+    ok = search()
+    return (list(solution) if ok else None), nodes
+
+
+def _random_cover_instance(rng):
+    """Fold columns ("f", i) and unit columns ("u", i), as the solver names
+    them, and 0-30 rows of 1-4 columns; half the instances hide a cover."""
+    ncols = rng.randint(1, 14)
+    nf = rng.randint(0, ncols)
+    names = [("f", i) for i in range(nf)] + [("u", i) for i in range(ncols - nf)]
+    elems = []
+    if rng.random() < 0.5:
+        shuffled = rng.sample(names, ncols)
+        while shuffled:
+            k = rng.randint(1, min(4, len(shuffled)))
+            elems.append(frozenset(shuffled[:k]))
+            shuffled = shuffled[k:]
+    while len(elems) < 30 and rng.random() < 0.95:
+        elems.append(frozenset(rng.sample(names, rng.randint(1, min(4, ncols)))))
+    rng.shuffle(elems)
+    rows = dict(enumerate(elems))
+    columns = {c: {i for i, e in rows.items() if c in e} for c in names}
+    return columns, rows
+
+
+def _as_masks(columns, rows):
+    index = {c: i for i, c in enumerate(sorted(columns))}
+    col_masks = [sum(1 << r for r in columns[c]) for c in sorted(columns)]
+    row_masks = [sum(1 << index[e] for e in rows[r]) for r in range(len(rows))]
+    return col_masks, row_masks
+
+
+def test_exact_cover_matches_set_based_reference():
+    def outcome(search, columns, rows, cap):
+        try:
+            return search(columns, rows, cap)
+        except _CapExceeded:
+            return "cap"
+
+    rng = random.Random(2024)
+    kinds = {"sat": 0, "unsat": 0, "cap": 0}
+    for _ in range(2000):
+        columns, rows = _random_cover_instance(rng)
+        cap = rng.randint(1, 12) if rng.random() < 0.3 else 10 ** 6
+        expect = outcome(_reference_exact_cover, columns, rows, cap)
+        got = outcome(_exact_cover, *_as_masks(columns, rows), cap)
+        assert got == expect, (columns, rows, cap)
+        kinds["cap" if expect == "cap" else "unsat" if expect[0] is None else "sat"] += 1
+    assert min(kinds.values()) >= 100, kinds
