@@ -10,6 +10,7 @@ rationals.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,6 +57,11 @@ class Ball:
     def shell_index(self):
         """Common valuation of all points; None for a ball containing zero."""
         return None if not self.center else self.center.valuation()
+
+    def ancestor_key(self, t: int):
+        """Sort key of the scale-t ball containing this one (t <= scale)."""
+        digits = self._key[1]
+        return t, digits[:bisect_left(digits, (t,))]
 
     def children(self):
         cfg = self.config
@@ -162,12 +168,11 @@ class ClopenSet:
             changed = False
             groups: dict = {}
             for b in kept:
-                pkey = (b.scale - 1, b.center.truncate_below(b.scale - 1))
-                groups.setdefault(pkey, []).append(b)
+                groups.setdefault(b.ancestor_key(b.scale - 1), []).append(b)
             merged = []
-            for (pscale, pcenter), members in groups.items():
+            for (pscale, _), members in groups.items():
                 if len(members) == q:
-                    merged.append(Ball(config, pcenter, pscale))
+                    merged.append(Ball(config, members[0].center, pscale))
                     changed = True
                 else:
                     merged.extend(members)
@@ -249,11 +254,8 @@ class ClopenSet:
 
     def min_valuation(self):
         """m with the set inside p**m * O; +inf for the empty set."""
-        m = INF
-        for b in self.balls:
-            v = b.scale if b.contains_zero() else b.center.valuation()
-            m = min(m, v)
-        return m
+        return min((b.scale if b.contains_zero() else b.shell_index() for b in self.balls),
+                   default=INF)
 
     def shells(self, depth: int | None = None):
         """Split along shells of constant absolute value.
@@ -265,10 +267,11 @@ class ClopenSet:
         by_shell: dict[int, list[Ball]] = {}
         residual = None
         for b in self.balls:
-            if b.contains_zero():
+            s = b.shell_index()
+            if s is None:
                 residual = b  # at most one: nesting is forbidden
             else:
-                by_shell.setdefault(b.center.valuation(), []).append(b)
+                by_shell.setdefault(s, []).append(b)
         if residual is not None and depth is not None:
             for i in range(depth):
                 s = residual.scale + i
@@ -284,14 +287,8 @@ class ClopenSet:
         return joint_fold(self.config, [self])
 
     def inv_norm_integral(self):
-        """Integral of 1/|xi| over the set: exact rational, or +inf when the
-        set has positive mass arbitrarily close to zero."""
-        total = Fraction(0)
-        for b in self.balls:
-            if b.contains_zero():
-                return INF
-            total += Fraction(self.config.q) ** (b.center.valuation() - b.scale)
-        return total
+        """Integral of 1/|xi| over the set; see inv_norm_integral."""
+        return inv_norm_integral((b, 1) for b in self.balls)
 
     def __repr__(self):
         if not self.balls:
@@ -300,6 +297,21 @@ class ClopenSet:
 
     def as_json(self):
         return [b.as_json() for b in self.balls]
+
+
+def inv_norm_integral(cells):
+    """Integral of weight/|xi| over disjoint (ball, rational weight) cells:
+    exact, or +inf when a ball of nonzero weight contains zero (positive
+    mass arbitrarily close to zero).  Zero-weight cells are skipped."""
+    total = Fraction(0)
+    for ball, weight in cells:
+        if weight == 0:
+            continue
+        s = ball.shell_index()
+        if s is None:
+            return INF
+        total += weight * Fraction(ball.config.q) ** (s - ball.scale)
+    return total
 
 
 @dataclass

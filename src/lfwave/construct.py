@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from .clopen import Ball, ClopenSet, fractional_ideal, integers, joint_fold, shell, units
 from .gfq import FieldConfig
-from .lfield import FieldElement, coset_rep
+from .lfield import coset_rep
 from .verify import (
     Verdict,
     check_dilation_tiling,
@@ -155,12 +155,9 @@ class SolveResult:
 def _solver_preconditions(existing, config) -> tuple[Verdict, ClopenSet]:
     v = Verdict()
     for i, W in enumerate(existing, 1):
-        dil = check_dilation_tiling(W)
-        v.add(f"existing-{i}-dilation-tiling", dil.passed,
-              next((c.witness for c in dil.checks if not c.ok), None))
-        tr = check_translation(W, "packing")
-        v.add(f"existing-{i}-translation-packing", tr.passed,
-              next((c.witness for c in tr.checks if not c.ok), None))
+        v.add(f"existing-{i}-dilation-tiling", *check_dilation_tiling(W).outcome())
+        v.add(f"existing-{i}-translation-packing",
+              *check_translation(W, "packing").outcome())
     fold = joint_fold(config, existing)
     v.add("existing-joint-packing", fold.overlap.is_empty(),
           None if fold.overlap.is_empty() else witness_set(fold.overlap))
@@ -283,7 +280,7 @@ def solve_complement(existing, shells: tuple[int, int], max_scale: int,
 
     # universes: fold atoms are columns 0..F-1, unit atoms F..F+U-1, each in
     # sort-key order; a ball's columns are looked up by its sort key in a
-    # table keyed by every ancestor (scale, digit prefix) of every atom
+    # table keyed by every ancestor key of every atom
     fold_atoms = sorted((a for b in target.balls for a in b.split_to(r)),
                         key=Ball.sort_key)
     unit_atoms = sorted((a for b in units(config).balls for a in b.split_to(r - lo)),
@@ -292,9 +289,8 @@ def solve_complement(existing, shells: tuple[int, int], max_scale: int,
     def under(atoms, first):
         table = {}
         for i, a in enumerate(atoms, first):
-            scale, digits = a.sort_key()
-            for t in range(scale + 1):
-                key = (t, tuple(d for d in digits if d[0] < t))
+            for t in range(a.scale + 1):
+                key = a.ancestor_key(t)
                 table[key] = table.get(key, 0) | 1 << i
         return table
 
@@ -317,10 +313,8 @@ def solve_complement(existing, shells: tuple[int, int], max_scale: int,
             break
         for X in sub_balls:
             cell = X.translate(ul)
-            if cell.contains_zero():
-                continue
-            s = cell.center.valuation()
-            if not lo <= s <= hi:
+            s = cell.shell_index()
+            if s is None or not lo <= s <= hi:
                 continue
             norm = cell.scale_by(-s)
             rows.append(unit_under[norm.sort_key()] | fold_under[X.sort_key()])

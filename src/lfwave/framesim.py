@@ -14,11 +14,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .clopen import Ball, ClopenSet, fractional_ideal
+from .clopen import INF, Ball, ClopenSet, fractional_ideal
 from .cyclo import CycloScalar
 from .gfq import FieldConfig
 from .lfield import FieldElement, character, coset_rep
-from .stepfn import StepFunction, common_refinement
+from .stepfn import StepFunction, common_refinement, shell_range
 
 
 class WindowEscape(ValueError):
@@ -57,15 +57,9 @@ class FiniteModel:
 
     def _atom(self, i: int) -> Ball:
         """The i-th atom in the order of atoms(): the base-q digits of i, most
-        significant first, at exponents -R..S-1."""
+        significant first, at exponents -R..S-1, i.e. p**S * u(i)."""
         cfg = self.config
-        q = cfg.q
-        digits = {}
-        for e in range(-self.R, self.S):
-            d = i // q ** (self.S - 1 - e) % q
-            if d:
-                digits[e] = cfg.from_index(d)
-        return Ball(cfg, FieldElement(cfg, digits), self.S)
+        return Ball(cfg, coset_rep(cfg, i).scale_exponents(self.S), self.S)
 
     def random_step(self, rng: random.Random, n_cells: int = 5) -> StepFunction:
         """Seeded random window function: distinct mesh atoms with nonzero
@@ -98,19 +92,6 @@ def _norm_sq(f: StepFunction) -> CycloScalar:
     for b, v in f.cells:
         total = total + v.abs_sq().reduce_grade() * _rat(cfg, b.measure())
     return total
-
-
-def _shell_bounds(f: StepFunction):
-    """(lowest, highest) shell index over cells not containing zero."""
-    vals = [b.center.valuation() for b, _ in f.cells if not b.contains_zero()]
-    return (min(vals), max(vals)) if vals else (None, None)
-
-
-def _zero_cell(f: StepFunction):
-    for b, v in f.cells:
-        if b.contains_zero():
-            return b, v
-    return None
 
 
 def _cell_products(a: StepFunction, b: StepFunction):
@@ -232,30 +213,19 @@ def _total_energy(cfg: FieldConfig, pairs, bounds=None):
         live.append((f, psi))
     if not live:
         return zero
-    j_tail = None  # largest j handled by the geometric tail
-    j_hi = None
+    j_tail, j_hi = INF, -INF  # j_tail: largest j handled by the geometric tail
     tail_cells = []
     for f, psi in live:
-        pa, pb = _shell_bounds(psi)
-        flo, fhi = _shell_bounds(f)
-        zc = _zero_cell(f)
-        hi_candidates = []
-        if flo is not None:
-            hi_candidates.append(pb - flo)
+        pa, pb, _ = shell_range([psi])
+        flo, fhi, zc = shell_range([f])
         if zc is not None:
-            s0 = zc[0].scale
-            hi_candidates.append(pb - s0)
+            s0, v0 = zc[0].scale, zc[1]
             pj = pa - s0
-            v0 = zc[1]
-            for b, v in psi.cells:
-                tail_cells.append(
-                    (b.center, b.scale, v0 * v.conj() * _rat(cfg, b.measure()))
-                )
+            tail_cells.extend((b.center, b.scale, v0 * v.conj() * _rat(cfg, b.measure()))
+                              for b, v in psi.cells)
         else:
-            pj = pa - fhi - 1
-        hi = max(hi_candidates)
-        j_tail = pj if j_tail is None else min(j_tail, pj)
-        j_hi = hi if j_hi is None else max(j_hi, hi)
+            s0, pj = INF, pa - fhi - 1
+        j_tail, j_hi = min(j_tail, pj), max(j_hi, pb - min(flo, s0))
 
     total = zero
     if tail_cells:
@@ -319,10 +289,10 @@ def truncation_spot_check(model: FiniteModel, psis, f: StepFunction,
     """Directly evaluates a few coefficients beyond the recorded cutoff and
     confirms they are exactly zero."""
     cfg = model.config
+    flo, fhi, _ = shell_range([f])
     for psi in psis:
-        pa, pb = _shell_bounds(psi)
-        flo, fhi = _shell_bounds(f)
-        if flo is None or pa is None:
+        pa, pb, _ = shell_range([psi])
+        if flo == INF or pa == INF:
             continue
         for j in range(pa - fhi, pb - flo + 1):
             cells = _coef_cells(f, psi.precompose(-j))
@@ -339,7 +309,9 @@ def truncation_spot_check(model: FiniteModel, psis, f: StepFunction,
 def gram_entry(etas, a: tuple[int, int], b: tuple[int, int]) -> CycloScalar:
     """Sum over slots of <D^j T^k eta_i, D^j' T^k' eta_i>; equals the
     Kronecker delta exactly when the tuple generates an orthonormal
-    direct-sum system."""
+    direct-sum system.  Raises ValueError on an empty tuple."""
+    if not etas:
+        raise ValueError("empty tuple")
     j1, k1 = a
     j2, k2 = b
     cfg = etas[0].config
@@ -354,10 +326,10 @@ def mesh_delta_residuals(model: FiniteModel, psis):
     """Residuals of all mesh deltas at once.
 
     Each analysis layer (psi, j) is tabled once: its dilated cells of scale
-    <= S by their sort key, and its finer cells grouped under the sort key
-    of their scale-S host.  For an atom away from zero, the coefficient
+    <= S by their sort key, and its finer cells grouped under the ancestor
+    key of their scale-S host.  For an atom away from zero, the coefficient
     cells are then the one coarse cell holding it, found by the atom's
-    digit prefix at each coarse scale (the cells are disjoint), or else the
+    ancestor key at each coarse scale (the cells are disjoint), or else the
     fine cells inside it.  The zero atom goes through the general path (it
     needs the geometric tail).
     """
@@ -370,15 +342,15 @@ def mesh_delta_residuals(model: FiniteModel, psis):
         _check_away_from_zero(psi)
         if not psi.cells:
             continue
-        pa, pb = _shell_bounds(psi)
+        pa, pb, _ = shell_range([psi])
         for j in range(pa - (model.R + S), pb + model.R + 1):
             coarse, fine = {}, {}
             for ball, v in psi.precompose(-j).cells:
                 if ball.scale <= S:
                     coarse[ball.sort_key()] = v.conj()
                 else:
-                    host = Ball(cfg, ball.center, S).sort_key()
-                    fine.setdefault(host, []).append((ball.center, ball.scale, v.conj()))
+                    fine.setdefault(ball.ancestor_key(S), []).append(
+                        (ball.center, ball.scale, v.conj()))
             layers.append((j, coarse, sorted({s for s, _ in coarse}), fine))
     out = []
     base = _rat(cfg, q ** (-S))
@@ -388,16 +360,15 @@ def mesh_delta_residuals(model: FiniteModel, psis):
             residual, _ = parseval_residual(model, psis, delta)
             out.append((a, residual))
             continue
-        key = a.sort_key()
         residual = base  # ||delta||^2
         for j, coarse, scales, fine in layers:
             for s in scales:
-                v = coarse.get((s, tuple(d for d in key[1] if d[0] < s)))
+                v = coarse.get(a.ancestor_key(s))
                 if v is not None:
                     entries = [(a.center, S, v)]
                     break
             else:
-                entries = fine.get(key)
+                entries = fine.get(a.sort_key())
                 if not entries:
                     continue
             cells = [(c, s, v * _rat(cfg, q ** (-s))) for c, s, v in entries]

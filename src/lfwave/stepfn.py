@@ -9,7 +9,7 @@ point per refinement cell.
 
 from __future__ import annotations
 
-from .clopen import ClopenSet, fold_ball
+from .clopen import INF, ClopenSet, fold_ball
 from .cyclo import CycloScalar
 from .gfq import ConfigMismatch, FieldConfig
 from .lfield import FieldElement
@@ -96,6 +96,21 @@ class StepFunction:
         if not self.cells:
             return "step{}"
         return "step{" + ", ".join(f"({b!r}, {v!r})" for b, v in self.cells) + "}"
+
+
+def shell_range(fns):
+    """(smin, smax, zero cell): the lowest and highest shell index over the
+    cells of all fns that do not contain zero (inf and -inf when there are
+    none), and the first (ball, value) cell that contains zero, or None."""
+    smin, smax, zero = INF, -INF, None
+    for f in fns:
+        for cell in f.cells:
+            s = cell[0].shell_index()
+            if s is None:
+                zero = zero or cell
+            else:
+                smin, smax = min(smin, s), max(smax, s)
+    return smin, smax, zero
 
 
 def common_refinement(config, fns, extras=()):

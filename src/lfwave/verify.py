@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .clopen import Ball, ClopenSet, integers, joint_fold, overlay, units
+from .clopen import Ball, ClopenSet, integers, inv_norm_integral, joint_fold, overlay, units
 from .cyclo import CycloScalar
 from .lfield import FieldElement, coset_rep, format_element
-from .stepfn import StepFunction, common_refinement, periodized_weight
+from .stepfn import StepFunction, common_refinement, periodized_weight, shell_range
 
 INF = math.inf
 
@@ -62,12 +62,27 @@ class Verdict:
                 return c
         raise KeyError(name)
 
+    def outcome(self, *names):
+        """(ok, witness) of the named checks taken together (of all checks
+        when none are named): ok unless one of them fails bindingly, and
+        then the witness of the first that does."""
+        bad = next((c for c in self.checks if c.binding and not c.ok
+                    and (not names or c.name in names)), None)
+        return bad is None, None if bad is None else bad.witness
+
     def as_json(self):
         return {
             "passed": self.passed,
             "checks": [c.as_json() for c in self.checks],
             "bounds": self.bounds,
         }
+
+
+def _config(*families):
+    """The field configuration of non-empty families of sets or spectra."""
+    if not all(families):
+        raise ValueError("empty family")
+    return families[0][0].config
 
 
 def witness_ball(ball: Ball):
@@ -128,6 +143,11 @@ def check_translation(W: ClopenSet, mode: str = "packing") -> Verdict:
 
     Translates beyond the diameter bound of W are disjoint automatically, so
     folding W into the ring of integers decides both questions.
+
+    bounds["fold_measure"] is measure(coverage) + measure(overlap) of the
+    fold.  That is the fold measure with multiplicity only while at most two
+    translates meet: a point in three or more is still counted twice (four
+    translates of pO at q = 2 give "1", where FoldResult.measure() is 2).
     """
     if mode not in ("packing", "tiling"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -146,11 +166,12 @@ def check_translation(W: ClopenSet, mode: str = "packing") -> Verdict:
 def verify_multiwavelet_set(components, mode: str = "orthonormal") -> Verdict:
     """Set criterion for a multiwavelet: disjoint components whose union
     tiles under dilation, and every component tiles (orthonormal) or packs
-    (semi-orthogonal Parseval frame) under translation."""
+    (semi-orthogonal Parseval frame) under translation.  Raises ValueError
+    on an empty family."""
     if mode not in ("orthonormal", "parseval"):
         raise ValueError(f"unknown mode {mode!r}")
     v = Verdict()
-    union, bad = overlay(components[0].config, components)
+    union, bad = overlay(_config(components), components)
     v.add("components-disjoint", bad.is_empty(),
           None if bad.is_empty() else witness_set(bad))
     if not v.passed:
@@ -170,20 +191,16 @@ def verify_multiwavelet_set(components, mode: str = "orthonormal") -> Verdict:
 def verify_superwavelet(components, mode: str = "orthonormal") -> Verdict:
     """Set criterion for a super-wavelet tuple: (a) each component tiles
     under dilation, (b) each component packs under translation, (c) the
-    joint translates tile the field (orthonormal) or pack (parseval)."""
+    joint translates tile the field (orthonormal) or pack (parseval).
+    Raises ValueError on an empty tuple."""
     if mode not in ("orthonormal", "parseval"):
         raise ValueError(f"unknown mode {mode!r}")
     v = Verdict()
-    cfg = components[0].config
+    cfg = _config(components)
     for i, W in enumerate(components, 1):
-        dil = check_dilation_tiling(W)
-        v.add(f"(a)-component-{i}-dilation-tiling", dil.passed,
-              None if dil.passed else next(
-                  (c.witness for c in dil.checks if not c.ok), None))
-        tr = check_translation(W, "packing")
-        v.add(f"(b)-component-{i}-translation-packing", tr.passed,
-              None if tr.passed else next(
-                  (c.witness for c in tr.checks if not c.ok), None))
+        v.add(f"(a)-component-{i}-dilation-tiling", *check_dilation_tiling(W).outcome())
+        v.add(f"(b)-component-{i}-translation-packing",
+              *check_translation(W, "packing").outcome())
     fold = joint_fold(cfg, components)
     v.add("(c)-joint-translates-disjoint", fold.overlap.is_empty(),
           None if fold.overlap.is_empty() else witness_set(fold.overlap))
@@ -201,32 +218,19 @@ def verify_superwavelet(components, mode: str = "orthonormal") -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _shell_range(fns):
-    """(smin, smax) over all support cells; None if any cell contains zero."""
-    smin, smax = INF, -INF
-    for f in fns:
-        for ball, _ in f.cells:
-            if ball.contains_zero():
-                return None, ball
-            s = ball.center.valuation()
-            smin = min(smin, s)
-            smax = max(smax, s)
-    return (smin, smax), None
-
-
 def verify_frame_pointwise(fns) -> Verdict:
     """Pointwise Parseval criterion for a family of spectra: the dilation
     square sum must be identically one, and the translated correlation sums
-    must vanish for every non-divisible translation index."""
+    must vanish for every non-divisible translation index.  Raises
+    ValueError on an empty family."""
     v = Verdict()
-    cfg = fns[0].config
-    rng, zball = _shell_range(fns)
-    if rng is None:
-        v.add("bounded-away-from-zero", False, witness_ball(zball),
+    cfg = _config(fns)
+    smin, smax, zero = shell_range(fns)
+    if zero is not None:
+        v.add("bounded-away-from-zero", False, witness_ball(zero[0]),
               note="a spectrum charged at zero meets infinitely many dilates")
         return v
     v.add("bounded-away-from-zero", True)
-    smin, smax = rng
 
     # dilation square sum == 1, checked on the unit shell (the sum is
     # invariant under scaling the argument by p); with no cells it is 0
@@ -236,7 +240,7 @@ def verify_frame_pointwise(fns) -> Verdict:
     one = CycloScalar.rational(cfg.p, cfg.q, 1)
     bad = None
     for cell, values in common_refinement(cfg, scaled, extras=[target]):
-        if cell.center.valuation() != 0:
+        if cell.shell_index() != 0:
             continue
         total = CycloScalar.zero(cfg.p, cfg.q)
         for x in values:
@@ -310,25 +314,22 @@ def verify_translates(phi: StepFunction, mode: str = "parseval") -> Verdict:
 def verify_super_functions(fns) -> Verdict:
     """Pointwise criterion for an orthonormal super-wavelet tuple of spectra:
     per-component dilation square sum and translated correlations, plus the
-    joint cross-scale periodized correlation reproducing the Kronecker delta."""
+    joint cross-scale periodized correlation reproducing the Kronecker delta.
+    Each per-component check carries the witness of its own failure.
+    Raises ValueError on an empty tuple."""
     v = Verdict()
-    cfg = fns[0].config
+    cfg = _config(fns)
     for i, f in enumerate(fns, 1):
         sub = verify_frame_pointwise([f])
-        done = {c.name: c for c in sub.checks}
-        sq = done.get("dilation-square-sum")
-        tc = done.get("translation-correlation")
-        bad = next((c.witness for c in sub.checks if not c.ok), None)
-        v.add(f"(i)-component-{i}-dilation-square-sum",
-              sq is not None and sq.ok and done["bounded-away-from-zero"].ok, bad)
-        v.add(f"(ii)-component-{i}-translation-correlation",
-              tc is not None and tc.ok, bad)
+        # both parts need the spectrum away from zero, else neither runs
+        for part, name in (("i", "dilation-square-sum"), ("ii", "translation-correlation")):
+            v.add(f"({part})-component-{i}-{name}",
+                  *sub.outcome("bounded-away-from-zero", name))
 
-    rng, zball = _shell_range(fns)
-    if rng is None:
-        v.add("(iii)-joint-correlation", False, witness_ball(zball))
+    smin, smax, zero = shell_range(fns)
+    if zero is not None:
+        v.add("(iii)-joint-correlation", False, witness_ball(zero[0]))
         return v
-    smin, smax = rng
     j_max = max(smax - smin, 0)
     k_max = cfg.q ** max(-smin, 0) - 1
     v.bounds["j_max"] = j_max
@@ -360,7 +361,8 @@ def _correlation_mesh(fns, offsets, shifts):
     cfg = fns[0].config
     pool = [f.precompose(n, shift=uk) for f in fns for uk in shifts for n in offsets]
     mesh = common_refinement(cfg, pool, extras=[integers(cfg)])
-    return [(cell, values) for cell, values in mesh if cell.center.valuation() >= 0]
+    # shell index None: the zero cell, which lies inside the integers
+    return [(cell, values) for cell, values in mesh if (cell.shell_index() or 0) >= 0]
 
 
 def _pair_sums(cfg, mesh, pairs):
@@ -375,17 +377,14 @@ def _pair_sums(cfg, mesh, pairs):
 
 def equivalent_superwavelets(a_fns, b_fns) -> Verdict:
     """Two Parseval frame super-wavelet tuples are equivalent exactly when
-    their periodized cross-scale correlations agree at every scale offset."""
+    their periodized cross-scale correlations agree at every scale offset.
+    Raises ValueError when either tuple is empty."""
     v = Verdict()
-    cfg = a_fns[0].config
-    rng_a, za = _shell_range(a_fns)
-    rng_b, zb = _shell_range(b_fns)
-    if rng_a is None or rng_b is None:
-        v.add("bounded-away-from-zero", False,
-              witness_ball(za if rng_a is None else zb))
+    cfg = _config(a_fns, b_fns)
+    smin, smax, zero = shell_range(list(a_fns) + list(b_fns))
+    if zero is not None:
+        v.add("bounded-away-from-zero", False, witness_ball(zero[0]))
         return v
-    smin = min(rng_a[0], rng_b[0])
-    smax = max(rng_a[1], rng_b[1])
     n_max = max(smax - smin, 0)
     k_max = cfg.q ** max(-smin, 0) - 1
     v.bounds["n_max"] = n_max
@@ -412,19 +411,6 @@ def equivalent_superwavelets(a_fns, b_fns) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _weighted_inv_norm_integral(cells):
-    """Integral of value/|xi| for rational-valued cells inside O."""
-    total = Fraction(0)
-    for ball, value in cells:
-        if value == 0:
-            continue
-        if ball.contains_zero():
-            return INF
-        q = ball.config.q
-        total += value * Fraction(q) ** (ball.center.valuation() - ball.scale)
-    return total
-
-
 def _max_m_not_excluded(bound, q):
     if bound == INF:
         return None  # no length excluded
@@ -438,7 +424,7 @@ def decomposability_bound(psi: StepFunction):
     cfg = psi.config
     w = periodized_weight(psi)
     cells = [(b, val.as_fraction()) for b, val in w.cells]
-    value = _weighted_inv_norm_integral(cells)
+    value = inv_norm_integral(cells)
     return value, _max_m_not_excluded(value, cfg.q)
 
 
@@ -455,9 +441,8 @@ def extendability_bound(psi: StepFunction):
                 f"periodized weight exceeds 1 on {ball}: not a Parseval frame wavelet"
             )
         cells.append((ball, 1 - x))
-    for ball in integers(cfg).subtract(w.support()).balls:
-        cells.append((ball, Fraction(1)))
-    value = _weighted_inv_norm_integral(cells)
+    cells.extend((ball, 1) for ball in integers(cfg).subtract(w.support()).balls)
+    value = inv_norm_integral(cells)
     return value, _max_m_not_excluded(value, cfg.q)
 
 

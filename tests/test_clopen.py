@@ -11,12 +11,15 @@ from lfwave.clopen import (
     ClopenSet,
     fractional_ideal,
     integers,
+    inv_norm_integral,
     joint_fold,
     shell,
     units,
 )
+from lfwave.cyclo import CycloScalar
 from lfwave.gfq import FieldConfig
 from lfwave.lfield import FieldElement, coset_rep, parse_element
+from lfwave.stepfn import StepFunction, shell_range
 
 CFG2 = FieldConfig(2, 1)
 CFG3 = FieldConfig(3, 1)
@@ -190,6 +193,22 @@ def test_randomized_property_suite():
             assert A.scale_by(j).measure() == \
                 A.measure() * Fraction(cfg.q) ** (-j)
             assert A.translate(t).measure() == A.measure()
+            # centre digits sit at scale-3..scale-1, so lower t see none
+            for b in A.balls:
+                for k in range(b.scale - 4, b.scale + 1):
+                    assert b.ancestor_key(k) == Ball(cfg, b.center, k).sort_key()
+            # shell_range against the point 0 and, for each ball away from
+            # it, the smallest ideal p**s * O holding the ball
+            B = A.scale_by(j).translate(t)
+            fns = [StepFunction.indicator(X, CycloScalar.rational(cfg.p, cfg.q, k))
+                   for k, X in enumerate((A, B), 1)]
+            zero = FieldElement.zero(cfg)
+            cells = [c for f in fns for c in f.cells]
+            hit = [max(s for s in range(-9, 8) if Ball.integers(cfg, s).contains_ball(b))
+                   for b, _ in cells if not b.contains_point(zero)]
+            assert shell_range(fns) == (
+                min(hit, default=math.inf), max(hit, default=-math.inf),
+                next((c for c in cells if c[0].contains_point(zero)), None))
         else:
             res = A.fold()
             if res.overlap.is_empty():
@@ -199,6 +218,12 @@ def test_randomized_property_suite():
             got = inside.inv_norm_integral()
             if got != math.inf:
                 assert got >= inside.measure()  # 1/|xi| >= 1 on O
+            # weighted form: weight 1 is the method, and a zero-weight ball
+            # at zero (even one meeting the others) adds nothing
+            assert inv_norm_integral((b, 1) for b in inside.balls) == got
+            weighted = [(b, Fraction(k, 3)) for k, b in enumerate(inside.balls)]
+            assert inv_norm_integral(weighted + [(Ball.integers(cfg, 2), 0)]) == \
+                inv_norm_integral(weighted)
 
 
 def test_canonical_json_serialization():

@@ -9,6 +9,7 @@ import pytest
 
 from lfwave.clopen import Ball, ClopenSet, fractional_ideal, integers, shell, units
 from lfwave.cyclo import CycloScalar
+from lfwave.framesim import gram_entry
 from lfwave.gfq import FieldConfig
 from lfwave.lfield import FieldElement, coset_rep, parse_element
 from lfwave.stepfn import StepFunction
@@ -137,6 +138,14 @@ def test_translation_examples():
     assert not v.passed
     assert v.check("translates-disjoint").witness == {
         "kind": "set", "balls": integers(CFG2).as_json()}
+    # four translates of pO all fold onto pO: multiplicity measure 2, while
+    # the bound adds coverage and overlap (1/2 + 1/2)
+    W = ClopenSet(CFG2, [fractional_ideal(CFG2, 1).translate(coset_rep(CFG2, k)).balls[0]
+                         for k in range(4)])
+    assert W.fold().measure() == 2
+    v = check_translation(W)
+    assert v.bounds["fold_measure"] == "1"
+    assert not v.passed
 
 
 # -- multiwavelet set criteria -----------------------------------------------
@@ -263,6 +272,25 @@ def test_super_functions_criterion():
     # a single multiwavelet set of order one is an orthonormal tuple
     v = verify_super_functions([StepFunction.indicator(shannon(CFG2)[0])])
     assert v.passed
+    # each per-component check carries its own witness, none on a pass;
+    # here (i) fails (square sum 4) and (ii) passes
+    v = verify_super_functions([StepFunction.indicator(units(CFG3), rat(CFG3, 2))])
+    assert v.check("(i)-component-1-dilation-square-sum").as_json() == {
+        "name": "(i)-component-1-dilation-square-sum", "status": "fail",
+        "witness": {"kind": "point", "point": "1"}}
+    assert v.check("(ii)-component-1-translation-correlation").as_json() == {
+        "name": "(ii)-component-1-translation-correlation", "status": "pass"}
+    # (i) passes, (ii) fails at its own witness
+    v = verify_super_functions([StepFunction.indicator(shell(CFG3, -1))])
+    i, ii = (v.check(f"({n})-component-1-{name}") for n, name in (
+        ("i", "dilation-square-sum"), ("ii", "translation-correlation")))
+    assert (i.ok, i.witness) == (True, None)
+    assert (ii.ok, ii.witness) == (False, {"kind": "point", "point": "p^-1"})
+    # charged at zero: neither part runs, both carry the zero ball
+    v = verify_super_functions([StepFunction.indicator(fractional_ideal(CFG3, 1))])
+    zero_ball = {"kind": "ball", "ball": {"center": "0", "scale": 1}}
+    for c in v.checks:
+        assert (c.ok, c.witness) == (False, zero_ball), c.name
 
 
 def test_super_functions_cross_checks_set_criterion():
@@ -402,3 +430,20 @@ def test_correlation_witnesses_are_the_first_failing_cell():
 def test_multiwavelet_mode_is_checked():
     with pytest.raises(ValueError, match="unknown mode"):
         verify_multiwavelet_set([units(CFG2)], mode="tiling")
+
+
+UNIT_SPECTRUM = StepFunction.indicator(units(CFG2))
+
+
+@pytest.mark.parametrize("entry, args", [
+    pytest.param(verify_multiwavelet_set, ([],), id="multiwavelet"),
+    pytest.param(verify_superwavelet, ([],), id="superwavelet"),
+    pytest.param(verify_frame_pointwise, ([],), id="frame"),
+    pytest.param(verify_super_functions, ([],), id="super-functions"),
+    pytest.param(equivalent_superwavelets, ([], [UNIT_SPECTRUM]), id="equivalent-first"),
+    pytest.param(equivalent_superwavelets, ([UNIT_SPECTRUM], []), id="equivalent-second"),
+    pytest.param(gram_entry, ([], (0, 0), (0, 0)), id="gram-entry"),
+])
+def test_empty_families_raise_value_error(entry, args):
+    with pytest.raises(ValueError, match="empty"):
+        entry(*args)
