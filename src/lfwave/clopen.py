@@ -39,6 +39,13 @@ class Ball:
         """The fractional ideal p**scale * O."""
         return cls(config, FieldElement.zero(config), scale)
 
+    @classmethod
+    def from_key(cls, config: FieldConfig, key) -> "Ball":
+        """The ball whose sort key is `key`."""
+        scale, digits = key
+        center = FieldElement(config, {e: config.from_index(i) for e, i in digits})
+        return cls(config, center, scale)
+
     def measure(self) -> Fraction:
         return Fraction(self.config.q) ** (-self.scale)
 
@@ -62,6 +69,26 @@ class Ball:
         """Sort key of the scale-t ball containing this one (t <= scale)."""
         digits = self._key[1]
         return t, digits[:bisect_left(digits, (t,))]
+
+    def sub_keys(self, t: int):
+        """Sort keys of the sub-balls at scale t, in sort-key order; the
+        ball's own key when t <= scale (the keys of split_to(t))."""
+        scale, digits = self._key
+        if t <= scale:
+            yield self._key
+            return
+        q = self.config.q
+
+        def extend(prefix, e0):
+            # prefix first, then every extension by a nonzero digit at
+            # e0..t-1 in increasing (exponent, digit): sort-key order
+            yield prefix
+            for e in range(e0, t):
+                for i in range(1, q):
+                    yield from extend(prefix + ((e, i),), e + 1)
+
+        for d in extend(digits, scale):
+            yield t, d
 
     def children(self):
         cfg = self.config
@@ -104,6 +131,30 @@ class Ball:
         from .lfield import format_element
 
         return {"center": format_element(self.center), "scale": self.scale}
+
+
+def ancestor_keys(key, t0: int):
+    """Sort keys of the balls at scales t0..scale containing the ball with
+    sort key `key` (of that scale), coarsest first."""
+    scale, digits = key
+    for t in range(t0, scale + 1):
+        yield t, digits[:bisect_left(digits, (t,))]
+
+
+def translated_keys(u: FieldElement, keys):
+    """Translate balls inside O by u on their sort keys, for u with digits
+    only at negative exponents: per key, (key of ball + u, shell index s,
+    key of (ball + u) * p**-s); s and the normalized key are None for a
+    ball containing zero.  u's digits all sit below the centre digits, so
+    the sum is a concatenation of digit tuples."""
+    pre = tuple(sorted((e, d.index) for e, d in u.digits.items()))
+    for scale, digits in keys:
+        cell = pre + digits
+        if not cell:
+            yield (scale, cell), None, None
+            continue
+        s = cell[0][0]
+        yield (scale, cell), s, (scale - s, tuple([(e - s, i) for e, i in cell]))
 
 
 def ball_intersect(a: Ball, b: Ball):

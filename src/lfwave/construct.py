@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .clopen import Ball, ClopenSet, fractional_ideal, integers, joint_fold, shell, units
+from .clopen import (Ball, ClopenSet, ancestor_keys, fractional_ideal, integers, joint_fold,
+                     shell, translated_keys, units)
 from .gfq import FieldConfig
 from .lfield import coset_rep
 from .verify import (
@@ -199,12 +200,16 @@ def _exact_cover(columns, rows, node_cap):
         if not uncovered:
             return solution, nodes
         fewest = len(rows) + 1
-        for c in _bits(uncovered):
+        scan = uncovered
+        while scan:
+            low = scan & -scan
+            c = low.bit_length() - 1
             n = (columns[c] & live).bit_count()
             if n < fewest:
                 fewest, col = n, c
                 if not n:
                     break
+            scan ^= low
         stack.append((live, uncovered, columns[col] & live))
         while True:
             live, uncovered, untried = stack[-1]
@@ -224,6 +229,45 @@ def _exact_cover(columns, rows, node_cap):
 
 class _CapExceeded(Exception):
     pass
+
+
+def _candidates(config, target, shells, r):
+    """(fold atom count, unit atom count, row masks, cell keys) of the cells
+    X + u(l) in `shells`, X a target sub-ball of scale <= r, by coset l then X.
+    Columns: fold atoms, then unit atoms, each in sort-key order; a row covers
+    the fold atoms under X and the unit atoms under the normalized cell."""
+    lo, hi = shells
+    fold_atoms = sorted(k for b in target.balls for k in b.sub_keys(r))
+    unit_atoms = sorted(k for b in units(config).balls for k in b.sub_keys(r - lo))
+
+    def under(atoms, first):
+        table = {}
+        for i, key in enumerate(atoms, first):
+            for anc in ancestor_keys(key, 0):
+                table[anc] = table.get(anc, 0) | 1 << i
+        return table
+
+    fold_under = under(fold_atoms, 0)
+    unit_under = under(unit_atoms, len(fold_atoms))
+    sub_keys = sorted(k for b in target.balls for t in range(b.scale, r + 1)
+                      for k in b.sub_keys(t))
+    fold_rows = [fold_under[k] for k in sub_keys]
+
+    rows, row_keys = [], []
+    l = 0
+    while True:
+        ul = coset_rep(config, l)
+        if l and ul.valuation() < lo:
+            break
+        # for l > 0 every cell X + u(l) lies in the shell of u(l)
+        if not l or ul.valuation() <= hi:
+            for fold, (cell, s, norm) in zip(fold_rows, translated_keys(ul, sub_keys)):
+                if not l and (s is None or not lo <= s <= hi):
+                    continue
+                rows.append(unit_under[norm] | fold)
+                row_keys.append(cell)
+        l += 1
+    return len(fold_atoms), len(unit_atoms), rows, row_keys
 
 
 def solve_complement(existing, shells: tuple[int, int], max_scale: int,
@@ -278,50 +322,8 @@ def solve_complement(existing, shells: tuple[int, int], max_scale: int,
     if r < t_min:
         raise ValueError(f"max_scale {r} below target resolution {t_min}")
 
-    # universes: fold atoms are columns 0..F-1, unit atoms F..F+U-1, each in
-    # sort-key order; a ball's columns are looked up by its sort key in a
-    # table keyed by every ancestor key of every atom
-    fold_atoms = sorted((a for b in target.balls for a in b.split_to(r)),
-                        key=Ball.sort_key)
-    unit_atoms = sorted((a for b in units(config).balls for a in b.split_to(r - lo)),
-                        key=Ball.sort_key)
-
-    def under(atoms, first):
-        table = {}
-        for i, a in enumerate(atoms, first):
-            for t in range(a.scale + 1):
-                key = a.ancestor_key(t)
-                table[key] = table.get(key, 0) | 1 << i
-        return table
-
-    fold_under = under(fold_atoms, 0)
-    unit_under = under(unit_atoms, len(fold_atoms))
-
-    # candidate cells: X + u(l) with X a sub-ball of the target
-    sub_balls = []
-    for b in target.balls:
-        for t in range(b.scale, r + 1):
-            sub_balls.extend(b.split_to(t))
-    sub_balls = sorted(set(sub_balls), key=Ball.sort_key)
-
-    rows = []
-    row_cells = []
-    l = 0
-    while True:
-        ul = coset_rep(config, l)
-        if l > 0 and ul.valuation() < lo:
-            break
-        for X in sub_balls:
-            cell = X.translate(ul)
-            s = cell.shell_index()
-            if s is None or not lo <= s <= hi:
-                continue
-            norm = cell.scale_by(-s)
-            rows.append(unit_under[norm.sort_key()] | fold_under[X.sort_key()])
-            row_cells.append(cell)
-        l += 1
-
-    columns = [0] * (len(fold_atoms) + len(unit_atoms))
+    fold_count, unit_count, rows, row_keys = _candidates(config, target, shells, r)
+    columns = [0] * (fold_count + unit_count)
     for i, m in enumerate(rows):
         for c in _bits(m):
             columns[c] |= 1 << i
@@ -339,7 +341,7 @@ def solve_complement(existing, shells: tuple[int, int], max_scale: int,
         return SolveResult(status="cap",
                            stats={"candidates": len(rows), "node_cap": node_cap})
     stats = {"candidates": len(rows), "nodes": nodes,
-             "unit_atoms": len(unit_atoms), "fold_atoms": len(fold_atoms)}
+             "unit_atoms": unit_count, "fold_atoms": fold_count}
     if picked is None:
         return SolveResult(
             status="unsat",
@@ -348,7 +350,7 @@ def solve_complement(existing, shells: tuple[int, int], max_scale: int,
                                    "cell pool found no double exact cover"},
             stats=stats,
         )
-    S = ClopenSet(config, [row_cells[i] for i in picked])
+    S = ClopenSet(config, [Ball.from_key(config, row_keys[i]) for i in picked])
     # re-verification is part of the contract, not an optimization
     check = verify_superwavelet(list(existing) + [S], mode="orthonormal")
     if not check.passed:

@@ -14,6 +14,7 @@ from lfwave.clopen import (
     inv_norm_integral,
     joint_fold,
     shell,
+    translated_keys,
     units,
 )
 from lfwave.cyclo import CycloScalar
@@ -197,6 +198,20 @@ def test_randomized_property_suite():
             for b in A.balls:
                 for k in range(b.scale - 4, b.scale + 1):
                     assert b.ancestor_key(k) == Ball(cfg, b.center, k).sort_key()
+                # key helpers: sub-ball keys, the ball from its key
+                k = b.scale + rng.randrange(-1, 3)
+                assert list(b.sub_keys(k)) == \
+                    [c.sort_key() for c in sorted(b.split_to(k), key=Ball.sort_key)]
+                assert Ball.from_key(cfg, b.sort_key()) == b
+            # translate-and-normalize on keys, for balls inside O and a
+            # purely fractional shift
+            u = rand_point(cfg, rng, lo=-3, hi=-1)
+            inside = A.intersect(integers(cfg)).balls
+            moved = translated_keys(u, [b.sort_key() for b in inside])
+            for b, (key, s, norm) in zip(inside, moved):
+                c = b.translate(u)
+                assert key == c.sort_key() and s == c.shell_index()
+                assert norm == (None if s is None else c.scale_by(-s).sort_key())
             # shell_range against the point 0 and, for each ball away from
             # it, the smallest ideal p**s * O holding the ball
             B = A.scale_by(j).translate(t)

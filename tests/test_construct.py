@@ -8,8 +8,10 @@ import pytest
 
 from lfwave.clopen import Ball, ClopenSet, fractional_ideal, integers, shell, units
 from lfwave.construct import (
+    _candidates,
     _CapExceeded,
     _exact_cover,
+    _solver_preconditions,
     scaled_shannon_family,
     scaling_set,
     shannon_family,
@@ -208,6 +210,73 @@ def test_solver_search_order_is_pinned():
         res = solve_complement(tower_components(cfg, 2), shells, max_scale)
         assert res.status == "unsat" and res.certificate["kind"] == "exhausted"
         assert res.stats == stats
+
+
+def _reference_candidates(config, target, shells, r):
+    """The Ball-based candidate loop the key-based one replaced: every cell
+    is built as X.translate(u(l)) and normalized by scale_by(-s).  Kept as
+    the oracle for row masks, row order and cells."""
+    lo, hi = shells
+    fold_atoms = sorted((a for b in target.balls for a in b.split_to(r)),
+                        key=Ball.sort_key)
+    unit_atoms = sorted((a for b in units(config).balls for a in b.split_to(r - lo)),
+                        key=Ball.sort_key)
+
+    def under(atoms, first):
+        table = {}
+        for i, a in enumerate(atoms, first):
+            for t in range(a.scale + 1):
+                key = a.ancestor_key(t)
+                table[key] = table.get(key, 0) | 1 << i
+        return table
+
+    fold_under = under(fold_atoms, 0)
+    unit_under = under(unit_atoms, len(fold_atoms))
+    sub_balls = []
+    for b in target.balls:
+        for t in range(b.scale, r + 1):
+            sub_balls.extend(b.split_to(t))
+    sub_balls = sorted(set(sub_balls), key=Ball.sort_key)
+    rows = []
+    row_cells = []
+    l = 0
+    while True:
+        ul = coset_rep(config, l)
+        if l > 0 and ul.valuation() < lo:
+            break
+        for X in sub_balls:
+            cell = X.translate(ul)
+            s = cell.shell_index()
+            if s is None or not lo <= s <= hi:
+                continue
+            norm = cell.scale_by(-s)
+            rows.append(unit_under[norm.sort_key()] | fold_under[X.sort_key()])
+            row_cells.append(cell)
+        l += 1
+    return len(fold_atoms), len(unit_atoms), rows, row_cells
+
+
+def test_candidate_rows_match_ball_based_reference():
+    # shells with lo < 0 (cosets l > 0, some skipped whole when hi < -1),
+    # lo = 0 and lo > 0 (the zero coset only)
+    rng = random.Random(77)
+    shell_ranges = [(-3, -2), (-2, 0), (-2, 2), (-1, 1), (-3, 1), (0, 0), (0, 2), (1, 3)]
+    fractional_rows = 0
+    for cfg, top in ((CFG2, 4), (CFG3, 3), (CFG4, 2)):
+        for family in ([], tower_components(cfg, 2), [shell(cfg, 1)]):
+            target = _solver_preconditions(family, cfg)[1]
+            t_min = max(b.scale for b in target.balls)
+            for shells in rng.sample(shell_ranges, 5):
+                r = rng.randint(t_min, max(t_min, top))
+                fold, unit, rows, keys = _candidates(cfg, target, shells, r)
+                ref_fold, ref_unit, ref_rows, cells = \
+                    _reference_candidates(cfg, target, shells, r)
+                assert (fold, unit, rows) == (ref_fold, ref_unit, ref_rows), (cfg, shells, r)
+                got = [Ball.from_key(cfg, k) for k in keys]
+                assert got == cells
+                assert [b.sort_key() for b in got] == keys
+                fractional_rows += sum(b.shell_index() < 0 for b in cells)
+    assert fractional_rows > 100
 
 
 def test_exact_cover_is_not_recursive():
