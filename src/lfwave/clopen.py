@@ -308,12 +308,12 @@ class ClopenSet:
         return min((b.scale if b.contains_zero() else b.shell_index() for b in self.balls),
                    default=INF)
 
-    def shells(self, depth: int | None = None):
+    def shells(self):
         """Split along shells of constant absolute value.
 
         Returns (pieces, residual) where pieces is a sorted list of
         (shell index, ClopenSet) and residual is the zero-containing ball,
-        if any (peeled `depth` more levels when requested).
+        if any.
         """
         by_shell: dict[int, list[Ball]] = {}
         residual = None
@@ -323,11 +323,6 @@ class ClopenSet:
                 residual = b  # at most one: nesting is forbidden
             else:
                 by_shell.setdefault(s, []).append(b)
-        if residual is not None and depth is not None:
-            for i in range(depth):
-                s = residual.scale + i
-                by_shell.setdefault(s, []).extend(shell(self.config, s).balls)
-            residual = Ball.integers(self.config, residual.scale + depth)
         pieces = [
             (s, ClopenSet(self.config, bs)) for s, bs in sorted(by_shell.items())
         ]

@@ -11,13 +11,7 @@ from .clopen import (Ball, ClopenSet, ancestor_keys, fractional_ideal, integers,
                      shell, translated_keys, units)
 from .gfq import FieldConfig
 from .lfield import coset_rep
-from .verify import (
-    Verdict,
-    check_dilation_tiling,
-    check_translation,
-    verify_superwavelet,
-    witness_set,
-)
+from .verify import Verdict, check_dilation_tiling, check_translation, verify_superwavelet
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +153,9 @@ def _solver_preconditions(existing, config) -> tuple[Verdict, ClopenSet]:
         v.add(f"existing-{i}-dilation-tiling", *check_dilation_tiling(W).outcome())
         v.add(f"existing-{i}-translation-packing",
               *check_translation(W, "packing").outcome())
-    fold = joint_fold(config, existing)
-    v.add("existing-joint-packing", fold.overlap.is_empty(),
-          None if fold.overlap.is_empty() else witness_set(fold.overlap))
+    fold = v.add_fold(config, existing, "existing-joint-packing")
     target = integers(config).subtract(fold.coverage)
-    v.add("complement-nonempty", not target.is_empty())
+    v.add_nonempty("complement-nonempty", target)
     return v, target
 
 

@@ -38,8 +38,7 @@ class FiniteModel:
         self.window = fractional_ideal(config, -R)
 
     def check(self, f: StepFunction) -> StepFunction:
-        if not self.window.contains_set(f.support()):
-            raise WindowEscape(f"support escapes p^-{self.R} O")
+        self.check_analyzer(f)
         if any(b.scale > self.S for b, _ in f.cells):
             raise WindowEscape(f"cells finer than the scale-{self.S} mesh")
         return f
@@ -94,24 +93,16 @@ def _norm_sq(f: StepFunction) -> CycloScalar:
     return total
 
 
-def _cell_products(a: StepFunction, b: StepFunction):
-    """(cell, a(c) * conj(b(c))) over the common refinement of a and b, for
-    the cells where neither value is zero."""
-    for cell, (av, bv) in common_refinement(a.config, [a, b]):
-        if not (av.is_zero() or bv.is_zero()):
-            yield cell, av * bv.conj()
-
-
-def _character_terms(a: StepFunction, b: StepFunction, y: FieldElement):
-    """Per-cell terms of the integral of a * conj(b) * chi(y, .): exact,
+def _character_sum(cfg: FieldConfig, cells, y: FieldElement) -> CycloScalar:
+    """Integral of the products in _coef_cells against chi(y, .): exact,
     because the character is either constant on a refinement cell or
     averages to zero over it."""
-    cfg = a.config
     vy = y.valuation()  # +inf for y = 0: the trivial character
-    for cell, t in _cell_products(a, b):
-        if vy < -cell.scale:
-            continue  # character averages to zero over the cell
-        yield t * character(y, cell.center) * _rat(cfg, cell.measure())
+    total = CycloScalar.zero(cfg.p, cfg.q)
+    for center, scale, t in cells:
+        if vy >= -scale:
+            total = total + t * character(y, center)
+    return total
 
 
 def affine_coef(f: StepFunction, psi: StepFunction, j: int, k: int) -> CycloScalar:
@@ -122,10 +113,9 @@ def affine_coef(f: StepFunction, psi: StepFunction, j: int, k: int) -> CycloScal
     cfg = f.config
     if k < 0:
         raise ValueError("translation index must be non-negative")
-    psi_j = psi.precompose(-j)  # xi -> psi^(p^j xi)
     y = coset_rep(cfg, k).scale_exponents(j)
-    total = sum(_character_terms(f, psi_j, y), CycloScalar.zero(cfg.p, cfg.q))
-    return total.q_half_shift(-j)
+    cells = _coef_cells(f, psi.precompose(-j), -y.valuation())  # xi -> psi^(p^j xi)
+    return _character_sum(cfg, cells, y).q_half_shift(-j)
 
 
 def _k_sum(config: FieldConfig, j: int, cells) -> CycloScalar:
@@ -186,12 +176,13 @@ def _k_sum(config: FieldConfig, j: int, cells) -> CycloScalar:
     return total
 
 
-def _coef_cells(f: StepFunction, psi_j: StepFunction):
-    """Refinement cells (center, scale, t) entering the coefficient sum,
-    with t = f(b) * conj(psi_j(b)) * measure(cell)."""
+def _coef_cells(f: StepFunction, psi_j: StepFunction, min_scale=-INF):
+    """Refinement cells (center, scale, t) of scale >= min_scale entering the
+    coefficient sum, with t = f(b) * conj(psi_j(b)) * measure(cell) nonzero."""
     cfg = f.config
-    return [(cell.center, cell.scale, t * _rat(cfg, cell.measure()))
-            for cell, t in _cell_products(f, psi_j)]
+    return [(cell.center, cell.scale, av * bv.conj() * _rat(cfg, cell.measure()))
+            for cell, (av, bv) in common_refinement(cfg, [f, psi_j])
+            if cell.scale >= min_scale and not (av.is_zero() or bv.is_zero())]
 
 
 def _total_energy(cfg: FieldConfig, pairs, bounds=None):
@@ -301,7 +292,8 @@ def truncation_spot_check(model: FiniteModel, psis, f: StepFunction,
             sigma = max(s for _, s, _ in cells)
             k0 = cfg.q ** max(j + sigma, 0)
             for k in range(k0, k0 + samples):
-                if not affine_coef(f, psi, j, k).is_zero():
+                y = coset_rep(cfg, k).scale_exponents(j)
+                if not _character_sum(cfg, cells, y).is_zero():
                     return False
     return True
 
@@ -318,7 +310,8 @@ def gram_entry(etas, a: tuple[int, int], b: tuple[int, int]) -> CycloScalar:
     y = coset_rep(cfg, k2).scale_exponents(j2) - coset_rep(cfg, k1).scale_exponents(j1)
     total = CycloScalar.zero(cfg.p, cfg.q)
     for eta in etas:
-        total = sum(_character_terms(eta.precompose(-j1), eta.precompose(-j2), y), total)
+        cells = _coef_cells(eta.precompose(-j1), eta.precompose(-j2), -y.valuation())
+        total = total + _character_sum(cfg, cells, y)
     return total.q_half_shift(-j1 - j2)
 
 

@@ -43,20 +43,15 @@ def _poly_mul(a, b, p):
 
 
 def _poly_mod(a, m, p):
-    # m monic
-    a = list(a)
+    # m monic: clear the coefficients of degree >= deg m from the top down
     dm = len(m) - 1
-    while len(a) - 1 >= dm and _poly_trim(tuple(a)):
-        a = list(_poly_trim(tuple(a)))
-        if len(a) - 1 < dm:
-            break
-        lead = a[-1]
-        shift = len(a) - 1 - dm
-        for i in range(dm + 1):
-            a[shift + i] = (a[shift + i] - lead * m[i]) % p
-        a = list(_poly_trim(tuple(a)))
-        if not a:
-            break
+    a = list(a)
+    while len(a) > dm:
+        lead = a.pop()  # lead - lead * m[dm] is 0
+        if lead:
+            shift = len(a) - dm
+            for i in range(dm):
+                a[shift + i] = (a[shift + i] - lead * m[i]) % p
     return _poly_trim(tuple(a))
 
 

@@ -7,16 +7,14 @@ finite index ranges that make the almost-everywhere statements decidable.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .clopen import Ball, ClopenSet, integers, inv_norm_integral, joint_fold, overlay, units
+from .clopen import (INF, Ball, ClopenSet, FoldResult, integers, inv_norm_integral, joint_fold,
+                     overlay, units)
 from .cyclo import CycloScalar
 from .lfield import FieldElement, coset_rep, format_element
 from .stepfn import StepFunction, common_refinement, periodized_weight, shell_range
-
-INF = math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +53,31 @@ class Verdict:
     def add(self, name, ok, witness=None, binding=True, note=""):
         self.checks.append(Check(name, bool(ok), witness, binding, note))
         return ok
+
+    def add_set(self, name, s: ClopenSet, note=""):
+        """A check that passes when the set s is empty and otherwise fails
+        with s as its witness (and the note)."""
+        if s.is_empty():
+            return self.add(name, True)
+        return self.add(name, False, witness_set(s), note=note)
+
+    def add_nonempty(self, name, s: ClopenSet):
+        """A check that passes when the set s is non-empty and otherwise fails
+        with the witness measure 0."""
+        if s.is_empty():
+            return self.add(name, False, witness_measure(0))
+        return self.add(name, True)
+
+    def add_fold(self, config, sets, disjoint, cover=None) -> FoldResult:
+        """Fold the sets jointly into the integers and add the check named
+        `disjoint` (no two translates meet, witness the overlap) and, when a
+        name is given, `cover` (the translates cover the integers, witness
+        the gap).  Returns the fold."""
+        fold = joint_fold(config, sets)
+        self.add_set(disjoint, fold.overlap)
+        if cover is not None:
+            self.add_set(cover, integers(config).subtract(fold.coverage))
+        return fold
 
     def check(self, name):
         for c in self.checks:
@@ -116,10 +139,8 @@ def check_dilation_tiling(W: ClopenSet) -> Verdict:
     """
     v = Verdict()
     cfg = W.config
-    if W.is_empty():
-        v.add("nonempty", False, witness_measure(0))
+    if not v.add_nonempty("nonempty", W):
         return v
-    v.add("nonempty", True)
     pieces, residual = W.shells()
     if residual is not None:
         # a ball around zero meets infinitely many of its own dilates
@@ -128,11 +149,8 @@ def check_dilation_tiling(W: ClopenSet) -> Verdict:
     v.add("no-ball-at-zero", True)
     target = units(cfg)
     coverage, overlap = overlay(cfg, (piece.scale_by(-s) for s, piece in pieces))
-    v.add("dilates-disjoint", overlap.is_empty(),
-          None if overlap.is_empty() else witness_set(overlap))
-    gap = target.subtract(coverage)
-    v.add("dilates-cover-unit-shell", gap.is_empty(),
-          None if gap.is_empty() else witness_set(gap))
+    v.add_set("dilates-disjoint", overlap)
+    v.add_set("dilates-cover-unit-shell", target.subtract(coverage))
     v.bounds["shells"] = [s for s, _ in pieces]
     return v
 
@@ -152,13 +170,8 @@ def check_translation(W: ClopenSet, mode: str = "packing") -> Verdict:
     if mode not in ("packing", "tiling"):
         raise ValueError(f"unknown mode {mode!r}")
     v = Verdict()
-    fold = W.fold()
-    v.add("translates-disjoint", fold.overlap.is_empty(),
-          None if fold.overlap.is_empty() else witness_set(fold.overlap))
-    if mode == "tiling":
-        gap = integers(W.config).subtract(fold.coverage)
-        v.add("translates-cover", gap.is_empty(),
-              None if gap.is_empty() else witness_set(gap))
+    fold = v.add_fold(W.config, [W], "translates-disjoint",
+                      "translates-cover" if mode == "tiling" else None)
     v.bounds["fold_measure"] = str(fold.coverage.measure() + fold.overlap.measure())
     return v
 
@@ -172,18 +185,14 @@ def verify_multiwavelet_set(components, mode: str = "orthonormal") -> Verdict:
         raise ValueError(f"unknown mode {mode!r}")
     v = Verdict()
     union, bad = overlay(_config(components), components)
-    v.add("components-disjoint", bad.is_empty(),
-          None if bad.is_empty() else witness_set(bad))
-    if not v.passed:
+    if not v.add_set("components-disjoint", bad):
         return v
-    dil = check_dilation_tiling(union)
-    for c in dil.checks:
-        v.checks.append(Check("union-dilation:" + c.name, c.ok, c.witness, c.binding))
     translation = "tiling" if mode == "orthonormal" else "packing"
-    for i, W in enumerate(components, 1):
-        tr = check_translation(W, translation)
-        for c in tr.checks:
-            v.checks.append(Check(f"component-{i}:" + c.name, c.ok, c.witness, c.binding))
+    subs = [("union-dilation", check_dilation_tiling(union))]
+    subs += [(f"component-{i}", check_translation(W, translation))
+             for i, W in enumerate(components, 1)]
+    for prefix, sub in subs:
+        v.checks += [replace(c, name=f"{prefix}:{c.name}") for c in sub.checks]
     v.bounds["order"] = len(components)
     return v
 
@@ -201,13 +210,8 @@ def verify_superwavelet(components, mode: str = "orthonormal") -> Verdict:
         v.add(f"(a)-component-{i}-dilation-tiling", *check_dilation_tiling(W).outcome())
         v.add(f"(b)-component-{i}-translation-packing",
               *check_translation(W, "packing").outcome())
-    fold = joint_fold(cfg, components)
-    v.add("(c)-joint-translates-disjoint", fold.overlap.is_empty(),
-          None if fold.overlap.is_empty() else witness_set(fold.overlap))
-    if mode == "orthonormal":
-        gap = integers(cfg).subtract(fold.coverage)
-        v.add("(c)-joint-translates-cover", gap.is_empty(),
-              None if gap.is_empty() else witness_set(gap))
+    fold = v.add_fold(cfg, components, "(c)-joint-translates-disjoint",
+                      "(c)-joint-translates-cover" if mode == "orthonormal" else None)
     v.bounds["joint_fold_measure"] = str(fold.measure())
     v.bounds["length"] = len(components)
     return v
@@ -290,7 +294,6 @@ def verify_translates(phi: StepFunction, mode: str = "parseval") -> Verdict:
         if not val.is_rational() or val.grade:
             raise ValueError(f"periodized weight is not rational on {ball}")
         values.append((ball, val.as_fraction()))
-    gap = integers(cfg).subtract(w.support())
 
     bad = next(((b, x) for b, x in values if not 0 <= x <= 1), None)
     if mode == "parseval":
@@ -303,9 +306,8 @@ def verify_translates(phi: StepFunction, mode: str = "parseval") -> Verdict:
             v.add("weight-identically-one", False, witness_ball(bad1[0]),
                   note=f"weight = {bad1[1]}")
         else:
-            v.add("weight-identically-one", gap.is_empty(),
-                  None if gap.is_empty() else witness_set(gap),
-                  note="" if gap.is_empty() else "weight vanishes here")
+            v.add_set("weight-identically-one", integers(cfg).subtract(w.support()),
+                      note="weight vanishes here")
     indicator = bad is None and all(x in (0, 1) for _, x in values)
     v.add("weight-is-indicator", indicator, binding=False)
     return v
@@ -459,14 +461,9 @@ def mra_scaling_check(W: ClopenSet, S: ClopenSet) -> Verdict:
     v = Verdict()
     cfg = W.config
     q = cfg.q
-    shrunk = S.scale_by(1)
-    esc = shrunk.subtract(S)
-    v.add("dilation-stable", esc.is_empty(),
-          None if esc.is_empty() else witness_set(esc))
+    v.add_set("dilation-stable", S.scale_by(1).subtract(S))
     layer = S.scale_by(-1).subtract(S)
-    ok = layer == W
-    v.add("wavelet-is-dilation-layer", ok,
-          None if ok else witness_set(layer.subtract(W).union(W.subtract(layer))))
+    v.add_set("wavelet-is-dilation-layer", layer.subtract(W).union(W.subtract(layer)))
     ok = S.measure() * (q - 1) == W.measure()
     v.add("measure-law", ok, None if ok else witness_measure(S.measure()))
     tr = check_translation(S, "tiling")

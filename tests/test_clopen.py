@@ -157,10 +157,6 @@ def test_shell_decomposition():
     pieces, residual = units(CFG3).shells()
     assert residual is None
     assert pieces == [(0, units(CFG3))]
-    pieces, residual = integers(CFG3).shells(depth=3)
-    assert [s for s, _ in pieces] == [0, 1, 2]
-    assert all(piece == shell(CFG3, s) for s, piece in pieces)
-    assert residual == Ball.integers(CFG3, 3)
 
 
 def test_randomized_property_suite():

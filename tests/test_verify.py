@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from lfwave.clopen import Ball, ClopenSet, fractional_ideal, integers, shell, units
+from lfwave.construct import _solver_preconditions
 from lfwave.cyclo import CycloScalar
 from lfwave.framesim import gram_entry
 from lfwave.gfq import FieldConfig
@@ -447,3 +448,43 @@ UNIT_SPECTRUM = StepFunction.indicator(units(CFG2))
 def test_empty_families_raise_value_error(entry, args):
     with pytest.raises(ValueError, match="empty"):
         entry(*args)
+
+
+def failing_verdicts():
+    """Every verdict producer on failing inputs built elsewhere in the suite."""
+    ind = StepFunction.indicator
+    double = integers(CFG2).union(integers(CFG2).translate(coset_rep(CFG2, 1)))
+    a, b = (ind(shell(CFG2, m)) for m in (1, 2))
+    return [
+        check_dilation_tiling(integers(CFG2)),
+        check_dilation_tiling(ClopenSet.empty(CFG2)),
+        check_translation(shell(CFG2, 1), "tiling"),
+        check_translation(double, "packing"),
+        verify_multiwavelet_set([integers(CFG2)], mode="parseval"),
+        verify_multiwavelet_set([units(CFG2), units(CFG2)], mode="parseval"),
+        verify_multiwavelet_set([shell(CFG2, 1)]),
+        verify_multiwavelet_set([units(CFG3)]),
+        verify_superwavelet([shell(CFG2, i) for i in range(1, 4)], "orthonormal"),
+        verify_superwavelet([units(CFG3), units(CFG3)], "parseval"),
+        verify_frame_pointwise([ind(units(CFG2), rat(CFG2, 1, grade=-1))]),
+        verify_frame_pointwise([ind(integers(CFG2))]),
+        verify_translates(ind(fractional_ideal(CFG2, 1)), "orthonormal"),
+        verify_translates(ind(double), "parseval"),
+        verify_super_functions([a, b]),
+        verify_super_functions([ind(units(CFG3), rat(CFG3, 2))]),
+        verify_super_functions([ind(shell(CFG3, -1))]),
+        verify_super_functions([ind(fractional_ideal(CFG3, 1))]),
+        equivalent_superwavelets([a], [b]),
+        mra_scaling_check(shell(CFG2, 1), fractional_ideal(CFG2, 1)),
+        _solver_preconditions([integers(CFG2)], CFG2)[0],
+        _solver_preconditions([units(CFG2), units(CFG2)], CFG2)[0],
+        _solver_preconditions(shannon(CFG2), CFG2)[0],
+    ]
+
+
+def test_failing_binding_checks_carry_witnesses():
+    for v in failing_verdicts():
+        assert not v.passed
+        for c in v.checks:
+            if c.binding and not c.ok:
+                assert c.witness is not None, (c.name, v.as_json())
