@@ -11,7 +11,7 @@ from .clopen import (Ball, ClopenSet, ancestor_keys, fractional_ideal, integers,
                      shell, translated_keys, units)
 from .gfq import FieldConfig
 from .lfield import coset_rep
-from .verify import Verdict, check_dilation_tiling, check_translation, verify_superwavelet
+from .verify import Verdict, check_dilation_tiling, verify_superwavelet
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +149,7 @@ class SolveResult:
 
 def _solver_preconditions(existing, config) -> tuple[Verdict, ClopenSet]:
     v = Verdict()
-    for i, W in enumerate(existing, 1):
-        v.add(f"existing-{i}-dilation-tiling", *check_dilation_tiling(W).outcome())
-        v.add(f"existing-{i}-translation-packing",
-              *check_translation(W, "packing").outcome())
+    v.add_components(existing, "existing-{}-dilation-tiling", "existing-{}-translation-packing")
     fold = v.add_fold(config, existing, "existing-joint-packing")
     target = integers(config).subtract(fold.coverage)
     v.add_nonempty("complement-nonempty", target)

@@ -185,6 +185,13 @@ def _coef_cells(f: StepFunction, psi_j: StepFunction, min_scale=-INF):
             if cell.scale >= min_scale and not (av.is_zero() or bv.is_zero())]
 
 
+def _constant_side_cells(cfg: FieldConfig, v0: CycloScalar, cells):
+    """Coefficient cells (center, scale, v0 * conj(v) * measure) of the cells
+    (ball, v) of one side when the other side is the constant v0 on each of
+    them, so the product needs no refinement."""
+    return [(b.center, b.scale, v0 * v.conj() * _rat(cfg, b.measure())) for b, v in cells]
+
+
 def _total_energy(cfg: FieldConfig, pairs, bounds=None):
     """Exact sum over all (j, k) of |sum over pairs (f_i, psi_i) of
     <f_i, D^j T^k psi_i>|**2.
@@ -212,8 +219,7 @@ def _total_energy(cfg: FieldConfig, pairs, bounds=None):
         if zc is not None:
             s0, v0 = zc[0].scale, zc[1]
             pj = pa - s0
-            tail_cells.extend((b.center, b.scale, v0 * v.conj() * _rat(cfg, b.measure()))
-                              for b, v in psi.cells)
+            tail_cells.extend(_constant_side_cells(cfg, v0, psi.cells))
         else:
             s0, pj = INF, pa - fhi - 1
         j_tail, j_hi = min(j_tail, pj), max(j_hi, pb - min(flo, s0))
@@ -277,8 +283,12 @@ def super_parseval_residual(model: FiniteModel, etas, fs) -> CycloScalar:
 
 def truncation_spot_check(model: FiniteModel, psis, f: StepFunction,
                           samples: int = 3) -> bool:
-    """Directly evaluates a few coefficients beyond the recorded cutoff and
-    confirms they are exactly zero."""
+    """Evaluates a few coefficients beyond each recorded cutoff with
+    _character_sum and confirms they are zero.  The cutoff and the integral
+    apply the same valuation rule (beyond the cutoff no cell is fine enough
+    for the character to be constant on it, so every cell is dropped), so
+    this checks that the two agree and cannot return False; it does not
+    evaluate the integral independently."""
     cfg = model.config
     flo, fhi, _ = shell_range([f])
     for psi in psis:
@@ -325,10 +335,18 @@ def mesh_delta_residuals(model: FiniteModel, psis):
     ancestor key at each coarse scale (the cells are disjoint), or else the
     fine cells inside it.  The zero atom goes through the general path (it
     needs the geometric tail).
+
+    The k-sum of a single cell does not depend on its centre, so the energy
+    term of a coarse cell is the same for every atom under it: it is computed
+    once per (layer, coarse key).  An atom whose every hit is coarse thus has
+    a residual fixed by its tuple of hits, computed once per tuple.  An atom
+    with a fine hit gets its own residual, with the k-sum of its fine cells.
+    Either way the terms are subtracted in layer order.
     """
     cfg = model.config
     S = model.S
     q = Fraction(cfg.q)
+    one = _rat(cfg, 1)  # the value of a delta
     layers = []
     for psi in psis:
         model.check_analyzer(psi)
@@ -340,31 +358,54 @@ def mesh_delta_residuals(model: FiniteModel, psis):
             coarse, fine = {}, {}
             for ball, v in psi.precompose(-j).cells:
                 if ball.scale <= S:
-                    coarse[ball.sort_key()] = v.conj()
+                    coarse[ball.sort_key()] = v
                 else:
-                    fine.setdefault(ball.ancestor_key(S), []).append(
-                        (ball.center, ball.scale, v.conj()))
+                    fine.setdefault(ball.ancestor_key(S), []).append((ball, v))
             layers.append((j, coarse, sorted({s for s, _ in coarse}), fine))
+    scales = sorted({s for _, _, layer_scales, _ in layers for s in layer_scales})
+    norm = _rat(cfg, q ** (-S))  # ||delta||^2
+    terms = {}  # (layer index, coarse key) -> energy term of that cell
+    residuals = {}  # tuple of coarse hits -> residual
+
+    def term(j, cells):
+        return _rat(cfg, q ** (-j)) * _k_sum(cfg, j, _constant_side_cells(cfg, one, cells))
+
+    def residual(a, hits):
+        r = norm
+        for i, key in hits:
+            j, coarse, _, fine = layers[i]
+            if key is None:
+                t = term(j, fine[a.sort_key()])
+            else:
+                t = terms.get((i, key))
+                if t is None:
+                    t = terms[i, key] = term(j, [(a, coarse[key])])
+            r = r - t
+        return r
+
     out = []
-    base = _rat(cfg, q ** (-S))
     for a in model.atoms():
         if a.contains_zero():
             delta = StepFunction.indicator(ClopenSet.from_ball(a))
-            residual, _ = parseval_residual(model, psis, delta)
-            out.append((a, residual))
+            out.append((a, parseval_residual(model, psis, delta)[0]))
             continue
-        residual = base  # ||delta||^2
-        for j, coarse, scales, fine in layers:
-            for s in scales:
-                v = coarse.get(a.ancestor_key(s))
-                if v is not None:
-                    entries = [(a.center, S, v)]
+        up = {s: a.ancestor_key(s) for s in scales}
+        own = a.sort_key()
+        hits = []  # (layer index, coarse key, or None for the fine cells in a)
+        for i, (_, coarse, layer_scales, fine) in enumerate(layers):
+            for s in layer_scales:
+                if up[s] in coarse:
+                    hits.append((i, up[s]))
                     break
             else:
-                entries = fine.get(a.sort_key())
-                if not entries:
-                    continue
-            cells = [(c, s, v * _rat(cfg, q ** (-s))) for c, s, v in entries]
-            residual = residual - _rat(cfg, q ** (-j)) * _k_sum(cfg, j, cells)
-        out.append((a, residual))
+                if own in fine:
+                    hits.append((i, None))
+        hits = tuple(hits)
+        if any(key is None for _, key in hits):
+            out.append((a, residual(a, hits)))
+            continue
+        r = residuals.get(hits)
+        if r is None:
+            r = residuals[hits] = residual(a, hits)
+        out.append((a, r))
     return out

@@ -79,6 +79,15 @@ class Verdict:
             self.add_set(cover, integers(config).subtract(fold.coverage))
         return fold
 
+    def add_components(self, sets, dilation, packing):
+        """Per set in order, the checks `dilation.format(i)` (it tiles under
+        dilation) and `packing.format(i)` (its integral translates pack),
+        numbering the sets from 1; each failure carries the witness of the
+        first failing sub-check."""
+        for i, W in enumerate(sets, 1):
+            self.add(dilation.format(i), *check_dilation_tiling(W).outcome())
+            self.add(packing.format(i), *check_translation(W, "packing").outcome())
+
     def check(self, name):
         for c in self.checks:
             if c.name == name:
@@ -206,10 +215,8 @@ def verify_superwavelet(components, mode: str = "orthonormal") -> Verdict:
         raise ValueError(f"unknown mode {mode!r}")
     v = Verdict()
     cfg = _config(components)
-    for i, W in enumerate(components, 1):
-        v.add(f"(a)-component-{i}-dilation-tiling", *check_dilation_tiling(W).outcome())
-        v.add(f"(b)-component-{i}-translation-packing",
-              *check_translation(W, "packing").outcome())
+    v.add_components(components, "(a)-component-{}-dilation-tiling",
+                     "(b)-component-{}-translation-packing")
     fold = v.add_fold(cfg, components, "(c)-joint-translates-disjoint",
                       "(c)-joint-translates-cover" if mode == "orthonormal" else None)
     v.bounds["joint_fold_measure"] = str(fold.measure())

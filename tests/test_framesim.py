@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+import lfwave.framesim as fs
+
 from lfwave.clopen import Ball, ClopenSet, fractional_ideal, integers, shell, units
 from lfwave.construct import shannon_family, shell_tuple
 from lfwave.cyclo import CycloScalar
@@ -22,8 +24,8 @@ from lfwave.framesim import (
     truncation_spot_check,
 )
 from lfwave.gfq import FieldConfig
-from lfwave.lfield import FieldElement, coset_rep, parse_element
-from lfwave.stepfn import StepFunction, common_refinement
+from lfwave.lfield import FieldElement, character, coset_rep, parse_element
+from lfwave.stepfn import StepFunction, common_refinement, shell_range
 
 CFG2 = FieldConfig(2, 1)
 CFG3 = FieldConfig(3, 1)
@@ -75,30 +77,35 @@ def test_affine_coef_examples():
         assert affine_coef(f, psi, 0, k).is_zero()
 
 
+def riemann_coef(f, psi, j, k):
+    """<f, D^j T^k psi> brute-forced as a Riemann sum: every cell of the
+    common mesh is split until the character is constant on it (scale at
+    least -v(y), and at least 4), and the integrand is evaluated at the
+    centers."""
+    cfg = f.config
+    psi_j = psi.precompose(-j)
+    y = coset_rep(cfg, k).scale_exponents(j)
+    fine = max(4, -min(y.valuation(), 0) + 1) if y else 4
+    total = CycloScalar.zero(cfg.p, cfg.q)
+    for cell, _ in common_refinement(cfg, [f, psi_j]):
+        for a in cell.split_to(fine):
+            v = f.evaluate(a.center) * psi_j.evaluate(a.center).conj()
+            if v.is_zero():
+                continue
+            total = total + v * character(y, a.center) * rat(cfg, a.measure())
+    return total.q_half_shift(-j)
+
+
 def test_affine_coef_against_riemann_sum_oracle():
-    # brute-force the defining integral on a fine common mesh, evaluating
-    # the character at cell centers (it is constant on fine enough cells)
     cfg = CFG2
     psi = ind(units(cfg))
     f = StepFunction(cfg, [
         (Ball(cfg, FieldElement.one(cfg), 2), rat(cfg, Fraction(1, 2))),
         (Ball(cfg, coset_rep(cfg, 1), 1), CycloScalar.zeta_pow(2, 2, 1)),
     ])
-    from lfwave.lfield import character
     for j in (-1, 0, 1):
         for k in range(6):
-            psi_j = psi.precompose(-j)
-            y = coset_rep(cfg, k).scale_exponents(j)
-            fine = max(4, -min(y.valuation(), 0) + 1) if y else 4
-            total = CycloScalar.zero(cfg.p, cfg.q)
-            for cell, _ in common_refinement(cfg, [f, psi_j]):
-                for a in cell.split_to(fine):
-                    v = f.evaluate(a.center) * psi_j.evaluate(a.center).conj()
-                    if v.is_zero():
-                        continue
-                    total = total + v * character(y, a.center) * \
-                        rat(cfg, a.measure())
-            assert affine_coef(f, psi, j, k) == total.q_half_shift(-j)
+            assert affine_coef(f, psi, j, k) == riemann_coef(f, psi, j, k)
 
 
 def test_parseval_residual_shannon_examples():
@@ -375,7 +382,161 @@ def test_k_sum_matches_pair_sum():
 
 
 def test_truncation_spot_check():
-    model = FiniteModel(CFG2, 2, 2)
-    f = ind(units(CFG2))
-    assert truncation_spot_check(model, shannon_spectra(CFG2), f)
-    assert truncation_spot_check(model, [ind(shell(CFG2, 2))], f, samples=5)
+    # truncation_spot_check applies _character_sum's own valuation rule, so
+    # the coefficients it samples beyond each cutoff are evaluated here again
+    # as Riemann sums, and the coefficient just below some cutoff must not
+    # vanish
+    for cfg in (CFG2, CFG3):
+        model = FiniteModel(cfg, 2, 2)
+        z = CycloScalar.zeta_pow(cfg.p, cfg.q, 1)
+        g = StepFunction(cfg, [
+            (Ball(cfg, FieldElement.one(cfg), 2), rat(cfg, Fraction(1, 2))),
+            (Ball(cfg, coset_rep(cfg, 1), 1), z),
+        ])
+        cases = [
+            (shannon_spectra(cfg), ind(units(cfg)), 3),
+            ([ind(shell(cfg, 2))], ind(units(cfg)), 5),
+            ([ind(shell(cfg, 1), z), ind(shell(cfg, -1), rat(cfg, Fraction(1, 2)))], g, 3),
+        ]
+        for psis, f, samples in cases:
+            assert truncation_spot_check(model, psis, f, samples)
+            flo, fhi, _ = shell_range([f])
+            tight = False
+            for psi in psis:
+                pa, pb, _ = shell_range([psi])
+                for j in range(pa - fhi, pb - flo + 1):
+                    mesh = [cell for cell, (a, b) in common_refinement(cfg, [f, psi.precompose(-j)])
+                            if not (a.is_zero() or b.is_zero())]
+                    if not mesh:
+                        continue
+                    k0 = cfg.q ** max(j + max(cell.scale for cell in mesh), 0)
+                    for k in range(k0, k0 + samples):
+                        assert riemann_coef(f, psi, j, k).is_zero()
+                    tight = tight or not riemann_coef(f, psi, j, k0 - 1).is_zero()
+            assert tight
+
+
+# ---------------------------------------------------------------------------
+# The cached mesh sweep against the per-atom loop
+# ---------------------------------------------------------------------------
+
+
+def reference_mesh_delta_residuals(model, psis):
+    """mesh_delta_residuals as a plain per-atom loop: one k-sum per (atom,
+    layer) hit, each atom's cells built afresh."""
+    cfg = model.config
+    S = model.S
+    q = Fraction(cfg.q)
+    layers = []
+    for psi in psis:
+        model.check_analyzer(psi)
+        fs._check_away_from_zero(psi)
+        if not psi.cells:
+            continue
+        pa, pb, _ = shell_range([psi])
+        for j in range(pa - (model.R + S), pb + model.R + 1):
+            coarse, fine = {}, {}
+            for ball, v in psi.precompose(-j).cells:
+                if ball.scale <= S:
+                    coarse[ball.sort_key()] = v.conj()
+                else:
+                    fine.setdefault(ball.ancestor_key(S), []).append(
+                        (ball.center, ball.scale, v.conj()))
+            layers.append((j, coarse, sorted({s for s, _ in coarse}), fine))
+    out = []
+    for a in model.atoms():
+        if a.contains_zero():
+            residual, _ = parseval_residual(model, psis, ind(ClopenSet.from_ball(a)))
+            out.append((a, residual))
+            continue
+        residual = rat(cfg, q ** (-S))
+        for j, coarse, scales, fine in layers:
+            for s in scales:
+                v = coarse.get(a.ancestor_key(s))
+                if v is not None:
+                    entries = [(a.center, S, v)]
+                    break
+            else:
+                entries = fine.get(a.sort_key())
+                if not entries:
+                    continue
+            cells = [(c, s, v * rat(cfg, q ** (-s))) for c, s, v in entries]
+            residual = residual - rat(cfg, q ** (-j)) * fs._k_sum(cfg, j, cells)
+        out.append((a, residual))
+    return out
+
+
+def random_analyzer(cfg, rng, R, S, n):
+    """n disjoint balls away from zero inside p^-R O, at scales -R+1..S+2
+    (so some are finer than the mesh), valued on a small cyclotomic lattice,
+    some at half-grade 2."""
+    balls = []
+    while len(balls) < n:
+        s = rng.randint(-R + 1, S + 2)
+        digits = {e: cfg.from_index(rng.randrange(cfg.q)) for e in range(-R, s)}
+        b = Ball(cfg, FieldElement(cfg, digits), s)
+        if not b.contains_zero() and all(b.is_disjoint(c) for c in balls):
+            balls.append(b)
+    cells = []
+    for b in balls:
+        coeffs = [0] * (cfg.p - 1)
+        while not any(coeffs):
+            coeffs = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in coeffs]
+        cells.append((b, CycloScalar(cfg.p, cfg.q, coeffs, rng.choice((0, 0, 2)))))
+    return StepFunction(cfg, cells)
+
+
+def mesh_families(cfg, S, rng):
+    z = CycloScalar.zeta_pow(cfg.p, cfg.q, 1)
+    half = rat(cfg, Fraction(1, 2))
+    families = [
+        shannon_spectra(cfg),
+        [ind(units(cfg), half)],  # not Parseval
+        [ind(shell(cfg, 1), z + half), ind(shell(cfg, -1), z)],  # zeta-valued
+        # cells finer than the mesh, inside atoms away from zero
+        [StepFunction(cfg, [
+            (Ball(cfg, FieldElement.one(cfg), S + 1), z),
+            (Ball(cfg, parse_element(cfg, f"p^-1 + p^{S}"), S + 2), half),
+        ])],
+        # layer j puts z on the shell(-j) balls that layer j+1 gives 1/2:
+        # the same coarse keys in two layers, with different terms
+        [StepFunction(cfg, [(b, z) for b in shell(cfg, 0).balls]
+                      + [(b, half) for b in shell(cfg, 1).balls])],
+    ]
+    families += [[random_analyzer(cfg, rng, 1, S, rng.randint(2, 5))
+                  for _ in range(rng.randint(1, 2))] for _ in range(4)]
+    return families
+
+
+def test_mesh_sweep_matches_per_atom_reference():
+    rng = random.Random(20151124)
+    for cfg in (CFG2, CFG3, CFG4, CFG5):
+        for R, S in ((1, 1), (2, 1), (1, 2)):
+            if cfg.q ** (R + S) > 125:
+                continue
+            model = FiniteModel(cfg, R, S)
+            for psis in mesh_families(cfg, S, rng):
+                want = reference_mesh_delta_residuals(model, psis)
+                assert repr(mesh_delta_residuals(model, psis)) == repr(want)
+
+
+def test_mesh_sweep_k_sum_calls(monkeypatch):
+    calls = []
+    k_sum = fs._k_sum
+
+    def counted(config, j, cells):
+        calls.append(len(cells))
+        return k_sum(config, j, cells)
+
+    monkeypatch.setattr(fs, "_k_sum", counted)
+    cfg = CFG3
+    model = FiniteModel(cfg, 2, 2)
+    psis = mesh_families(cfg, 2, random.Random(7))[3] + shannon_spectra(cfg)
+    # 22 layers: 4 k-sums for the zero atom's general path, one per distinct
+    # (layer, coarse cell) hit (10) and one per fine hit (6)
+    mesh_delta_residuals(model, psis)
+    assert len(calls) == 4 + 10 + 6
+    # the per-atom loop takes one per (atom, layer) hit (90) instead
+    calls.clear()
+    reference_mesh_delta_residuals(model, psis)
+    assert len(calls) == 4 + 90
