@@ -41,10 +41,32 @@ class Ball:
 
     @classmethod
     def from_key(cls, config: FieldConfig, key) -> "Ball":
-        """The ball whose sort key is `key`."""
+        """The ball whose sort key is `key`: (scale, ((e, i), ...)) with
+        exponents strictly increasing and below the scale, and digit indices
+        in 1..q-1.  Raises ValueError on any other key."""
         scale, digits = key
-        center = FieldElement(config, {e: config.from_index(i) for e, i in digits})
-        return cls(config, center, scale)
+        digits = tuple((e, i) for e, i in digits)
+        prev = -INF
+        for e, i in digits:
+            if not prev < e < scale:
+                raise ValueError(
+                    f"digit exponents must increase strictly and stay below "
+                    f"the scale {scale}: {digits}")
+            if not 0 < i < config.q:
+                raise ValueError(f"digit index {i} outside 1..{config.q - 1}")
+            prev = e
+        return cls._from_key(config, (scale, digits))
+
+    @classmethod
+    def _from_key(cls, config: FieldConfig, key) -> "Ball":
+        """from_key without the checks, for keys built as sort keys."""
+        ball = object.__new__(cls)
+        ball.config = config
+        ball.scale = key[0]
+        ball._key = key
+        digit = config.from_index
+        ball.center = FieldElement(config, {e: digit(i) for e, i in key[1]})
+        return ball
 
     def measure(self) -> Fraction:
         return Fraction(self.config.q) ** (-self.scale)
@@ -91,21 +113,49 @@ class Ball:
             yield t, d
 
     def children(self):
-        cfg = self.config
-        for i in range(cfg.q):
-            d = cfg.from_index(i)
-            yield Ball(cfg, self.center + FieldElement.monomial(cfg, d, self.scale), self.scale + 1)
+        """The q sub-balls one scale finer, in digit index order 0..q-1."""
+        return self.split_to(self.scale + 1)
 
     def split_to(self, scale: int):
-        """All sub-balls at the given finer (or equal) scale."""
+        """All sub-balls at the given finer (or equal) scale: the digit at
+        this ball's scale is the most significant, each digit runs through
+        index order 0..q-1."""
         if scale <= self.scale:
             yield self
             return
-        for child in self.children():
-            yield from child.split_to(scale)
+        cfg = self.config
+        level = [self._key[1]]
+        for e in range(self.scale, scale):
+            ext = [((e, i),) for i in range(1, cfg.q)]
+            nxt = []
+            for d in level:
+                nxt.append(d)
+                nxt.extend([d + x for x in ext])
+            level = nxt
+        for d in level:
+            yield Ball._from_key(cfg, (scale, d))
+
+    def sub_ball(self, scale: int, n: int) -> "Ball":
+        """The n-th ball of split_to(scale), without enumerating: the base-q
+        digits of n, least significant at exponent scale-1, follow the
+        centre's digits."""
+        q = self.config.q
+        if not 0 <= n < q ** max(scale - self.scale, 0):
+            raise ValueError(f"sub-ball index {n} out of range")
+        if scale <= self.scale:
+            return self
+        tail = []
+        e = scale
+        while n:
+            n, i = divmod(n, q)
+            e -= 1
+            if i:
+                tail.append((e, i))
+        return Ball._from_key(self.config, (scale, self._key[1] + tuple(reversed(tail))))
 
     def scale_by(self, j: int) -> "Ball":
-        return Ball(self.config, self.center.scale_exponents(j), self.scale + j)
+        scale, digits = self._key
+        return Ball._from_key(self.config, (scale + j, tuple([(e + j, i) for e, i in digits])))
 
     def translate(self, t: FieldElement) -> "Ball":
         return Ball(self.config, self.center + t, self.scale)
@@ -221,9 +271,9 @@ class ClopenSet:
             for b in kept:
                 groups.setdefault(b.ancestor_key(b.scale - 1), []).append(b)
             merged = []
-            for (pscale, _), members in groups.items():
+            for parent, members in groups.items():
                 if len(members) == q:
-                    merged.append(Ball(config, members[0].center, pscale))
+                    merged.append(Ball._from_key(config, parent))
                     changed = True
                 else:
                     merged.extend(members)
@@ -421,11 +471,9 @@ def fractional_ideal(config: FieldConfig, k: int) -> ClopenSet:
 
 def shell(config: FieldConfig, s: int) -> ClopenSet:
     """p**s * O* : all elements of absolute value exactly q**-s."""
-    balls = [
-        Ball(config, FieldElement.monomial(config, config.from_index(i), s), s + 1)
-        for i in range(1, config.q)
-    ]
-    return ClopenSet(config, balls)
+    # q-1 of the q siblings under p**s * O, in sort-key order: canonical
+    return ClopenSet(config, [Ball._from_key(config, (s + 1, ((s, i),)))
+                              for i in range(1, config.q)], _canonical=True)
 
 
 def units(config: FieldConfig) -> ClopenSet:

@@ -57,8 +57,7 @@ class FiniteModel:
     def _atom(self, i: int) -> Ball:
         """The i-th atom in the order of atoms(): the base-q digits of i, most
         significant first, at exponents -R..S-1, i.e. p**S * u(i)."""
-        cfg = self.config
-        return Ball(cfg, coset_rep(cfg, i).scale_exponents(self.S), self.S)
+        return self.window.balls[0].sub_ball(self.S, i)
 
     def random_step(self, rng: random.Random, n_cells: int = 5) -> StepFunction:
         """Seeded random window function: distinct mesh atoms with nonzero

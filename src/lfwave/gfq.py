@@ -90,7 +90,7 @@ class FieldConfig:
     multiplicative identity.
     """
 
-    __slots__ = ("p", "c", "q", "modulus", "_zero", "_one")
+    __slots__ = ("p", "c", "q", "modulus", "_zero", "_one", "_by_index")
 
     def __init__(self, p: int, c: int = 1, modulus=None):
         if not _is_prime(p) or p > 13:
@@ -110,6 +110,7 @@ class FieldConfig:
         self.modulus = modulus
         self._zero = FqElement(self, (0,) * c)
         self._one = FqElement(self, (1,) + (0,) * (c - 1))
+        self._by_index = {0: self._zero, 1: self._one}
 
     @property
     def zero(self) -> "FqElement":
@@ -126,14 +127,20 @@ class FieldConfig:
         return FqElement(self, coords)
 
     def from_index(self, i: int) -> "FqElement":
-        """Element whose coordinates are the base-p digits of i, 0 <= i < q."""
-        if not 0 <= i < self.q:
-            raise ValueError(f"index out of range [0, {self.q})")
-        coords = []
-        for _ in range(self.c):
-            coords.append(i % self.p)
-            i //= self.p
-        return FqElement(self, tuple(coords))
+        """Element whose coordinates are the base-p digits of i, 0 <= i < q.
+
+        One shared element per index and config, built on first use."""
+        x = self._by_index.get(i)
+        if x is None:
+            if not 0 <= i < self.q:
+                raise ValueError(f"index out of range [0, {self.q})")
+            coords = []
+            n = i
+            for _ in range(self.c):
+                coords.append(n % self.p)
+                n //= self.p
+            x = self._by_index[i] = FqElement(self, tuple(coords))
+        return x
 
     def elements(self):
         for i in range(self.q):

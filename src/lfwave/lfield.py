@@ -31,7 +31,7 @@ class FieldElement:
         # digits: mapping exponent -> FqElement; zero digits dropped
         self.config = config
         self.digits = {e: d for e, d in digits.items() if d}
-        self._hash = hash(frozenset((e, d.coords) for e, d in self.digits.items()))
+        self._hash = None  # computed on first use: most elements are never hashed
 
     @classmethod
     def zero(cls, config: FieldConfig) -> "FieldElement":
@@ -72,6 +72,8 @@ class FieldElement:
         )
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(frozenset((e, d.coords) for e, d in self.digits.items()))
         return self._hash
 
     def _check(self, other):

@@ -6,6 +6,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from lfwave.clopen import (
     Ball,
     ClopenSet,
@@ -24,6 +26,8 @@ from lfwave.stepfn import StepFunction, shell_range
 
 CFG2 = FieldConfig(2, 1)
 CFG3 = FieldConfig(3, 1)
+CFG4 = FieldConfig(2, 2)
+CFG5 = FieldConfig(5, 1)
 
 
 def rand_point(cfg, rng, lo=-3, hi=6):
@@ -53,6 +57,11 @@ def test_normalization_examples():
     # nested balls are absorbed
     nested = ClopenSet(CFG2, [Ball(CFG2, zero, 0), Ball(CFG2, zero, 2)])
     assert nested == integers(CFG2)
+    # shells are built in canonical form, without normalizing
+    for cfg in (CFG2, CFG3, CFG4, CFG5):
+        for s in (-2, 0, 3):
+            W = shell(cfg, s)
+            assert ClopenSet(cfg, W.balls).balls == W.balls
 
 
 def test_normalization_is_idempotent_and_membership_faithful():
@@ -256,3 +265,73 @@ def test_joint_fold_finds_collisions_across_sets():
         # the one-set case is ClopenSet.fold, and no sets fold to nothing
         assert joint_fold(cfg, [U]) == U.fold()
         assert joint_fold(cfg, []).coverage.is_empty()
+
+
+# ---------------------------------------------------------------------------
+# Balls built from their sort keys against FieldElement arithmetic
+# ---------------------------------------------------------------------------
+
+
+def reference_children(b):
+    """children() by field arithmetic: the centre plus i * p**scale."""
+    cfg = b.config
+    for i in range(cfg.q):
+        yield Ball(cfg, b.center + FieldElement.monomial(cfg, cfg.from_index(i), b.scale),
+                   b.scale + 1)
+
+
+def reference_split_to(b, scale):
+    """split_to() as the recursion over reference_children."""
+    if scale <= b.scale:
+        yield b
+        return
+    for child in reference_children(b):
+        yield from reference_split_to(child, scale)
+
+
+def keys(balls):
+    return [b.sort_key() for b in balls]
+
+
+def test_key_built_balls_match_field_arithmetic():
+    rng = random.Random(73)
+    for cfg in (CFG2, CFG3, CFG4, CFG5):
+        for scale in range(-2, 2):
+            balls = [Ball.integers(cfg, scale)] + [
+                Ball(cfg, rand_point(cfg, rng, lo=scale - 3, hi=scale - 1), scale)
+                for _ in range(3)]
+            for b in balls:
+                for depth in range(4):
+                    got = list(b.split_to(scale + depth))
+                    assert keys(got) == keys(reference_split_to(b, scale + depth))
+                    assert got == [b.sub_ball(scale + depth, n) for n in range(len(got))]
+                assert keys(b.children()) == keys(reference_children(b))
+                for j in range(-3, 4):
+                    ref = Ball(cfg, b.center.scale_exponents(j), scale + j)
+                    assert b.scale_by(j).sort_key() == ref.sort_key()
+                    assert b.scale_by(j) == ref
+                for c in reference_split_to(b, scale + 2):
+                    r = Ball.from_key(cfg, c.sort_key())
+                    assert r == c and r.center.digits == c.center.digits
+                    assert hash(r) == hash(c) and hash(r.center) == hash(c.center)
+            with pytest.raises(ValueError):
+                balls[0].sub_ball(scale + 1, cfg.q)
+            with pytest.raises(ValueError):
+                balls[0].sub_ball(scale, 1)
+
+
+def test_from_key_rejects_malformed_keys():
+    good = Ball(CFG3, parse_element(CFG3, "p^-2 + 2*p^-1"), 0)
+    assert Ball.from_key(CFG3, (0, ((-2, 1), (-1, 2)))) == good
+    assert Ball.from_key(CFG3, [0, [[-2, 1], [-1, 2]]]).sort_key() == good.sort_key()
+    for key in [
+        (0, ((1, 1),)),  # a digit at or above the scale
+        (0, ((0, 1),)),
+        (3, ((1, 1), (0, 1))),  # exponents not increasing
+        (3, ((1, 1), (1, 2))),
+        (0, ((-1, 0),)),  # digit indices outside 1..q-1
+        (0, ((-1, 3),)),
+        (0, ((-2, 1), (-1, -1))),
+    ]:
+        with pytest.raises(ValueError):
+            Ball.from_key(CFG3, key)

@@ -138,3 +138,19 @@ def test_coordinate_indexing_round_trip():
         cfg = FieldConfig(p, c)
         for i in range(cfg.q):
             assert cfg.from_index(i).index == i
+
+
+def test_from_index_shares_one_element_per_index():
+    for p, c in SMALL_CONFIGS:
+        cfg = FieldConfig(p, c)
+        assert cfg.from_index(0) is cfg.zero and cfg.from_index(1) is cfg.one
+        for i in range(cfg.q):
+            assert cfg.from_index(i) is cfg.from_index(i)
+        # an equal config has its own elements, equal to these
+        other = FieldConfig(p, c)
+        assert other.from_index(cfg.q - 1) == cfg.from_index(cfg.q - 1)
+        for bad in (-1, cfg.q, cfg.q + 7):
+            for _ in range(2):  # a refused index is not cached
+                with pytest.raises(ValueError):
+                    cfg.from_index(bad)
+            assert bad not in cfg._by_index

@@ -218,3 +218,26 @@ def test_parse_rejects_bad_syntax():
         parse_element(CFG2, "p^")
     with pytest.raises(ValueError):
         parse_element(CFG2, "q + 1")
+
+
+def test_hash_agrees_across_arithmetic_and_key_built_elements():
+    from lfwave.clopen import Ball
+
+    rng = random.Random(41)
+    for cfg in (CFG2, CFG3, CFG4, CFG9):
+        # the n-th sub-ball of p**-2 O at scale 1 has centre p * u(n)
+        atoms = list(Ball.integers(cfg, -2).split_to(1))
+        keyed = [a.center for a in atoms]
+        built = [coset_rep(cfg, n).scale_exponents(1) for n in range(len(atoms))]
+        shifted = []
+        for x in built:
+            y = rand_element(cfg, rng)
+            shifted.append((x + y) - y)
+        for x, y, z in zip(keyed, built, shifted):
+            assert x == y == z
+            assert hash(x) == hash(y) == hash(z)
+        assert set(keyed) == set(built) == set(shifted)
+        assert len(set(keyed + built + shifted)) == len(atoms)
+        table = {x: n for n, x in enumerate(keyed)}
+        assert [table[x] for x in shifted] == list(range(len(atoms)))
+        assert {x: n for n, x in enumerate(shifted)} == table
