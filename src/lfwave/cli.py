@@ -478,6 +478,8 @@ def run(doc: SpecDocument, seed: int = 0) -> dict:
         except SpecError:
             raise
         except (ValueError, KeyError) as exc:
+            if keyword in ("set", "fn", "family"):  # a malformed definition
+                raise SpecError(line_no, str(exc)) from None
             entry["error"] = str(exc)
             report["passed"] = False
         report["directives"].append(entry)
@@ -547,7 +549,11 @@ def main(argv=None) -> int:
             out = [W.as_json() for W in construct.tower_components(cfg, args.n)]
         print(json.dumps(out, indent=2, sort_keys=True))
         return 0
-    return _run_file(args.spec, args.seed, args.json_path, args.only)
+    try:
+        return _run_file(args.spec, args.seed, args.json_path, args.only)
+    except SpecError as exc:  # a malformed spec: its line, no traceback
+        print(f"lfw: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -29,10 +29,7 @@ class Ball:
         self.config = config
         self.center = center.truncate_below(scale)
         self.scale = scale
-        self._key = (
-            scale,
-            tuple(sorted((e, self.center.digit(e).index) for e in self.center.digits)),
-        )
+        self._key = (scale, tuple(sorted(self.center.digits.items())))
 
     @classmethod
     def integers(cls, config: FieldConfig, scale: int = 0) -> "Ball":
@@ -64,8 +61,7 @@ class Ball:
         ball.config = config
         ball.scale = key[0]
         ball._key = key
-        digit = config.from_index
-        ball.center = FieldElement(config, {e: digit(i) for e, i in key[1]})
+        ball.center = FieldElement(config, dict(key[1]), True)
         return ball
 
     def measure(self) -> Fraction:
@@ -167,8 +163,7 @@ class Ball:
         return (
             isinstance(other, Ball)
             and self.config == other.config
-            and self.scale == other.scale
-            and self.center == other.center
+            and self._key == other._key
         )
 
     def __hash__(self):
@@ -197,7 +192,7 @@ def translated_keys(u: FieldElement, keys):
     key of (ball + u) * p**-s); s and the normalized key are None for a
     ball containing zero.  u's digits all sit below the centre digits, so
     the sum is a concatenation of digit tuples."""
-    pre = tuple(sorted((e, d.index) for e, d in u.digits.items()))
+    pre = tuple(sorted(u.digits.items()))
     for scale, digits in keys:
         cell = pre + digits
         if not cell:

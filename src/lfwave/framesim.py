@@ -144,7 +144,7 @@ def _k_sum(config: FieldConfig, j: int, cells) -> CycloScalar:
         raise ValueError(f"odd half-grade {grades[0] + odd[0]} cannot be reduced")
     l_max = max(max(j + s for _, s, _ in cells), 0)
     # the digit of p^j b at exponent n is the digit of b at exponent n - j
-    keys = [tuple(b.digit(e).coords for e in range(-j, l_max - j)) for b, _, _ in cells]
+    keys = [tuple(b.digit(e) for e in range(-j, l_max - j)) for b, _, _ in cells]
     weights = {}
 
     def weigh(n, active, w):

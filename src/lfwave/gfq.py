@@ -1,8 +1,11 @@
 """Exact arithmetic in the residue field GF(q), q = p**c.
 
-Elements are stored as coordinate vectors over GF(p) in the power basis
-1, e, e**2, ..., e**(c-1) of a root e of a monic irreducible modulus
-polynomial.  Everything is a small immutable value; no global state.
+An element is an int index in 0..q-1 whose base-p digits, least significant
+first, are its coordinates over GF(p) in the power basis 1, e, ..., e**(c-1)
+of a root e of a monic irreducible modulus polynomial: 0 is zero, 1 is one.
+FieldConfig computes on indices with O(q) tables built on first use: exp/log
+of a primitive element g, Zech logarithms log(1 + g**n) for sums, negation
+and trace.  FqElement wraps an index for operator syntax.  No global state.
 """
 
 from __future__ import annotations
@@ -12,17 +15,6 @@ from itertools import product
 
 class ConfigMismatch(ValueError):
     """Raised when operands belong to different field configurations."""
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _poly_trim(a):
@@ -83,17 +75,16 @@ def default_modulus(p: int, c: int):
     raise ValueError(f"no irreducible polynomial of degree {c} over GF({p})")
 
 
+_TABLES = ("_exp", "_log", "_zech", "_neg", "_trace")
+
+
 class FieldConfig:
-    """Parameters of the residue field GF(q), q = p**c, p <= 13, c <= 4.
+    """The residue field GF(q), q = p**c (p <= 13, c <= 4), and its index arithmetic."""
 
-    The basis is the power basis of the modulus root, so basis[0] is the
-    multiplicative identity.
-    """
-
-    __slots__ = ("p", "c", "q", "modulus", "_zero", "_one", "_by_index")
+    __slots__ = ("p", "c", "q", "modulus", "zero", "one") + _TABLES
 
     def __init__(self, p: int, c: int = 1, modulus=None):
-        if not _is_prime(p) or p > 13:
+        if p not in (2, 3, 5, 7, 11, 13):
             raise ValueError(f"p must be a prime <= 13, got {p}")
         if not 1 <= c <= 4:
             raise ValueError(f"extension degree must be in [1, 4], got {c}")
@@ -108,46 +99,90 @@ class FieldConfig:
         self.c = c
         self.q = p**c
         self.modulus = modulus
-        self._zero = FqElement(self, (0,) * c)
-        self._one = FqElement(self, (1,) + (0,) * (c - 1))
-        self._by_index = {0: self._zero, 1: self._one}
+        self.zero, self.one = FqElement(self, 0), FqElement(self, 1)
 
-    @property
-    def zero(self) -> "FqElement":
-        return self._zero
+    def __getattr__(self, name):
+        # only an unset table slot lands here: the tables are built on first use
+        if name not in _TABLES:
+            raise AttributeError(name)
+        self._build_tables()
+        return object.__getattribute__(self, name)
 
-    @property
-    def one(self) -> "FqElement":
-        return self._one
+    def _build_tables(self):
+        p, c, q, m = self.p, self.c, self.q, self.modulus
+        for g in map(self.coords, range(1, q)):
+            # g is primitive when its powers first return to 1 after q-1 steps
+            powers, x = [1], _poly_trim(g)
+            while x != (1,):
+                powers.append(self.index(x))
+                x = _poly_mod(_poly_mul(x, g, p), m, p)
+            if len(powers) == q - 1:
+                break
+        log = [None] * q
+        for k, i in enumerate(powers):
+            log[i] = k
+        # exp[k] = g**k for k < 2(q-1), so a sum of two logs needs no reduction;
+        # exp[2(q-1):] is 0, where the Zech logarithm of a zero sum points
+        self._exp = powers * 2 + [0] * (q - 1)
+        self._log = log
+        # 1 + g**k: the index of g**k with its lowest base-p digit raised by one
+        one_plus = [i - i % p + (i + 1) % p for i in powers]
+        self._zech = [log[s] if s else 2 * (q - 1) for s in one_plus]
+        # -1 is the element of order 2, g**((q-1)/2), and is 1 when p = 2
+        half = (q - 1) // 2 if p > 2 else 0
+        self._neg = [0] + [self._exp[log[i] + half] for i in range(1, q)]
+        # Tr(e**k) is the trace of the matrix of multiplication by e**k
+        basis = [sum((_poly_mod((0,) * (k + j) + (1,), m, p) + (0,) * c)[j]
+                     for j in range(c)) % p for k in range(c)]
+        self._trace = [sum(a * t for a, t in zip(self.coords(i), basis)) % p
+                       for i in range(q)]
 
-    def element(self, coords) -> "FqElement":
-        coords = tuple(x % self.p for x in coords)
-        if len(coords) != self.c:
-            raise ValueError(f"expected {self.c} coordinates, got {len(coords)}")
-        return FqElement(self, coords)
+    def coords(self, i: int) -> tuple:
+        """The c power-basis coordinates of index i: its base-p digits."""
+        return tuple(i // self.p**k % self.p for k in range(self.c))
+
+    def index(self, coords) -> int:
+        """The index with these coordinates (missing top ones read as 0)."""
+        return sum(a * self.p**k for k, a in enumerate(coords))
+
+    def format_digit(self, i: int) -> str:
+        """`a` for c = 1, else the coordinate list `[a0,a1,...]`."""
+        return str(i) if self.c == 1 else "[" + ",".join(map(str, self.coords(i))) + "]"
+
+    def add(self, a: int, b: int) -> int:
+        if not (a and b):
+            return a or b
+        la = self._log[a]
+        return self._exp[la + self._zech[self._log[b] - la]]
+
+    def neg(self, a: int) -> int:
+        return self._neg[a]
+
+    def mul(self, a: int, b: int) -> int:
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
+
+    def pow(self, a: int, n: int) -> int:
+        if not a:
+            if n < 0:
+                raise ZeroDivisionError("zero has no inverse in GF(q)")
+            return 0 if n else 1
+        return self._exp[self._log[a] * n % (self.q - 1)]
+
+    def trace(self, a: int) -> int:
+        """Tr(a) = a + a**p + ... + a**(p**(c-1)), as a residue mod p."""
+        return self._trace[a]
 
     def from_index(self, i: int) -> "FqElement":
-        """Element whose coordinates are the base-p digits of i, 0 <= i < q.
-
-        One shared element per index and config, built on first use."""
-        x = self._by_index.get(i)
-        if x is None:
-            if not 0 <= i < self.q:
-                raise ValueError(f"index out of range [0, {self.q})")
-            coords = []
-            n = i
-            for _ in range(self.c):
-                coords.append(n % self.p)
-                n //= self.p
-            x = self._by_index[i] = FqElement(self, tuple(coords))
-        return x
+        """The element with index i, 0 <= i < q."""
+        if not 0 <= i < self.q:
+            raise ValueError(f"index out of range [0, {self.q})")
+        return FqElement(self, i)
 
     def elements(self):
-        for i in range(self.q):
-            yield self.from_index(i)
+        return (FqElement(self, i) for i in range(self.q))
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FieldConfig)
             and (self.p, self.c, self.modulus) == (other.p, other.c, other.modulus)
         )
@@ -159,93 +194,59 @@ class FieldConfig:
         return f"FieldConfig(p={self.p}, c={self.c}, modulus={list(self.modulus)})"
 
 
-def _check_config(a: "FqElement", b: "FqElement"):
-    if a.config != b.config:
-        raise ConfigMismatch("operands from different field configurations")
-
-
 class FqElement:
-    """An element of GF(q) in power-basis coordinates over GF(p)."""
+    """A GF(q) element with operator syntax: its config and its index.
 
-    __slots__ = ("config", "coords", "_hash")
+    Every operation is its config's table arithmetic on the index."""
 
-    def __init__(self, config: FieldConfig, coords):
+    __slots__ = ("config", "index")
+
+    def __init__(self, config: FieldConfig, index: int):
         self.config = config
-        self.coords = coords
-        self._hash = hash(coords)
+        self.index = index
 
     @property
-    def index(self) -> int:
-        """Position in the base-p coordinate enumeration (inverse of from_index)."""
-        n = 0
-        for a in reversed(self.coords):
-            n = n * self.config.p + a
-        return n
+    def coords(self) -> tuple:
+        return self.config.coords(self.index)
+
+    def _index_of(self, other: "FqElement") -> int:
+        if self.config != other.config:
+            raise ConfigMismatch("operands from different field configurations")
+        return other.index
 
     def __bool__(self):
-        return any(self.coords)
+        return self.index != 0
 
     def __eq__(self, other):
         return (
             isinstance(other, FqElement)
-            and self.coords == other.coords
+            and self.index == other.index
             and self.config == other.config
         )
 
     def __hash__(self):
-        return self._hash
+        return hash(self.index)
 
     def __add__(self, other):
-        _check_config(self, other)
-        p = self.config.p
-        return FqElement(
-            self.config, tuple((a + b) % p for a, b in zip(self.coords, other.coords))
-        )
+        return FqElement(self.config, self.config.add(self.index, self._index_of(other)))
 
     def __neg__(self):
-        p = self.config.p
-        return FqElement(self.config, tuple((-a) % p for a in self.coords))
+        return FqElement(self.config, self.config.neg(self.index))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        _check_config(self, other)
-        cfg = self.config
-        prod = _poly_mul(self.coords, other.coords, cfg.p)
-        red = _poly_mod(prod, cfg.modulus, cfg.p)
-        coords = tuple(red) + (0,) * (cfg.c - len(red))
-        return FqElement(cfg, coords)
+        return FqElement(self.config, self.config.mul(self.index, self._index_of(other)))
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = self.config.one
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return FqElement(self.config, self.config.pow(self.index, n))
 
     def inverse(self) -> "FqElement":
-        if not self:
-            raise ZeroDivisionError("zero has no inverse in GF(q)")
-        return self ** (self.config.q - 2)
+        return self ** -1
 
     def trace(self) -> int:
-        """Tr(a) = a + a**p + ... + a**(p**(c-1)), as a residue mod p."""
-        acc = self
-        x = self
-        for _ in range(self.config.c - 1):
-            x = x**self.config.p
-            acc = acc + x
-        if any(acc.coords[1:]):
-            raise AssertionError("trace did not land in the prime field")
-        return acc.coords[0]
+        return self.config.trace(self.index)
 
     def __repr__(self):
-        if self.config.c == 1:
-            return str(self.coords[0])
-        return "[" + ",".join(str(a) for a in self.coords) + "]"
+        return self.config.format_digit(self.index)

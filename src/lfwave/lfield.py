@@ -1,14 +1,14 @@
 """Exact elements of the local field K = GF(q)((p)) with finite digit support.
 
 An element is a finite formal sum  x = sum_l c_l * p**l  with nonzero digits
-c_l in GF(q) and l ranging over the integers.  All objects the library
-manipulates (ball centers, coset representatives, their sums and products)
-have finite support, so no truncation ever happens.
+c_l in GF(q) and l ranging over the integers, kept as `digits`: exponent ->
+GF(q) index in 1..q-1 (see gfq).  All objects the library manipulates (ball
+centers, coset representatives, their sums and products) have finite
+support, so no truncation ever happens.
 
 The canonical coset representatives of the ring of integers are indexed by
-the non-negative integers: coset_rep(n) places the base-q digits of n at the
-negative exponents, mapping each base-q digit into GF(q) through its base-p
-expansion in the power basis.
+the non-negative integers: coset_rep(n) places the base-q digits of n, as
+GF(q) indices, at the negative exponents.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import re
 
 from .cyclo import CycloScalar
-from .gfq import ConfigMismatch, FieldConfig, FqElement
+from .gfq import ConfigMismatch, FieldConfig
 
 INFINITY = math.inf
 
@@ -27,31 +27,37 @@ class FieldElement:
 
     __slots__ = ("config", "digits", "_hash")
 
-    def __init__(self, config: FieldConfig, digits):
-        # digits: mapping exponent -> FqElement; zero digits dropped
+    def __init__(self, config: FieldConfig, digits, _canonical: bool = False):
+        # digits: mapping exponent -> GF(q) index in 0..q-1; zero digits
+        # dropped.  _canonical: a dict of nonzero indices, taken unchecked
+        if not _canonical:
+            for d in digits.values():
+                if not isinstance(d, int) or not 0 <= d < config.q:
+                    raise ValueError(f"digit {d!r} is not a GF({config.q}) index")
+            digits = {e: d for e, d in digits.items() if d}
         self.config = config
-        self.digits = {e: d for e, d in digits.items() if d}
+        self.digits = digits
         self._hash = None  # computed on first use: most elements are never hashed
 
     @classmethod
     def zero(cls, config: FieldConfig) -> "FieldElement":
-        return cls(config, {})
+        return cls(config, {}, True)
 
     @classmethod
     def one(cls, config: FieldConfig) -> "FieldElement":
-        return cls(config, {0: config.one})
+        return cls(config, {0: 1}, True)
 
     @classmethod
     def prime_pow(cls, config: FieldConfig, k: int) -> "FieldElement":
         """The monomial p**k."""
-        return cls(config, {k: config.one})
+        return cls(config, {k: 1}, True)
 
     @classmethod
-    def monomial(cls, config: FieldConfig, digit: FqElement, k: int) -> "FieldElement":
+    def monomial(cls, config: FieldConfig, digit: int, k: int) -> "FieldElement":
         return cls(config, {k: digit})
 
-    def digit(self, e: int) -> FqElement:
-        return self.digits.get(e, self.config.zero)
+    def digit(self, e: int) -> int:
+        return self.digits.get(e, 0)
 
     def __bool__(self):
         return bool(self.digits)
@@ -73,7 +79,7 @@ class FieldElement:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset((e, d.coords) for e, d in self.digits.items()))
+            self._hash = hash(frozenset(self.digits.items()))
         return self._hash
 
     def _check(self, other):
@@ -82,45 +88,48 @@ class FieldElement:
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
+        add = self.config.add
         out = dict(self.digits)
         for e, d in other.digits.items():
-            s = out.get(e, self.config.zero) + d
+            s = add(out.get(e, 0), d)
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        return FieldElement(self.config, out)
+                del out[e]
+        return FieldElement(self.config, out, True)
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.config, {e: -d for e, d in self.digits.items()})
+        neg = self.config.neg
+        return FieldElement(self.config, {e: neg(d) for e, d in self.digits.items()}, True)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         return self + (-other)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        out: dict[int, FqElement] = {}
+        add, mul = self.config.add, self.config.mul
+        out: dict[int, int] = {}
         for e1, d1 in self.digits.items():
             for e2, d2 in other.digits.items():
                 e = e1 + e2
-                s = out.get(e, self.config.zero) + d1 * d2
+                s = add(out.get(e, 0), mul(d1, d2))
                 if s:
                     out[e] = s
                 else:
-                    out.pop(e, None)
-        return FieldElement(self.config, out)
+                    del out[e]
+        return FieldElement(self.config, out, True)
 
     def scale_exponents(self, j: int) -> "FieldElement":
         """Multiply by p**j (shift every exponent by j)."""
-        return FieldElement(self.config, {e + j: d for e, d in self.digits.items()})
+        return FieldElement(self.config, {e + j: d for e, d in self.digits.items()}, True)
 
     def truncate_below(self, k: int) -> "FieldElement":
         """Keep digits at exponents < k."""
-        return FieldElement(self.config, {e: d for e, d in self.digits.items() if e < k})
+        return FieldElement(self.config, {e: d for e, d in self.digits.items() if e < k}, True)
 
     def truncate_at_least(self, k: int) -> "FieldElement":
         """Keep digits at exponents >= k."""
-        return FieldElement(self.config, {e: d for e, d in self.digits.items() if e >= k})
+        return FieldElement(self.config, {e: d for e, d in self.digits.items() if e >= k}, True)
 
     def __repr__(self):
         return format_element(self)
@@ -133,28 +142,24 @@ class FieldElement:
 
 def coset_rep(config: FieldConfig, n: int) -> FieldElement:
     """The n-th canonical representative: base-q digit b_k of n is placed at
-    exponent -(k+1), with b_k mapped into GF(q) via its base-p digits."""
+    exponent -(k+1) as the GF(q) element of index b_k."""
     if n < 0:
         raise ValueError("index must be non-negative")
     digits = {}
-    k = 0
+    e = -1
     while n:
-        b = n % config.q
-        n //= config.q
+        n, b = divmod(n, config.q)
         if b:
-            digits[-(k + 1)] = config.from_index(b)
-        k += 1
-    return FieldElement(config, digits)
+            digits[e] = b
+        e -= 1
+    return FieldElement(config, digits, True)
 
 
 def coset_index(x: FieldElement) -> int:
     """Inverse of coset_rep on purely fractional elements."""
     if any(e >= 0 for e in x.digits):
         raise ValueError("element has digits at non-negative exponents")
-    n = 0
-    for e, d in x.digits.items():
-        n += d.index * x.config.q ** (-e - 1)
-    return n
+    return sum(d * x.config.q ** (-e - 1) for e, d in x.digits.items())
 
 
 def split_integral(x: FieldElement):
@@ -172,8 +177,7 @@ def character(y: FieldElement, x: FieldElement) -> CycloScalar:
     """
     y._check(x)
     cfg = y.config
-    d = (y * x).digit(-1)
-    return CycloScalar.zeta_pow(cfg.p, cfg.q, d.trace())
+    return CycloScalar.zeta_pow(cfg.p, cfg.q, cfg.trace((y * x).digit(-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +230,16 @@ def parse_element(config: FieldConfig, text: str) -> FieldElement:
         coeff = None
         if tok.group("digits"):
             parts = [int(s) for s in tok.group("digits")[1:-1].split(",")]
-            if len(parts) != config.c:
-                raise ElementSyntaxError(
-                    f"digit literal needs {config.c} coordinates: {tok.group('digits')}"
-                )
-            coeff = config.element(parts)
+            if len(parts) != config.c or any(a >= config.p for a in parts):
+                raise ElementSyntaxError(f"digit literal needs {config.c} coordinates "
+                                         f"in 0..{config.p - 1}: {tok.group('digits')}")
+            coeff = config.index(parts)
             i += 1
         elif tok.group("int"):
             v = int(tok.group("int"))
             if v >= config.p:
                 raise ElementSyntaxError(f"digit {v} out of range for p={config.p}")
-            coeff = config.element((v,) + (0,) * (config.c - 1))
+            coeff = v  # the index of (v, 0, ..., 0)
             i += 1
         if i < len(tokens) and tokens[i].group("star"):
             i += 1
@@ -257,7 +260,7 @@ def parse_element(config: FieldConfig, text: str) -> FieldElement:
         if coeff is None and exp is None:
             raise ElementSyntaxError(f"unexpected token in {text!r}")
         if coeff is None:
-            coeff = config.one
+            coeff = 1
         if exp is None:
             exp = 0
         result = result + FieldElement.monomial(config, coeff, exp)
@@ -270,17 +273,11 @@ def format_element(x: FieldElement) -> str:
         return "0"
     cfg = x.config
     terms = []
-    for e in sorted(x.digits):
-        d = x.digits[e]
-        if cfg.c == 1:
-            dstr = str(d.coords[0])
-            is_one = d.coords[0] == 1
-        else:
-            dstr = "[" + ",".join(str(a) for a in d.coords) + "]"
-            is_one = d == cfg.one
+    for e, d in sorted(x.digits.items()):
+        dstr = cfg.format_digit(d)
         if e == 0:
             terms.append(dstr)
             continue
         mono = "p" if e == 1 else f"p^{e}"
-        terms.append(mono if is_one else f"{dstr}*{mono}")
+        terms.append(mono if d == 1 else f"{dstr}*{mono}")
     return " + ".join(terms)

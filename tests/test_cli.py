@@ -234,6 +234,15 @@ def test_main_construct_and_exit_codes(tmp_path, capsys):
     assert main(["check", str(bad)]) == 1
     capsys.readouterr()
 
+    # a malformed spec: exit status 2 and its line on stderr, no traceback
+    for text in ("field {p=2}\nset A = ball(3, 0)\ncheck dilation A\n",
+                 "field {p=2}\nfrobnicate A\n"):
+        bad.write_text(text)
+        assert main(["check", str(bad)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("lfw: line 2: ")
+        assert out.err.count("\n") == 1
+
 
 # ---------------------------------------------------------------------------
 # Seeded grammar fuzzer: every mutated document either runs to a report or
@@ -319,6 +328,15 @@ def test_front_end_errors_name_their_line():
         ("field {p=2}\nset A = scaling(O)\n", 2),
         ("field {p=2}\nset A = ball(0)\n", 2),
         ("field {p=2}\nset A = inter()\n", 2),
+        # a malformed integer or element in a definition names its own line
+        ("field {p=2}\nset A = ball(1, x)\ncheck dilation A\n", 2),
+        ("field {p=2}\nset A = scale(O, x)\ncheck dilation A\n", 2),
+        ("field {p=2}\nset A = translate(O, u(x))\ncheck dilation A\n", 2),
+        ("field {p=2}\nset A = ball(3, 0)\ncheck dilation A\n", 2),
+        ("field {p=2, c=2}\nset A = ball([3,1]*p^-1, 0)\ncheck dilation A\n", 2),
+        ("field {p=2}\nfn f = indicator(ball(1, x))\ncheck frame [f]\n", 2),
+        ("field {p=2}\nfamily T = shell-tuple(x)\ncheck superwavelet T\n", 2),
+        ("field {p=2}\nfamily T = [ball(3, 0)]\ncheck superwavelet T\n", 2),
         ("field {p=2}\nfamily T = [\ncheck superwavelet T\n", 2),
         ("field {p=2}\nfn a = indicator(O*)\ncheck equivalent [a], []\n", 3),
         ("field {p=2}\nfamily W = shannon\ncheck frame W\n", 3),

@@ -35,7 +35,7 @@ def rand_point(cfg, rng, lo=-3, hi=6):
     for e in range(lo, hi + 1):
         i = rng.randrange(cfg.q)
         if i:
-            digits[e] = cfg.from_index(i)
+            digits[e] = i
     return FieldElement(cfg, digits)
 
 
@@ -276,7 +276,7 @@ def reference_children(b):
     """children() by field arithmetic: the centre plus i * p**scale."""
     cfg = b.config
     for i in range(cfg.q):
-        yield Ball(cfg, b.center + FieldElement.monomial(cfg, cfg.from_index(i), b.scale),
+        yield Ball(cfg, b.center + FieldElement.monomial(cfg, i, b.scale),
                    b.scale + 1)
 
 

@@ -354,7 +354,7 @@ def random_k_cells(cfg, rng, j, n, grades):
         for e in range(-j - 2, -j + 5):
             if e not in digits or rng.random() < 0.2:
                 digits[e] = rng.randrange(cfg.q)
-        b = FieldElement(cfg, {e: cfg.from_index(d) for e, d in digits.items()})
+        b = FieldElement(cfg, digits)
         if rng.random() < 0.1:
             t = CycloScalar.zero(cfg.p, cfg.q)
         else:
@@ -473,7 +473,7 @@ def random_analyzer(cfg, rng, R, S, n):
     balls = []
     while len(balls) < n:
         s = rng.randint(-R + 1, S + 2)
-        digits = {e: cfg.from_index(rng.randrange(cfg.q)) for e in range(-R, s)}
+        digits = {e: rng.randrange(cfg.q) for e in range(-R, s)}
         b = Ball(cfg, FieldElement(cfg, digits), s)
         if not b.contains_zero() and all(b.is_disjoint(c) for c in balls):
             balls.append(b)

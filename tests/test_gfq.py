@@ -1,6 +1,8 @@
 """Residue-field arithmetic: field laws, trace properties, and independent
 polynomial-reduction oracles for the extension cases."""
 
+import random
+
 import pytest
 
 from lfwave.gfq import (
@@ -12,6 +14,11 @@ from lfwave.gfq import (
 
 SMALL_CONFIGS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                  (11, 1), (13, 1), (2, 4)]
+
+
+def elem(cfg, coords):
+    """The element with these power-basis coordinates."""
+    return cfg.from_index(cfg.index(coords))
 
 
 def poly_mul_mod(a, b, modulus, p):
@@ -29,6 +36,55 @@ def poly_mul_mod(a, b, modulus, p):
     while len(prod) < deg:
         prod.append(0)
     return [x % p for x in prod]
+
+
+def oracle_trace(a, modulus, p, c):
+    """Tr(a) = a + a**p + ... + a**(p**(c-1)) by repeated oracle products;
+    the sum must land in GF(p)."""
+    total, x = list(a), list(a)
+    for _ in range(c - 1):
+        y = [1] + [0] * (c - 1)
+        for _ in range(p):
+            y = poly_mul_mod(y, x, modulus, p)
+        x = y
+        total = [(s + t) % p for s, t in zip(total, x)]
+    assert not any(total[1:])
+    return total[0]
+
+
+def check_index_arithmetic(cfg, indices, pairs):
+    """The index tables against coordinatewise sums and the polynomial
+    oracle: negative, inverse and trace of each index, sum and product of
+    each pair."""
+    p, c, mod = cfg.p, cfg.c, list(cfg.modulus)
+    one = [1] + [0] * (c - 1)
+    for i in indices:
+        a = list(cfg.coords(i))
+        assert cfg.index(a) == i
+        assert list(cfg.coords(cfg.neg(i))) == [-x % p for x in a]
+        assert cfg.trace(i) == oracle_trace(a, mod, p, c)
+        if i:
+            inv = cfg.from_index(i).inverse()
+            assert poly_mul_mod(a, list(inv.coords), mod, p) == one
+    for i, j in pairs:
+        a, b = list(cfg.coords(i)), list(cfg.coords(j))
+        assert list(cfg.coords(cfg.add(i, j))) == [(x + y) % p for x, y in zip(a, b)]
+        assert list(cfg.coords(cfg.mul(i, j))) == poly_mul_mod(a, b, mod, p)
+
+
+@pytest.mark.parametrize("p,c", SMALL_CONFIGS + [(3, 4)])
+def test_index_tables_match_polynomial_oracle_exhaustive(p, c):
+    cfg = FieldConfig(p, c)
+    check_index_arithmetic(cfg, range(cfg.q),
+                           [(i, j) for i in range(cfg.q) for j in range(cfg.q)])
+
+
+def test_index_tables_match_polynomial_oracle_gf13_4():
+    cfg = FieldConfig(13, 4)  # q = 28,561: O(q) tables, where q x q would be 8e8
+    rng = random.Random(1304)
+    pairs = [(rng.randrange(cfg.q), rng.randrange(cfg.q)) for _ in range(2000)]
+    pairs += [(0, 5), (7, 0), (1, cfg.neg(1)), (cfg.q - 1, cfg.neg(cfg.q - 1))]
+    check_index_arithmetic(cfg, sorted({i for pair in pairs for i in pair}), pairs)
 
 
 @pytest.mark.parametrize("p,c", SMALL_CONFIGS)
@@ -64,10 +120,10 @@ def test_inverses_exhaustive(p, c):
 
 def test_gf4_product_matches_polynomial_oracle():
     cfg = FieldConfig(2, 2, modulus=[1, 1, 1])  # x^2 + x + 1
-    eps = cfg.element([0, 1])
+    eps = elem(cfg, [0, 1])
     prod = eps * eps
     assert list(prod.coords) == poly_mul_mod([0, 1], [0, 1], [1, 1, 1], 2)
-    assert prod == cfg.element([1, 1])  # eps^2 = eps + 1
+    assert prod == elem(cfg, [1, 1])  # eps^2 = eps + 1
 
 
 def test_extension_products_match_polynomial_oracle():
@@ -83,18 +139,18 @@ def test_extension_products_match_polynomial_oracle():
 def test_inverse_examples():
     assert FieldConfig(2, 1).one.inverse() == FieldConfig(2, 1).one
     cfg5 = FieldConfig(5, 1)
-    assert cfg5.element([2]).inverse() == cfg5.element([3])
+    assert elem(cfg5, [2]).inverse() == elem(cfg5, [3])
     cfg4 = FieldConfig(2, 2, modulus=[1, 1, 1])
-    assert cfg4.element([0, 1]).inverse() == cfg4.element([1, 1])
+    assert elem(cfg4, [0, 1]).inverse() == elem(cfg4, [1, 1])
 
 
 def test_trace_examples():
     assert FieldConfig(2, 1).zero.trace() == 0
     cfg4 = FieldConfig(2, 2, modulus=[1, 1, 1])
-    assert cfg4.element([0, 1]).trace() == 1  # eps + eps^2 = eps + eps + 1
+    assert elem(cfg4, [0, 1]).trace() == 1  # eps + eps^2 = eps + eps + 1
     cfg7 = FieldConfig(7, 1)
     for a in range(7):
-        assert cfg7.element([a]).trace() == a  # identity when c = 1
+        assert elem(cfg7, [a]).trace() == a  # identity when c = 1
 
 
 @pytest.mark.parametrize("p,c", SMALL_CONFIGS)
@@ -140,17 +196,13 @@ def test_coordinate_indexing_round_trip():
             assert cfg.from_index(i).index == i
 
 
-def test_from_index_shares_one_element_per_index():
+def test_from_index_refuses_out_of_range():
     for p, c in SMALL_CONFIGS:
         cfg = FieldConfig(p, c)
-        assert cfg.from_index(0) is cfg.zero and cfg.from_index(1) is cfg.one
-        for i in range(cfg.q):
-            assert cfg.from_index(i) is cfg.from_index(i)
-        # an equal config has its own elements, equal to these
+        assert cfg.from_index(0) == cfg.zero and cfg.from_index(1) == cfg.one
+        # an equal config gives equal elements
         other = FieldConfig(p, c)
         assert other.from_index(cfg.q - 1) == cfg.from_index(cfg.q - 1)
         for bad in (-1, cfg.q, cfg.q + 7):
-            for _ in range(2):  # a refused index is not cached
-                with pytest.raises(ValueError):
-                    cfg.from_index(bad)
-            assert bad not in cfg._by_index
+            with pytest.raises(ValueError):
+                cfg.from_index(bad)

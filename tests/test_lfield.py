@@ -8,6 +8,7 @@ import pytest
 from lfwave.cyclo import CycloScalar
 from lfwave.gfq import FieldConfig
 from lfwave.lfield import (
+    ElementSyntaxError,
     FieldElement,
     character,
     coset_index,
@@ -27,7 +28,7 @@ def rand_element(cfg, rng, lo=-5, hi=5, max_terms=4):
     digits = {}
     for _ in range(rng.randrange(max_terms + 1)):
         e = rng.randrange(lo, hi + 1)
-        digits[e] = cfg.from_index(rng.randrange(1, cfg.q))
+        digits[e] = rng.randrange(1, cfg.q)
     return FieldElement(cfg, digits)
 
 
@@ -64,8 +65,8 @@ def test_multiplication_matches_convolution_oracle():
             conv = {}
             for e1, d1 in x.digits.items():
                 for e2, d2 in y.digits.items():
-                    prev = conv.get(e1 + e2, cfg.zero)
-                    conv[e1 + e2] = prev + d1 * d2
+                    prev = conv.get(e1 + e2, 0)
+                    conv[e1 + e2] = cfg.add(prev, cfg.mul(d1, d2))
             expect = FieldElement(cfg, {e: d for e, d in conv.items() if d})
             assert x * y == expect
 
@@ -101,7 +102,7 @@ def test_coset_rep_digits_are_base_q_digits():
             while m:
                 m, b = divmod(m, cfg.q)
                 if b:
-                    digs[-(k + 1)] = cfg.from_index(b)
+                    digs[-(k + 1)] = b
                 k += 1
             assert x == FieldElement(cfg, digs)
 
@@ -218,6 +219,26 @@ def test_parse_rejects_bad_syntax():
         parse_element(CFG2, "p^")
     with pytest.raises(ValueError):
         parse_element(CFG2, "q + 1")
+
+
+def test_digit_literal_coordinates_must_be_residues():
+    # a coordinate outside 0..p-1 is refused, as the integer digit 3 is at p=2
+    for cfg, text in ((CFG2, "3"), (CFG2, "[3]"), (CFG2, "[2]*p"),
+                      (CFG4, "[3,1]*p^-1"), (CFG4, "[1,2]"), (CFG9, "1 + [0,3]*p")):
+        with pytest.raises(ElementSyntaxError):
+            parse_element(cfg, text)
+    assert parse_element(CFG4, "[1,1]*p^-1").digits == {-1: 3}
+    assert parse_element(CFG9, "[2,1]*p").digits == {1: 5}
+
+
+def test_constructor_takes_gfq_indices_only():
+    with pytest.raises(ValueError):
+        FieldElement(CFG4, {0: CFG4.one})  # an FqElement is not an index
+    for bad in (-1, 4, 9, 1.0, "1", None):
+        with pytest.raises(ValueError):
+            FieldElement(CFG4, {-1: 1, 2: bad})
+    assert FieldElement(CFG4, {-1: 0, 0: 3}).digits == {0: 3}
+    assert FieldElement(CFG4, {0: 1}) == FieldElement.one(CFG4)
 
 
 def test_hash_agrees_across_arithmetic_and_key_built_elements():

@@ -70,7 +70,7 @@ def rand_bounded_set(cfg, rng):
     balls = []
     for _ in range(rng.randrange(1, 4)):
         scale = rng.randrange(-1, 4)
-        digits = {e: cfg.from_index(rng.randrange(cfg.q))
+        digits = {e: rng.randrange(cfg.q)
                   for e in range(scale - 3, scale)}
         center = FieldElement(cfg, {e: d for e, d in digits.items() if d})
         balls.append(Ball(cfg, center, scale))
@@ -98,7 +98,7 @@ def test_dilation_reduction_matches_counting_oracle():
         v = check_dilation_tiling(W)
         if v.passed:
             for _ in range(500):
-                digits = {e: cfg.from_index(rng.randrange(cfg.q))
+                digits = {e: rng.randrange(cfg.q)
                           for e in range(-4, 7)}
                 x = FieldElement(cfg, {e: d for e, d in digits.items() if d})
                 if not x:
