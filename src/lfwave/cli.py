@@ -16,7 +16,7 @@ from . import construct, framesim, verify
 from .clopen import Ball, ClopenSet, fractional_ideal, integers, shell, units
 from .cyclo import CycloScalar
 from .gfq import FieldConfig
-from .lfield import parse_element
+from .lfield import ElementSyntaxError, parse_element
 from .stepfn import StepFunction
 
 
@@ -76,6 +76,15 @@ def _call(text: str, line_no: int):
     return fn, args
 
 
+def _int(text: str) -> int:
+    """An integer literal; a malformed one is a literal syntax error, like a
+    malformed element, so that run() reports it as a SpecError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ElementSyntaxError(f"expected an integer, got {text!r}") from None
+
+
 def parse_set_expr(cfg: FieldConfig, text: str, env: dict, line_no: int) -> ClopenSet:
     text = text.strip()
     if text == "O":
@@ -88,10 +97,10 @@ def parse_set_expr(cfg: FieldConfig, text: str, env: dict, line_no: int) -> Clop
     fn, args = _call(text, line_no)
     if fn:
         if fn == "shell":
-            return shell(cfg, int(args[0]))
+            return shell(cfg, _int(args[0]))
         if fn == "ball":
             return ClopenSet.from_ball(
-                Ball(cfg, parse_element(cfg, args[0]), int(args[1]))
+                Ball(cfg, parse_element(cfg, args[0]), _int(args[1]))
             )
         if fn == "union":
             out = ClopenSet.empty(cfg)
@@ -108,14 +117,14 @@ def parse_set_expr(cfg: FieldConfig, text: str, env: dict, line_no: int) -> Clop
                 parse_set_expr(cfg, args[1], env, line_no)
             )
         if fn == "scale":
-            return parse_set_expr(cfg, args[0], env, line_no).scale_by(int(args[1]))
+            return parse_set_expr(cfg, args[0], env, line_no).scale_by(_int(args[1]))
         if fn == "translate":
             return parse_set_expr(cfg, args[0], env, line_no).translate(
                 parse_element(cfg, args[1])
             )
         if fn == "scaling":
             S, certified = construct.scaling_set(
-                parse_set_expr(cfg, args[0], env, line_no), int(args[1])
+                parse_set_expr(cfg, args[0], env, line_no), _int(args[1])
             )
             if not certified:
                 raise SpecError(line_no, "scaling-set tail not certifiable at this depth")
@@ -376,7 +385,7 @@ def run(doc: SpecDocument, seed: int = 0) -> dict:
                 if expr == "shannon":
                     fam = construct.shannon_family(cfg)
                 elif fn in _STOCK_FAMILIES:
-                    fam = _STOCK_FAMILIES[fn](cfg, int(args[0]))
+                    fam = _STOCK_FAMILIES[fn](cfg, _int(args[0]))
                 elif expr.startswith("["):
                     items = _list_items(expr, line_no)
                     try:
@@ -478,7 +487,9 @@ def run(doc: SpecDocument, seed: int = 0) -> dict:
         except SpecError:
             raise
         except (ValueError, KeyError) as exc:
-            if keyword in ("set", "fn", "family"):  # a malformed definition
+            # a malformed definition, integer or element names its line; only
+            # the mathematics of a well-formed directive is an error entry
+            if keyword in ("set", "fn", "family") or isinstance(exc, ElementSyntaxError):
                 raise SpecError(line_no, str(exc)) from None
             entry["error"] = str(exc)
             report["passed"] = False

@@ -6,12 +6,22 @@ coordinates; zeta^{p-1} is rewritten via 1 + zeta + ... + zeta^{p-1} = 0.
 Magnitudes and inner-product sums always cancel the half grade back to an
 integer power of q, so equality checks stay exact and no irrational
 arithmetic is ever needed.
+
+The coordinates are stored as one integer vector over one common
+denominator, c_i = nums[i] / den, in canonical form: den > 0 and
+gcd(den, *nums) == 1, and zero is all-zero nums with den 1 and grade 0.
+Equal scalars therefore have equal fields, and the ring operations are
+integer sums, convolutions and one gcd; negation and conjugation permute
+and negate integer coordinates (a unimodular map), so they keep the form
+without a gcd.  `coeffs` rebuilds the rational coordinates for printing.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, neg
 
 
 class GradeMismatch(ValueError):
@@ -19,47 +29,87 @@ class GradeMismatch(ValueError):
 
 
 class CycloScalar:
-    __slots__ = ("p", "q", "coeffs", "grade")
+    __slots__ = ("p", "q", "nums", "den", "grade")
 
     def __init__(self, p: int, q: int, coeffs, grade: int = 0):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         if len(coeffs) != p - 1:
             raise ValueError(f"expected {p - 1} coefficients, got {len(coeffs)}")
-        if not any(coeffs):
-            grade = 0
+        # lcm of reduced denominators: the numerators share no factor with it
+        den = lcm(*(c.denominator for c in coeffs))
         self.p = p
         self.q = q
-        self.coeffs = coeffs
-        self.grade = grade
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+        self.grade = grade if any(self.nums) else 0
+
+    @classmethod
+    def _from_parts(cls, p: int, q: int, nums: tuple, den: int, grade: int) -> "CycloScalar":
+        """A scalar from fields already in canonical form, without checks."""
+        s = object.__new__(cls)
+        s.p = p
+        s.q = q
+        s.nums = nums
+        s.den = den
+        s.grade = grade
+        return s
+
+    @classmethod
+    def _reduced(cls, p: int, q: int, nums: tuple, den: int, grade: int) -> "CycloScalar":
+        """nums / den brought to canonical form (all-zero nums end with den 1)."""
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = tuple([n // g for n in nums])
+        if not any(nums):
+            grade = 0
+        return cls._from_parts(p, q, nums, den, grade)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, p: int, q: int) -> "CycloScalar":
-        return cls(p, q, (0,) * (p - 1))
+        return cls._from_parts(p, q, (0,) * (p - 1), 1, 0)
 
     @classmethod
     def rational(cls, p: int, q: int, value, grade: int = 0) -> "CycloScalar":
-        return cls(p, q, (Fraction(value),) + (0,) * (p - 2), grade)
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        if not value:
+            return cls.zero(p, q)
+        return cls._from_parts(p, q, (value.numerator,) + (0,) * (p - 2),
+                               value.denominator, grade)
+
+    @classmethod
+    def q_power(cls, p: int, q: int, e: int) -> "CycloScalar":
+        """The rational q**e at grade 0 (a ball of scale s has measure q**-s)."""
+        if e >= 0:
+            return cls._from_parts(p, q, (q ** e,) + (0,) * (p - 2), 1, 0)
+        return cls._from_parts(p, q, (1,) + (0,) * (p - 2), q ** -e, 0)
 
     @classmethod
     def zeta_pow(cls, p: int, q: int, t: int, grade: int = 0) -> "CycloScalar":
         """zeta_p**t times q**(grade/2)."""
         t %= p
-        coeffs = [Fraction(0)] * (p - 1)
         if t == p - 1:
-            coeffs = [Fraction(-1)] * (p - 1)
+            nums = (-1,) * (p - 1)
         else:
-            coeffs[t] = Fraction(1)
-        return cls(p, q, coeffs, grade)
+            nums = (0,) * t + (1,) + (0,) * (p - 2 - t)
+        return cls._from_parts(p, q, nums, 1, grade)
 
     # -- predicates --------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """The rational coordinates nums[i] / den."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_fraction(self) -> Fraction:
         """Exact rational value; requires a rational coefficient vector and
@@ -70,7 +120,7 @@ class CycloScalar:
             return Fraction(0)
         if self.grade % 2:
             raise ValueError(f"odd half-grade {self.grade} is irrational")
-        return self.coeffs[0] * Fraction(self.q) ** (self.grade // 2)
+        return Fraction(self.nums[0], self.den) * Fraction(self.q) ** (self.grade // 2)
 
     # -- ring operations ---------------------------------------------------
 
@@ -80,22 +130,26 @@ class CycloScalar:
 
     def __add__(self, other: "CycloScalar") -> "CycloScalar":
         self._like(other)
-        if self.is_zero():
+        a, b = self.nums, other.nums
+        if not any(a):
             return other
-        if other.is_zero():
+        if not any(b):
             return self
         if self.grade != other.grade:
             raise GradeMismatch(
                 f"cannot add grades q^({self.grade}/2) and q^({other.grade}/2)"
             )
-        return CycloScalar(
-            self.p, self.q,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-            self.grade,
-        )
+        da, db = self.den, other.den
+        if da == db:
+            nums = tuple(map(add, a, b))
+        else:
+            nums = tuple([x * db + y * da for x, y in zip(a, b)])
+            da *= db
+        return CycloScalar._reduced(self.p, self.q, nums, da, self.grade)
 
     def __neg__(self) -> "CycloScalar":
-        return CycloScalar(self.p, self.q, tuple(-a for a in self.coeffs), self.grade)
+        return CycloScalar._from_parts(self.p, self.q, tuple(map(neg, self.nums)),
+                                       self.den, self.grade)
 
     def __sub__(self, other: "CycloScalar") -> "CycloScalar":
         return self + (-other)
@@ -103,25 +157,28 @@ class CycloScalar:
     def __mul__(self, other: "CycloScalar") -> "CycloScalar":
         self._like(other)
         p = self.p
-        acc = [Fraction(0)] * p  # exponents 0..p-1
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    acc[(i + j) % p] += a * b
+        a, b = self.nums, other.nums
+        if not any(a) or not any(b):
+            return CycloScalar.zero(p, self.q)
+        acc = [0] * p  # exponents 0..p-1
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        acc[(i + j) % p] += x * y
         top = acc[p - 1]
-        coeffs = tuple(acc[k] - top for k in range(p - 1))
-        return CycloScalar(p, self.q, coeffs, self.grade + other.grade)
+        nums = tuple([acc[k] - top for k in range(p - 1)]) if top else tuple(acc[:-1])
+        return CycloScalar._reduced(p, self.q, nums, self.den * other.den,
+                                    self.grade + other.grade)
 
     def conj(self) -> "CycloScalar":
-        p = self.p
-        acc = [Fraction(0)] * p
-        for i, a in enumerate(self.coeffs):
-            acc[(-i) % p] += a
-        top = acc[p - 1]
-        coeffs = tuple(acc[k] - top for k in range(p - 1))
-        return CycloScalar(p, self.q, coeffs, self.grade)
+        # zeta^i -> zeta^(p-i); the image of zeta^1 is zeta^(p-1) = -(1 + ... + zeta^(p-2))
+        a = self.nums
+        if len(a) == 1:  # p = 2: zeta = -1 is real
+            return self
+        top = a[1]
+        nums = (a[0] - top, -top) + tuple([x - top for x in a[:1:-1]])
+        return CycloScalar._from_parts(self.p, self.q, nums, self.den, self.grade)
 
     def abs_sq(self) -> "CycloScalar":
         """Squared magnitude; grade doubles into an integer q power."""
@@ -131,29 +188,34 @@ class CycloScalar:
         """Multiply by q**(e/2)."""
         if self.is_zero():
             return self
-        return CycloScalar(self.p, self.q, self.coeffs, self.grade + e)
+        return CycloScalar._from_parts(self.p, self.q, self.nums, self.den, self.grade + e)
 
     def reduce_grade(self) -> "CycloScalar":
         """Fold an even grade into the rational coefficients (grade -> 0)."""
-        if self.grade == 0:
+        g = self.grade
+        if g == 0:
             return self
-        if self.grade % 2:
-            raise ValueError(f"odd half-grade {self.grade} cannot be reduced")
-        f = Fraction(self.q) ** (self.grade // 2)
-        return CycloScalar(self.p, self.q, tuple(c * f for c in self.coeffs))
+        if g % 2:
+            raise ValueError(f"odd half-grade {g} cannot be reduced")
+        f = self.q ** (abs(g) // 2)
+        if g > 0:
+            return CycloScalar._reduced(self.p, self.q, tuple([n * f for n in self.nums]),
+                                        self.den, 0)
+        return CycloScalar._reduced(self.p, self.q, self.nums, self.den * f, 0)
 
     # -- comparisons, printing, numeric shadow ------------------------------
 
     def __eq__(self, other):
         return (
             isinstance(other, CycloScalar)
-            and (self.p, self.q) == (other.p, other.q)
-            and self.coeffs == other.coeffs
+            and self.nums == other.nums
+            and self.den == other.den
             and self.grade == other.grade
+            and (self.p, self.q) == (other.p, other.q)
         )
 
     def __hash__(self):
-        return hash((self.p, self.coeffs, self.grade))
+        return hash((self.p, self.nums, self.den, self.grade))
 
     def approx(self) -> complex:
         """Floating shadow for tests only; never used in decisions."""

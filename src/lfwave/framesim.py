@@ -68,7 +68,7 @@ class FiniteModel:
         cells = []
         for i in rng.sample(range(n), min(n_cells, n)):
             while True:
-                coeffs = [Fraction(rng.randrange(-2, 3)) for _ in range(cfg.p - 1)]
+                coeffs = [rng.randrange(-2, 3) for _ in range(cfg.p - 1)]
                 if any(coeffs):
                     break
             cells.append((self._atom(i), CycloScalar(cfg.p, cfg.q, coeffs)))
@@ -77,6 +77,11 @@ class FiniteModel:
 
 def _rat(cfg, x) -> CycloScalar:
     return CycloScalar.rational(cfg.p, cfg.q, x)
+
+
+def _q_pow(cfg, e: int) -> CycloScalar:
+    """q**e; the measure of a ball of scale s is q**-s."""
+    return CycloScalar.q_power(cfg.p, cfg.q, e)
 
 
 def _check_away_from_zero(psi: StepFunction):
@@ -88,7 +93,7 @@ def _norm_sq(f: StepFunction) -> CycloScalar:
     cfg = f.config
     total = CycloScalar.zero(cfg.p, cfg.q)
     for b, v in f.cells:
-        total = total + v.abs_sq().reduce_grade() * _rat(cfg, b.measure())
+        total = total + v.abs_sq().reduce_grade() * _q_pow(cfg, -b.scale)
     return total
 
 
@@ -179,7 +184,7 @@ def _coef_cells(f: StepFunction, psi_j: StepFunction, min_scale=-INF):
     """Refinement cells (center, scale, t) of scale >= min_scale entering the
     coefficient sum, with t = f(b) * conj(psi_j(b)) * measure(cell) nonzero."""
     cfg = f.config
-    return [(cell.center, cell.scale, av * bv.conj() * _rat(cfg, cell.measure()))
+    return [(cell.center, cell.scale, av * bv.conj() * _q_pow(cfg, -cell.scale))
             for cell, (av, bv) in common_refinement(cfg, [f, psi_j])
             if cell.scale >= min_scale and not (av.is_zero() or bv.is_zero())]
 
@@ -188,7 +193,7 @@ def _constant_side_cells(cfg: FieldConfig, v0: CycloScalar, cells):
     """Coefficient cells (center, scale, v0 * conj(v) * measure) of the cells
     (ball, v) of one side when the other side is the constant v0 on each of
     them, so the product needs no refinement."""
-    return [(b.center, b.scale, v0 * v.conj() * _rat(cfg, b.measure())) for b, v in cells]
+    return [(b.center, b.scale, v0 * v.conj() * _q_pow(cfg, -b.scale)) for b, v in cells]
 
 
 def _total_energy(cfg: FieldConfig, pairs, bounds=None):
@@ -240,7 +245,7 @@ def _total_energy(cfg: FieldConfig, pairs, bounds=None):
         if bounds is not None:
             sigma = max(s for _, s, _ in cells)
             bounds[f"j={j}"] = f"k < q^{max(j + sigma, 0)}"
-        total = total + _rat(cfg, Fraction(cfg.q) ** (-j)) * _k_sum(cfg, j, cells)
+        total = total + _q_pow(cfg, -j) * _k_sum(cfg, j, cells)
     return total
 
 
@@ -344,7 +349,6 @@ def mesh_delta_residuals(model: FiniteModel, psis):
     """
     cfg = model.config
     S = model.S
-    q = Fraction(cfg.q)
     one = _rat(cfg, 1)  # the value of a delta
     layers = []
     for psi in psis:
@@ -362,12 +366,12 @@ def mesh_delta_residuals(model: FiniteModel, psis):
                     fine.setdefault(ball.ancestor_key(S), []).append((ball, v))
             layers.append((j, coarse, sorted({s for s, _ in coarse}), fine))
     scales = sorted({s for _, _, layer_scales, _ in layers for s in layer_scales})
-    norm = _rat(cfg, q ** (-S))  # ||delta||^2
+    norm = _q_pow(cfg, -S)  # ||delta||^2
     terms = {}  # (layer index, coarse key) -> energy term of that cell
     residuals = {}  # tuple of coarse hits -> residual
 
     def term(j, cells):
-        return _rat(cfg, q ** (-j)) * _k_sum(cfg, j, _constant_side_cells(cfg, one, cells))
+        return _q_pow(cfg, -j) * _k_sum(cfg, j, _constant_side_cells(cfg, one, cells))
 
     def residual(a, hits):
         r = norm

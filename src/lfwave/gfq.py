@@ -47,6 +47,18 @@ def _poly_mod(a, m, p):
     return _poly_trim(tuple(a))
 
 
+def _poly_pow(a, n, m, p):
+    """a**n mod the monic m, by square-and-multiply."""
+    out = (1,)
+    while n:
+        if n & 1:
+            out = _poly_mod(_poly_mul(out, a, p), m, p)
+        n >>= 1
+        if n:
+            a = _poly_mod(_poly_mul(a, a, p), m, p)
+    return out
+
+
 def _monic_polys(degree, p):
     for tail in product(range(p), repeat=degree):
         yield tuple(tail) + (1,)
@@ -110,14 +122,15 @@ class FieldConfig:
 
     def _build_tables(self):
         p, c, q, m = self.p, self.c, self.q, self.modulus
-        for g in map(self.coords, range(1, q)):
-            # g is primitive when its powers first return to 1 after q-1 steps
-            powers, x = [1], _poly_trim(g)
-            while x != (1,):
-                powers.append(self.index(x))
-                x = _poly_mod(_poly_mul(x, g, p), m, p)
-            if len(powers) == q - 1:
+        # g is primitive iff g**((q-1)/r) != 1 for every prime r dividing q-1
+        primes = [r for r in range(2, q) if (q - 1) % r == 0 and all(r % d for d in range(2, r))]
+        for g in map(_poly_trim, map(self.coords, range(1, q))):
+            if all(_poly_pow(g, (q - 1) // r, m, p) != (1,) for r in primes):
                 break
+        powers, x = [1], g
+        for _ in range(q - 2):
+            powers.append(self.index(x))
+            x = _poly_mod(_poly_mul(x, g, p), m, p)
         log = [None] * q
         for k, i in enumerate(powers):
             log[i] = k

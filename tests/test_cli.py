@@ -4,6 +4,7 @@ and the command-line entry points."""
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from lfwave.lfield import coset_rep
 
 CFG2 = FieldConfig(2, 1)
 CFG3 = FieldConfig(3, 1)
+SPECS = Path(__file__).parent / "specs"
 
 
 def run_text(text, seed=0):
@@ -338,6 +340,11 @@ def test_front_end_errors_name_their_line():
         ("field {p=2}\nfamily T = shell-tuple(x)\ncheck superwavelet T\n", 2),
         ("field {p=2}\nfamily T = [ball(3, 0)]\ncheck superwavelet T\n", 2),
         ("field {p=2}\nfamily T = [\ncheck superwavelet T\n", 2),
+        # ... and so does one inside a check, bound, solve or simulate expression
+        ("field {p=2}\ncheck dilation ball(3, 0)\n", 2),
+        ("field {p=2}\nbound decomposability indicator(ball(1, x))\n", 2),
+        ("field {p=2}\nsolve X from [shell(x)] shells=-1..1 max-scale=2\n", 2),
+        ("field {p=2}\nsimulate parseval [indicator(translate(O, u(x)))] window=1,1\n", 2),
         ("field {p=2}\nfn a = indicator(O*)\ncheck equivalent [a], []\n", 3),
         ("field {p=2}\nfamily W = shannon\ncheck frame W\n", 3),
         ("field {p=2}\nfn f = indicator(O, 1/0)\n", 2),
@@ -358,6 +365,15 @@ def test_front_end_errors_name_their_line():
         with pytest.raises(SpecError) as err:
             run_text(text)
         assert err.value.line_no == line, text
+
+
+def test_every_directive_p5_report_is_pinned(tmp_path, capsys):
+    """Every directive kind at p=5 with zeta-valued spectra: the JSON report,
+    non-rational residual and note strings included, is pinned byte for byte."""
+    out = tmp_path / "r.json"
+    assert main(["check", str(SPECS / "every_directive_p5.lfw"), "--json", str(out)]) == 1
+    capsys.readouterr()
+    assert out.read_bytes() == (SPECS / "every_directive_p5.json").read_bytes()
 
 
 def test_inline_family_lists():

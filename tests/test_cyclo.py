@@ -1,9 +1,11 @@
-"""Cyclotomic scalars: ring laws, conjugation, the half-integer grade, and a
-floating-point shadow used only here as an independent cross-check."""
+"""Cyclotomic scalars: ring laws, conjugation, the half-integer grade, a
+floating-point shadow used only here as an independent cross-check, and
+agreement with a Fraction-coefficient reference implementation."""
 
 import cmath
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -141,3 +143,261 @@ def test_rationality_detection():
 def test_exact_formatting_round_trips_value():
     a = CycloScalar.rational(2, 2, Fraction(-3, 4))
     assert "3/4" in repr(a)
+
+
+# ---------------------------------------------------------------------------
+# The integer form against the Fraction reference
+# ---------------------------------------------------------------------------
+
+
+class ReferenceScalar:
+    """The Fraction-coefficient implementation that CycloScalar replaced,
+    kept as the reference the integer form must agree with."""
+
+    __slots__ = ("p", "q", "coeffs", "grade")
+
+    def __init__(self, p: int, q: int, coeffs, grade: int = 0):
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        if len(coeffs) != p - 1:
+            raise ValueError(f"expected {p - 1} coefficients, got {len(coeffs)}")
+        if not any(coeffs):
+            grade = 0
+        self.p = p
+        self.q = q
+        self.coeffs = coeffs
+        self.grade = grade
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def zero(cls, p: int, q: int) -> "ReferenceScalar":
+        return cls(p, q, (0,) * (p - 1))
+
+    @classmethod
+    def rational(cls, p: int, q: int, value, grade: int = 0) -> "ReferenceScalar":
+        return cls(p, q, (Fraction(value),) + (0,) * (p - 2), grade)
+
+    @classmethod
+    def zeta_pow(cls, p: int, q: int, t: int, grade: int = 0) -> "ReferenceScalar":
+        """zeta_p**t times q**(grade/2)."""
+        t %= p
+        coeffs = [Fraction(0)] * (p - 1)
+        if t == p - 1:
+            coeffs = [Fraction(-1)] * (p - 1)
+        else:
+            coeffs[t] = Fraction(1)
+        return cls(p, q, coeffs, grade)
+
+    # -- predicates --------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def is_rational(self) -> bool:
+        return not any(self.coeffs[1:])
+
+    def as_fraction(self) -> Fraction:
+        """Exact rational value; requires a rational coefficient vector and
+        an even grade (so q**(e/2) is itself rational)."""
+        if not self.is_rational():
+            raise ValueError(f"not a rational scalar: {self!r}")
+        if self.is_zero():
+            return Fraction(0)
+        if self.grade % 2:
+            raise ValueError(f"odd half-grade {self.grade} is irrational")
+        return self.coeffs[0] * Fraction(self.q) ** (self.grade // 2)
+
+    # -- ring operations ---------------------------------------------------
+
+    def _like(self, other: "ReferenceScalar"):
+        if not isinstance(other, ReferenceScalar) or (self.p, self.q) != (other.p, other.q):
+            raise ValueError("scalars from different cyclotomic configurations")
+
+    def __add__(self, other: "ReferenceScalar") -> "ReferenceScalar":
+        self._like(other)
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        if self.grade != other.grade:
+            raise GradeMismatch(
+                f"cannot add grades q^({self.grade}/2) and q^({other.grade}/2)"
+            )
+        return ReferenceScalar(
+            self.p, self.q,
+            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
+            self.grade,
+        )
+
+    def __neg__(self) -> "ReferenceScalar":
+        return ReferenceScalar(self.p, self.q, tuple(-a for a in self.coeffs), self.grade)
+
+    def __sub__(self, other: "ReferenceScalar") -> "ReferenceScalar":
+        return self + (-other)
+
+    def __mul__(self, other: "ReferenceScalar") -> "ReferenceScalar":
+        self._like(other)
+        p = self.p
+        acc = [Fraction(0)] * p  # exponents 0..p-1
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs):
+                if b:
+                    acc[(i + j) % p] += a * b
+        top = acc[p - 1]
+        coeffs = tuple(acc[k] - top for k in range(p - 1))
+        return ReferenceScalar(p, self.q, coeffs, self.grade + other.grade)
+
+    def conj(self) -> "ReferenceScalar":
+        p = self.p
+        acc = [Fraction(0)] * p
+        for i, a in enumerate(self.coeffs):
+            acc[(-i) % p] += a
+        top = acc[p - 1]
+        coeffs = tuple(acc[k] - top for k in range(p - 1))
+        return ReferenceScalar(p, self.q, coeffs, self.grade)
+
+    def abs_sq(self) -> "ReferenceScalar":
+        """Squared magnitude; grade doubles into an integer q power."""
+        return self * self.conj()
+
+    def q_half_shift(self, e: int) -> "ReferenceScalar":
+        """Multiply by q**(e/2)."""
+        if self.is_zero():
+            return self
+        return ReferenceScalar(self.p, self.q, self.coeffs, self.grade + e)
+
+    def reduce_grade(self) -> "ReferenceScalar":
+        """Fold an even grade into the rational coefficients (grade -> 0)."""
+        if self.grade == 0:
+            return self
+        if self.grade % 2:
+            raise ValueError(f"odd half-grade {self.grade} cannot be reduced")
+        f = Fraction(self.q) ** (self.grade // 2)
+        return ReferenceScalar(self.p, self.q, tuple(c * f for c in self.coeffs))
+
+    # -- comparisons, printing, numeric shadow ------------------------------
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ReferenceScalar)
+            and (self.p, self.q) == (other.p, other.q)
+            and self.coeffs == other.coeffs
+            and self.grade == other.grade
+        )
+
+    def __hash__(self):
+        return hash((self.p, self.coeffs, self.grade))
+
+    def approx(self) -> complex:
+        """Floating shadow for tests only; never used in decisions."""
+        z = cmath.exp(2j * cmath.pi / self.p)
+        val = sum(float(c) * z**k for k, c in enumerate(self.coeffs))
+        return val * self.q ** (self.grade / 2)
+
+    def __repr__(self):
+        if self.is_zero():
+            return "0"
+        terms = []
+        for k, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            if k == 0:
+                terms.append(str(c))
+            elif c == 1:
+                terms.append(f"z^{k}")
+            else:
+                terms.append(f"{c}*z^{k}")
+        s = " + ".join(terms)
+        if self.grade:
+            s = f"({s})*qh^{self.grade}"
+        a = self.approx()
+        approx = f"{a.real:.6g}" if abs(a.imag) < 1e-9 else f"{a:.6g}"
+        return f"{s} ({approx})"
+
+
+AGREEMENT_PQ = {2: 4, 3: 9, 5: 5, 7: 7, 13: 13}
+
+
+def rand_pair(p, q, rng):
+    """The same random scalar in both forms: mixed denominators, negative
+    and odd grades, and a zero or a rational now and then."""
+    kind = rng.random()
+    if kind < 0.1:
+        coeffs = [0] * (p - 1)
+    else:
+        coeffs = [Fraction(rng.randrange(-6, 7), rng.choice((1, 1, 2, 3, 4, 6, q)))
+                  for _ in range(p - 1)]
+        if kind < 0.25:
+            coeffs[1:] = [0] * (p - 2)
+    grade = rng.randrange(-3, 4)
+    return CycloScalar(p, q, coeffs, grade), ReferenceScalar(p, q, coeffs, grade)
+
+
+def outcome(fn):
+    """A comparable record of fn(): a scalar's coordinates, grade and repr,
+    a plain value, or the error type and message."""
+    try:
+        v = fn()
+    except ValueError as exc:  # GradeMismatch included
+        return type(exc).__name__, str(exc)
+    if isinstance(v, (CycloScalar, ReferenceScalar)):
+        return "scalar", v.coeffs, v.grade, repr(v)
+    return "value", v
+
+
+def check_canonical(x):
+    assert len(x.nums) == x.p - 1
+    assert all(type(n) is int for n in x.nums) and type(x.den) is int
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
+    if x.is_zero():
+        assert x.den == 1 and x.grade == 0
+
+
+def test_integer_form_agrees_with_fraction_reference():
+    for p, q in AGREEMENT_PQ.items():
+        rng = random.Random(1200 + p)
+        for _ in range(300 if p < 13 else 80):
+            (a, ra), (b, rb) = rand_pair(p, q, rng), rand_pair(p, q, rng)
+            if rng.random() < 0.5:  # same grades, so most sums are defined
+                b = b.q_half_shift(a.grade - b.grade)
+                rb = rb.q_half_shift(ra.grade - rb.grade)
+            e = rng.randrange(-3, 4)
+            for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+                       lambda x, y: x.conj(), lambda x, y: x.abs_sq(),
+                       lambda x, y: x.reduce_grade(), lambda x, y: x.q_half_shift(e),
+                       lambda x, y: x.as_fraction(), lambda x, y: (x * y).reduce_grade(),
+                       lambda x, y: x == y, lambda x, y: x.is_zero(),
+                       lambda x, y: x.is_rational(), lambda x, y: repr(x)):
+                assert outcome(lambda: op(a, b)) == outcome(lambda: op(ra, rb))
+            assert (a == b) == (ra == rb) and a == a + CycloScalar.zero(p, q)
+            assert hash(a) == hash(CycloScalar(p, q, ra.coeffs, ra.grade))
+        # a scalar of another configuration, and a wrong coefficient count
+        other = CycloScalar.zeta_pow(p, q + 1 if p > 2 else 2, 1)
+        ref_other = ReferenceScalar.zeta_pow(p, q + 1 if p > 2 else 2, 1)
+        assert outcome(lambda: a + other) == outcome(lambda: ra + ref_other)
+        assert outcome(lambda: a * other) == outcome(lambda: ra * ref_other)
+        assert outcome(lambda: CycloScalar(p, q, [1] * p)) == \
+            outcome(lambda: ReferenceScalar(p, q, [1] * p))
+
+
+def test_canonical_form_invariant():
+    for p, q in AGREEMENT_PQ.items():
+        rng = random.Random(2200 + p)
+        for _ in range(200):
+            (a, _), (b, _) = rand_pair(p, q, rng), rand_pair(p, q, rng)
+            b = b.q_half_shift(a.grade - b.grade)
+            results = [a, b, -a, a.conj(), a * b, a.abs_sq(), a + b, a - b, a - a,
+                       a.q_half_shift(1), CycloScalar.zero(p, q),
+                       CycloScalar.rational(p, q, Fraction(-6, 4), grade=2),
+                       CycloScalar.q_power(p, q, rng.randrange(-3, 4)),
+                       CycloScalar.zeta_pow(p, q, rng.randrange(p), grade=-1)]
+            if a.grade % 2 == 0:
+                results.append(a.reduce_grade())
+            for x in results:
+                check_canonical(x)
+    zero = CycloScalar(5, 5, [Fraction(0, 7)] * 4, grade=3)
+    assert (zero.nums, zero.den, zero.grade) == ((0, 0, 0, 0), 1, 0)
+    half = CycloScalar(3, 3, [Fraction(2, 4), Fraction(-3, 6)])
+    assert (half.nums, half.den) == ((1, -1), 2)

@@ -87,6 +87,29 @@ def test_index_tables_match_polynomial_oracle_gf13_4():
     check_index_arithmetic(cfg, sorted({i for pair in pairs for i in pair}), pairs)
 
 
+# every field with q <= 125
+ALL_FIELDS_TO_125 = [(p, c) for p in (2, 3, 5, 7, 11, 13) for c in (1, 2, 3, 4) if p**c <= 125]
+
+
+@pytest.mark.parametrize("p,c", ALL_FIELDS_TO_125)
+def test_exp_log_tables_match_order_walk(p, c):
+    """The generator is the first index, in index order, whose powers first
+    return to 1 after q-1 steps; exp and log are its power table."""
+    cfg = FieldConfig(p, c)
+    q, mod = cfg.q, list(cfg.modulus)
+    one = [1] + [0] * (c - 1)
+    for g in range(1, q):
+        powers, x = [1], list(cfg.coords(g))
+        while x != one:
+            powers.append(cfg.index(x))
+            x = poly_mul_mod(x, list(cfg.coords(g)), mod, p)
+        if len(powers) == q - 1:
+            break
+    assert cfg._exp[:q - 1] == powers
+    assert cfg._exp[q - 1:2 * (q - 1)] == powers
+    assert [cfg._log[i] for i in powers] == list(range(q - 1))
+
+
 @pytest.mark.parametrize("p,c", SMALL_CONFIGS)
 def test_field_laws_exhaustive(p, c):
     cfg = FieldConfig(p, c)
