@@ -15,26 +15,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gfq import ConfigMismatch, FieldConfig
-from .lfield import FieldElement, split_integral
+from .lfield import FieldElement
 
 INF = math.inf
 
 
 class Ball:
-    """center + p**scale * O, with center digits all below the scale."""
+    """center + p**scale * O, with center digits all below the scale.
 
-    __slots__ = ("config", "center", "scale", "_key")
+    A ball is its sort key (scale, ((e, i), ...)): the centre's digits as
+    (exponent, GF(q) index) pairs in increasing exponent."""
+
+    __slots__ = ("config", "scale", "_key", "_center")
 
     def __init__(self, config: FieldConfig, center: FieldElement, scale: int):
         self.config = config
-        self.center = center.truncate_below(scale)
+        self._center = center = center.truncate_below(scale)
         self.scale = scale
-        self._key = (scale, tuple(sorted(self.center.digits.items())))
+        self._key = (scale, tuple(sorted(center.digits.items())))
 
     @classmethod
     def integers(cls, config: FieldConfig, scale: int = 0) -> "Ball":
         """The fractional ideal p**scale * O."""
-        return cls(config, FieldElement.zero(config), scale)
+        return cls._from_key(config, (scale, ()))
 
     @classmethod
     def from_key(cls, config: FieldConfig, key) -> "Ball":
@@ -61,8 +64,16 @@ class Ball:
         ball.config = config
         ball.scale = key[0]
         ball._key = key
-        ball.center = FieldElement(config, dict(key[1]), True)
+        ball._center = None
         return ball
+
+    @property
+    def center(self) -> FieldElement:
+        """The centre: built from the key on first read, then kept."""
+        center = self._center
+        if center is None:
+            center = self._center = FieldElement(self.config, dict(self._key[1]), True)
+        return center
 
     def measure(self) -> Fraction:
         return Fraction(self.config.q) ** (-self.scale)
@@ -77,11 +88,12 @@ class Ball:
         return not (self.contains_ball(other) or other.contains_ball(self))
 
     def contains_zero(self) -> bool:
-        return not self.center
+        return not self._key[1]
 
     def shell_index(self):
         """Common valuation of all points; None for a ball containing zero."""
-        return None if not self.center else self.center.valuation()
+        digits = self._key[1]
+        return digits[0][0] if digits else None
 
     def ancestor_key(self, t: int):
         """Sort key of the scale-t ball containing this one (t <= scale)."""
@@ -202,6 +214,26 @@ def translated_keys(u: FieldElement, keys):
         yield (scale, cell), s, (scale - s, tuple([(e - s, i) for e, i in cell]))
 
 
+def outer_balls(balls):
+    """(outer, ball) for balls in sort-key order: outer is a ball kept so far
+    that contains (or equals) this one, or None, and then this one is kept.
+    Every kept scale is <= ball.scale, so containment is one ancestor-key
+    lookup per kept scale."""
+    kept: dict = {}
+    scales: list[int] = []  # the distinct kept scales, ascending
+    for b in balls:
+        outer = None
+        for t in scales:
+            outer = kept.get(b.ancestor_key(t))
+            if outer is not None:
+                break
+        else:
+            kept[b._key] = b
+            if not scales or scales[-1] != b.scale:
+                scales.append(b.scale)
+        yield outer, b
+
+
 def ball_intersect(a: Ball, b: Ball):
     """Ultrametric: balls are nested or disjoint."""
     if a.contains_ball(b):
@@ -243,20 +275,12 @@ class ClopenSet:
 
     @staticmethod
     def _normalize(config, raw):
-        balls = []
-        seen = set()
-        for b in raw:
+        balls = sorted(raw, key=Ball.sort_key)
+        for b in balls:
             if b.config != config:
                 raise ConfigMismatch("ball from a different field configuration")
-            if b not in seen:
-                seen.add(b)
-                balls.append(b)
-        # drop balls nested inside coarser ones
-        balls.sort(key=Ball.sort_key)
-        kept: list[Ball] = []
-        for b in balls:
-            if not any(r.contains_ball(b) for r in kept):
-                kept.append(b)
+        # drop duplicates and balls nested inside coarser ones
+        kept = [b for outer, b in outer_balls(balls) if outer is None]
         # merge complete sibling groups into their parent, to a fixpoint
         q = config.q
         changed = True
@@ -431,9 +455,14 @@ def fold_ball(ball: Ball):
     """(fragment, coset index) for the pieces of the ball at scale >= 0 (each
     inside a single coset), shifted by the canonical coset representative
     into the ring of integers."""
+    cfg = ball.config
+    q = cfg.q
     for piece in ball.split_to(max(ball.scale, 0)):
-        n, rem = split_integral(piece.center)
-        yield Ball(ball.config, rem, piece.scale), n
+        # the digits below exponent 0 are the coset index, in base q
+        scale, digits = piece._key
+        k = bisect_left(digits, (0,))
+        n = sum(i * q ** (-e - 1) for e, i in digits[:k])
+        yield Ball._from_key(cfg, (scale, digits[k:])), n
 
 
 def joint_fold(config: FieldConfig, sets) -> FoldResult:

@@ -11,6 +11,7 @@ and trace.  FqElement wraps an index for operator syntax.  No global state.
 from __future__ import annotations
 
 from itertools import product
+from operator import mul
 
 
 class ConfigMismatch(ValueError):
@@ -127,10 +128,15 @@ class FieldConfig:
         for g in map(_poly_trim, map(self.coords, range(1, q))):
             if all(_poly_pow(g, (q - 1) // r, m, p) != (1,) for r in primes):
                 break
-        powers, x = [1], g
+        # step the coordinates of g**k by the matrix of multiplication by g:
+        # column k holds the coordinates of e**k * g
+        cols = [(_poly_mod(_poly_mul((0,) * k + (1,), g, p), m, p) + (0,) * c)[:c]
+                for k in range(c)]
+        rows, weights = list(zip(*cols)), [p**j for j in range(c)]
+        powers, x = [1], self.coords(1)
         for _ in range(q - 2):
-            powers.append(self.index(x))
-            x = _poly_mod(_poly_mul(x, g, p), m, p)
+            x = [sum(map(mul, row, x)) % p for row in rows]
+            powers.append(sum(map(mul, weights, x)))
         log = [None] * q
         for k, i in enumerate(powers):
             log[i] = k
@@ -147,8 +153,11 @@ class FieldConfig:
         # Tr(e**k) is the trace of the matrix of multiplication by e**k
         basis = [sum((_poly_mod((0,) * (k + j) + (1,), m, p) + (0,) * c)[j]
                      for j in range(c)) % p for k in range(c)]
-        self._trace = [sum(a * t for a, t in zip(self.coords(i), basis)) % p
-                       for i in range(q)]
+        # the trace is linear: extend the table by one base-p digit at a time
+        trace = [0]
+        for t in basis:
+            trace = [(x + a * t) % p for a in range(p) for x in trace]
+        self._trace = trace
 
     def coords(self, i: int) -> tuple:
         """The c power-basis coordinates of index i: its base-p digits."""

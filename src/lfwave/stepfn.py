@@ -9,7 +9,7 @@ point per refinement cell.
 
 from __future__ import annotations
 
-from .clopen import INF, ClopenSet, fold_ball
+from .clopen import INF, ClopenSet, fold_ball, outer_balls
 from .cyclo import CycloScalar
 from .gfq import ConfigMismatch, FieldConfig
 from .lfield import FieldElement
@@ -30,10 +30,9 @@ class StepFunction:
             if not value.is_zero():
                 kept.append((ball, value))
         kept.sort(key=lambda cv: cv[0].sort_key())
-        for i, (a, _) in enumerate(kept):
-            for b, _ in kept[i + 1:]:
-                if not a.is_disjoint(b):
-                    raise ValueError(f"overlapping cells {a} and {b}")
+        for outer, b in outer_balls(ball for ball, _ in kept):
+            if outer is not None:
+                raise ValueError(f"overlapping cells {outer} and {b}")
         self.config = config
         self.cells = tuple(kept)
 
@@ -76,13 +75,13 @@ class StepFunction:
 
         Cell preimages are balls again: B maps to p**j * B - shift.
         """
-        out = []
-        for ball, value in self.cells:
-            nb = ball.scale_by(j)
-            if shift is not None:
-                nb = nb.translate(-shift)
-            out.append((nb, value))
-        return StepFunction(self.config, out)
+        if shift is None:
+            # dilation keeps the cells disjoint and nonzero, and their order
+            return StepFunction(self.config, [(b.scale_by(j), v) for b, v in self.cells],
+                                _canonical=True)
+        neg = -shift
+        return StepFunction(self.config, [(b.scale_by(j).translate(neg), v)
+                                          for b, v in self.cells])
 
     def __eq__(self, other):
         if not isinstance(other, StepFunction) or self.config != other.config:

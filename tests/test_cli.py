@@ -367,13 +367,23 @@ def test_front_end_errors_name_their_line():
         assert err.value.line_no == line, text
 
 
+def assert_report_pinned(spec, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["check", str(SPECS / f"{spec}.lfw"), "--json", str(out)]) == 1
+    capsys.readouterr()
+    assert out.read_bytes() == (SPECS / f"{spec}.json").read_bytes()
+
+
 def test_every_directive_p5_report_is_pinned(tmp_path, capsys):
     """Every directive kind at p=5 with zeta-valued spectra: the JSON report,
     non-rational residual and note strings included, is pinned byte for byte."""
-    out = tmp_path / "r.json"
-    assert main(["check", str(SPECS / "every_directive_p5.lfw"), "--json", str(out)]) == 1
-    capsys.readouterr()
-    assert out.read_bytes() == (SPECS / "every_directive_p5.json").read_bytes()
+    assert_report_pinned("every_directive_p5", tmp_path, capsys)
+
+
+def test_every_directive_p2c2_report_is_pinned(tmp_path, capsys):
+    """Every directive kind at p=2, c=2 (q=4): the JSON report, GF(4) digit
+    literals included, is pinned byte for byte."""
+    assert_report_pinned("every_directive_p2c2", tmp_path, capsys)
 
 
 def test_inline_family_lists():

@@ -11,17 +11,19 @@ import pytest
 from lfwave.clopen import (
     Ball,
     ClopenSet,
+    fold_ball,
     fractional_ideal,
     integers,
     inv_norm_integral,
     joint_fold,
+    outer_balls,
     shell,
     translated_keys,
     units,
 )
 from lfwave.cyclo import CycloScalar
 from lfwave.gfq import FieldConfig
-from lfwave.lfield import FieldElement, coset_rep, parse_element
+from lfwave.lfield import FieldElement, coset_rep, parse_element, split_integral
 from lfwave.stepfn import StepFunction, shell_range
 
 CFG2 = FieldConfig(2, 1)
@@ -335,3 +337,93 @@ def test_from_key_rejects_malformed_keys():
     ]:
         with pytest.raises(ValueError):
             Ball.from_key(CFG3, key)
+
+
+# ---------------------------------------------------------------------------
+# A ball is its key: the centre on demand, nested balls by key lookup
+# ---------------------------------------------------------------------------
+
+
+def rand_key(cfg, rng):
+    """A random valid sort key: scale in -2..4, up to five digits below it."""
+    scale = rng.randrange(-2, 5)
+    digits = tuple((e, rng.randrange(1, cfg.q))
+                   for e in range(scale - 5, scale) if rng.random() < 0.5)
+    return scale, digits
+
+
+def reference_fold_ball(ball):
+    """fold_ball by field arithmetic: split each piece's centre at exponent 0."""
+    for piece in ball.split_to(max(ball.scale, 0)):
+        n, rem = split_integral(piece.center)
+        yield Ball(ball.config, rem, piece.scale), n
+
+
+def test_key_only_balls_agree_with_centre_built_balls():
+    rng = random.Random(1313)
+    for cfg in (CFG2, CFG3, CFG4, CFG5, FieldConfig(3, 2)):
+        for _ in range(150):
+            key = rand_key(cfg, rng)
+            scale = key[0]
+            # the centre also carries digits at and above the scale, which
+            # Ball truncates away
+            above = rand_point(cfg, rng, lo=scale, hi=scale + 2)
+            ref = Ball(cfg, FieldElement(cfg, dict(key[1])) + above, scale)
+            lazy = Ball._from_key(cfg, key)
+            assert lazy.contains_zero() == ref.contains_zero() == (not ref.center)
+            assert lazy.shell_index() == ref.shell_index() == \
+                (None if not ref.center else ref.center.valuation())
+            assert lazy == ref and hash(lazy) == hash(ref)
+            folded = list(fold_ball(lazy))
+            assert folded == list(fold_ball(ref)) == list(reference_fold_ball(ref))
+            # none of the above reads a centre
+            assert lazy._center is None
+            assert all(frag._center is None for frag, _ in folded)
+            assert repr(lazy) == repr(ref) and lazy.as_json() == ref.as_json()
+            assert lazy.center == ref.center
+            assert lazy.center is lazy.center  # built once, then kept
+
+
+def reference_drop_nested(balls):
+    """The quadratic nested-ball drop: each distinct ball, in sort-key order,
+    against every ball kept so far."""
+    kept = []
+    for b in sorted(set(balls), key=Ball.sort_key):
+        if not any(r.contains_ball(b) for r in kept):
+            kept.append(b)
+    return kept
+
+
+def nested_multiset(cfg, rng):
+    """Chains of balls nested several scales deep, with duplicates and
+    siblings at equal scales."""
+    balls = []
+    for _ in range(rng.randrange(1, 5)):
+        b = Ball._from_key(cfg, rand_key(cfg, rng))
+        for _ in range(rng.randrange(1, 5)):
+            balls.append(b)
+            depth = rng.randrange(0, 3)
+            b = b.sub_ball(b.scale + depth, rng.randrange(cfg.q ** depth))
+    for _ in range(rng.randrange(0, 4)):
+        balls.append(rng.choice(balls))
+    rng.shuffle(balls)
+    return balls
+
+
+def test_key_lookup_nesting_agrees_with_pairwise_containment():
+    rng = random.Random(6464)
+    for cfg in (CFG2, CFG3, CFG4, CFG5):
+        for _ in range(150):
+            balls = nested_multiset(cfg, rng)
+            ref = reference_drop_nested(balls)
+            ordered = sorted(set(balls), key=Ball.sort_key)
+            pairs = list(outer_balls(ordered))
+            assert [b for outer, b in pairs if outer is None] == ref
+            for outer, b in pairs:
+                assert outer is None or (outer in ref and outer.contains_ball(b))
+            # the full canonical form: the reference drop leaves nothing to drop
+            assert ClopenSet(cfg, balls) == ClopenSet(cfg, ref)
+            S = ClopenSet(cfg, balls)
+            for _ in range(10):
+                x = rand_point(cfg, rng, lo=-6, hi=6)
+                assert S.member(x) == any(b.contains_point(x) for b in balls)

@@ -3,6 +3,7 @@ residuals (cross-checked against direct coefficient enumeration), direct-sum
 residuals, Gram entries, and the batched mesh-delta path."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -540,3 +541,18 @@ def test_mesh_sweep_k_sum_calls(monkeypatch):
     calls.clear()
     reference_mesh_delta_residuals(model, psis)
     assert len(calls) == 4 + 90
+
+
+def test_mesh_atoms_are_key_only_balls():
+    """The q = 5, R = S = 3 mesh (15,625 atoms) holds each atom as its key:
+    no centre is built, and the list stays under 300 bytes per atom."""
+    model = FiniteModel(FieldConfig(5, 1), 3, 3)
+    tracemalloc.start()
+    try:
+        atoms = list(model.atoms())
+        used, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(atoms) == 5 ** 6
+    assert all(a._center is None for a in atoms)
+    assert used / len(atoms) < 300

@@ -4,6 +4,8 @@ stable equality, and the periodized weight."""
 import random
 from fractions import Fraction
 
+import pytest
+
 from lfwave.clopen import Ball, ClopenSet, fractional_ideal, integers, units
 from lfwave.cyclo import CycloScalar
 from lfwave.gfq import FieldConfig
@@ -92,6 +94,39 @@ def test_precompose_dilation_and_shift():
     one = FieldElement.one(CFG2)
     assert h.evaluate(one + t + t).is_zero()
     assert h.evaluate(one - t) == rat(CFG2, 1)
+
+
+def test_dilation_keeps_canonical_cells():
+    """precompose(j) without a shift builds its cells unnormalized; they
+    equal the normalized image."""
+    rng = random.Random(41)
+    for cfg in (CFG2, CFG3):
+        for _ in range(30):
+            balls = [Ball(cfg, coset_rep(cfg, rng.randrange(9)), rng.randrange(-2, 3))
+                     for _ in range(4)]
+            support = ClopenSet(cfg, balls)
+            f = StepFunction(cfg, [(b, rat(cfg, rng.randrange(1, 4))) for b in support.balls])
+            for j in (-2, -1, 0, 3):
+                g = f.precompose(j)
+                assert g.cells == StepFunction(cfg, [(b.scale_by(j), v) for b, v in f.cells]).cells
+                assert g.support() == support.scale_by(j)
+
+
+def test_overlapping_cells_are_rejected():
+    rng = random.Random(17)
+    one = rat(CFG3, 1)
+    for _ in range(60):
+        balls = [Ball(CFG3, coset_rep(CFG3, rng.randrange(4)), rng.randrange(-1, 2))
+                 for _ in range(3)]
+        overlap = any(not a.is_disjoint(b) for i, a in enumerate(balls) for b in balls[i + 1:])
+        if not overlap:
+            StepFunction(CFG3, [(b, one) for b in balls])
+            continue
+        with pytest.raises(ValueError, match="overlapping cells") as err:
+            StepFunction(CFG3, [(b, one) for b in balls])
+        # the message names a containing ball and a ball inside it
+        assert str(err.value) in {f"overlapping cells {a!r} and {b!r}" for a in balls
+                                  for b in balls if a is not b and a.contains_ball(b)}
 
 
 def test_scalar_mul_and_conj():
