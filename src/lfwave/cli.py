@@ -276,6 +276,15 @@ def _scalar_str(x) -> str:
     return str(x)
 
 
+# `lfw construct WHAT`: the stock set or family, from --m or --n
+_CONSTRUCTS = {
+    "shannon": lambda cfg, args: construct.shannon_family(cfg),
+    "shell": lambda cfg, args: construct.shell_wavelet(cfg, args.m),
+    "scaled-shannon": lambda cfg, args: construct.scaled_shannon_family(cfg, args.m),
+    "shell-tuple": lambda cfg, args: construct.shell_tuple(cfg, args.n),
+    "tower": lambda cfg, args: construct.tower_components(cfg, args.n),
+}
+
 _KEYVAL = re.compile(r"(\w[\w-]*)=(\S+)")
 
 _STOCK_FAMILIES = {
@@ -538,33 +547,23 @@ def main(argv=None) -> int:
         sp.set_defaults(only=only)
 
     cp = sub.add_parser("construct")
-    cp.add_argument("what", choices=[
-        "shannon", "shell", "scaled-shannon", "shell-tuple", "tower"])
+    cp.add_argument("what", choices=list(_CONSTRUCTS))
     cp.add_argument("--p", type=int, required=True)
     cp.add_argument("--c", type=int, default=1)
     cp.add_argument("--m", type=int, default=1)
     cp.add_argument("--n", type=int, default=2)
 
     args = parser.parse_args(argv)
-    if args.command == "construct":
-        cfg = FieldConfig(args.p, args.c)
-        if args.what == "shannon":
-            out = [W.as_json() for W in construct.shannon_family(cfg)]
-        elif args.what == "shell":
-            out = construct.shell_wavelet(cfg, args.m).as_json()
-        elif args.what == "scaled-shannon":
-            out = [W.as_json() for W in construct.scaled_shannon_family(cfg, args.m)]
-        elif args.what == "shell-tuple":
-            out = [W.as_json() for W in construct.shell_tuple(cfg, args.n)]
-        else:
-            out = [W.as_json() for W in construct.tower_components(cfg, args.n)]
-        print(json.dumps(out, indent=2, sort_keys=True))
-        return 0
     try:
-        return _run_file(args.spec, args.seed, args.json_path, args.only)
-    except SpecError as exc:  # a malformed spec: its line, no traceback
+        if args.command != "construct":
+            return _run_file(args.spec, args.seed, args.json_path, args.only)
+        built = _CONSTRUCTS[args.what](FieldConfig(args.p, args.c), args)
+    except ValueError as exc:  # a malformed spec or bad construct parameters
         print(f"lfw: {exc}", file=sys.stderr)
         return 2
+    out = built.as_json() if isinstance(built, ClopenSet) else [W.as_json() for W in built]
+    print(json.dumps(out, indent=2, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":

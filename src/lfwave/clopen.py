@@ -4,7 +4,11 @@ Every set is a finite disjoint union of balls  center + p**scale * O  in
 canonical form: centers reduced below the scale, nesting removed, any q
 sibling balls merged into their parent, deterministic ordering.  Equal
 point-sets therefore have identical representations, and measures are exact
-rationals.
+rationals.  The set algebra decides nesting on sort keys: balls in sort-key
+order meet the balls kept so far by one ancestor-key lookup per kept scale
+(outer_balls), and intersection, difference, overlay and the fold's
+collisions all come from that pass.  Only the pointwise oracle `member`
+subtracts centres here.
 """
 
 from __future__ import annotations
@@ -41,11 +45,16 @@ class Ball:
 
     @classmethod
     def from_key(cls, config: FieldConfig, key) -> "Ball":
-        """The ball whose sort key is `key`: (scale, ((e, i), ...)) with
-        exponents strictly increasing and below the scale, and digit indices
-        in 1..q-1.  Raises ValueError on any other key."""
-        scale, digits = key
-        digits = tuple((e, i) for e, i in digits)
+        """The ball whose sort key is `key`: (scale, ((e, i), ...)) of ints
+        with exponents strictly increasing and below the scale, and digit
+        indices in 1..q-1.  Raises ValueError on any other key."""
+        try:
+            scale, digits = key
+            digits = tuple((e, i) for e, i in digits)
+        except (TypeError, ValueError):
+            raise ValueError(f"a ball key is a pair (scale, ((e, i), ...)): {key!r}") from None
+        if not all(type(n) is int for n in (scale, *(n for d in digits for n in d))):
+            raise ValueError(f"a ball key holds only ints: {key!r}")
         prev = -INF
         for e, i in digits:
             if not prev < e < scale:
@@ -234,31 +243,25 @@ def outer_balls(balls):
         yield outer, b
 
 
-def ball_intersect(a: Ball, b: Ball):
-    """Ultrametric: balls are nested or disjoint."""
-    if a.contains_ball(b):
-        return b
-    if b.contains_ball(a):
-        return a
-    return None
+def _nested(balls):
+    """The given balls that lie inside, or equal, another given ball (of
+    equal balls, all but the first), in sort-key order."""
+    return [b for outer, b in outer_balls(sorted(balls, key=Ball.sort_key))
+            if outer is not None]
 
 
-def ball_subtract(a: Ball, b: Ball):
-    """a minus b as a list of balls."""
-    if a.is_disjoint(b):
-        return [a]
-    if b.contains_ball(a):
-        return []
-    out = []
-    cur = a
-    while cur.scale < b.scale:
-        for child in cur.children():
-            if child.contains_ball(b):
-                nxt = child
-            else:
-                out.append(child)
-        cur = nxt
-    return out
+def _carve(ball: Ball, holes):
+    """The sub-balls of `ball` outside the disjoint balls `holes` inside it:
+    a hole equal to the ball removes it; otherwise each child is carved
+    around the holes under it."""
+    if not holes:
+        yield ball
+    elif holes[0] != ball:
+        under: dict = {}
+        for h in holes:
+            under.setdefault(h.ancestor_key(ball.scale + 1), []).append(h)
+        for child in ball.children():
+            yield from _carve(child, under.get(child._key))
 
 
 class ClopenSet:
@@ -324,24 +327,24 @@ class ClopenSet:
         return ClopenSet(self.config, self.balls + other.balls)
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
+        # each set is disjoint, so a ball inside another lies in both sets
         self._check(other)
-        pieces = []
-        for a in self.balls:
-            for b in other.balls:
-                c = ball_intersect(a, b)
-                if c is not None:
-                    pieces.append(c)
-        return ClopenSet(self.config, pieces)
+        return ClopenSet(self.config, _nested(self.balls + other.balls))
 
     def subtract(self, other: "ClopenSet") -> "ClopenSet":
-        self._check(other)
-        cur = list(self.balls)
-        for b in other.balls:
-            cur = [p for piece in cur for p in ball_subtract(piece, b)]
-        return ClopenSet(self.config, cur)
+        """Each ball of self carved around the balls of self.intersect(other)
+        inside it: one nesting pass over both puts each such hole under the
+        key of the one ball of self holding it."""
+        holes: dict = {}
+        pieces = sorted(self.balls + self.intersect(other).balls, key=Ball.sort_key)
+        for outer, b in outer_balls(pieces):
+            if outer is not None:
+                holes.setdefault(outer._key, []).append(b)
+        return ClopenSet(self.config, [
+            piece for a in self.balls for piece in _carve(a, holes.get(a._key))])
 
     def contains_set(self, other: "ClopenSet") -> bool:
-        return other.subtract(self).is_empty()
+        return self.intersect(other) == other
 
     def member(self, x: FieldElement) -> bool:
         return any(b.contains_point(x) for b in self.balls)
@@ -442,13 +445,9 @@ class FoldResult:
 
 def overlay(config: FieldConfig, sets):
     """(coverage, overlap): the union of the sets, and the points lying in
-    two or more of them."""
-    coverage = ClopenSet.empty(config)
-    overlap = ClopenSet.empty(config)
-    for s in sets:
-        overlap = overlap.union(coverage.intersect(s))
-        coverage = coverage.union(s)
-    return coverage, overlap
+    two or more of them (in two balls, so in the nested one)."""
+    balls = [b for s in sets for b in s.balls]
+    return ClopenSet(config, balls), ClopenSet(config, _nested(balls))
 
 
 def fold_ball(ball: Ball):
@@ -473,9 +472,8 @@ def joint_fold(config: FieldConfig, sets) -> FoldResult:
     """
     fragments = [fr for s in sets for b in s.balls for fr in fold_ball(b)]
     fragments.sort(key=lambda fr: (fr[1], fr[0].sort_key()))
-    coverage, overlap = overlay(
-        config, (ClopenSet.from_ball(frag) for frag, _ in fragments))
-    return FoldResult(fragments, coverage, overlap)
+    balls = [frag for frag, _ in fragments]
+    return FoldResult(fragments, ClopenSet(config, balls), ClopenSet(config, _nested(balls)))
 
 
 # ---------------------------------------------------------------------------

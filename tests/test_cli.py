@@ -219,10 +219,38 @@ def test_runtime_value_errors_are_reported_not_raised():
     assert "error" in report["directives"][-1]
 
 
+# `lfw construct` output, pinned from the if-chain the construct table replaced
+_CONSTRUCT_JSON = [
+    ("shell --p 2 --m 1", [{"center": "p", "scale": 2}]),
+    ("shell --p 2 --m 2", [{"center": "p^2", "scale": 3}]),
+    ("shannon --p 3", [[{"center": "p^-1", "scale": 0}], [{"center": "2*p^-1", "scale": 0}]]),
+    ("shannon --p 2 --c 2", [[{"center": "p^-1", "scale": 0}],
+                             [{"center": "[0,1]*p^-1", "scale": 0}],
+                             [{"center": "[1,1]*p^-1", "scale": 0}]]),
+    ("scaled-shannon --p 3 --m 2", [[{"center": "p", "scale": 2}],
+                                    [{"center": "2*p", "scale": 2}]]),
+    ("shell-tuple --p 2 --n 3", [[{"center": "p", "scale": 2}], [{"center": "p^2", "scale": 3}],
+                                 [{"center": "p^3", "scale": 4}]]),
+    ("tower --p 3 --n 3", [[{"center": "1", "scale": 1}, {"center": "2", "scale": 1}],
+                           [{"center": "p", "scale": 2}, {"center": "2*p", "scale": 2}]]),
+]
+
+
 def test_main_construct_and_exit_codes(tmp_path, capsys):
-    assert main(["construct", "shell", "--p", "2", "--m", "1"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out == [{"center": "p", "scale": 2}]
+    for argv, want in _CONSTRUCT_JSON:
+        assert main(["construct", *argv.split()]) == 0
+        assert capsys.readouterr().out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    # bad parameters: exit status 2 and one line on stderr, no traceback
+    for argv, message in [
+        ("shell --p 2 --m 0", "shell exponent must be >= 1"),
+        ("shell --p 4", "p must be a prime <= 13, got 4"),
+        ("tower --p 2 --n 1", "tower needs length >= 2"),
+        ("shell-tuple --p 3 --n 0", "tuple length must be >= 1"),
+        ("shannon --p 2 --c 5", "extension degree must be in [1, 4], got 5"),
+    ]:
+        assert main(["construct", *argv.split()]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"lfw: {message}\n"
 
     good = tmp_path / "good.lfw"
     good.write_text("field {p=2}\nfamily W = shannon\ncheck multiwavelet W\n")

@@ -11,12 +11,14 @@ import pytest
 from lfwave.clopen import (
     Ball,
     ClopenSet,
+    FoldResult,
     fold_ball,
     fractional_ideal,
     integers,
     inv_norm_integral,
     joint_fold,
     outer_balls,
+    overlay,
     shell,
     translated_keys,
     units,
@@ -334,6 +336,16 @@ def test_from_key_rejects_malformed_keys():
         (0, ((-1, 0),)),  # digit indices outside 1..q-1
         (0, ((-1, 3),)),
         (0, ((-2, 1), (-1, -1))),
+        (0.5, ()),  # not ints, or not a (scale, digits) pair
+        ("a", ()),
+        (0, [(-1, 1.5)]),
+        (True, ((False, 1),)),
+        (1, ((0, True),)),
+        5,
+        (0,),
+        (0, 5),
+        (0, ((-1,),)),
+        "ab",
     ]:
         with pytest.raises(ValueError):
             Ball.from_key(CFG3, key)
@@ -427,3 +439,123 @@ def test_key_lookup_nesting_agrees_with_pairwise_containment():
             for _ in range(10):
                 x = rand_point(cfg, rng, lo=-6, hi=6)
                 assert S.member(x) == any(b.contains_point(x) for b in balls)
+
+
+# ---------------------------------------------------------------------------
+# Set algebra on keys against the pairwise centre-subtraction algebra
+# ---------------------------------------------------------------------------
+
+
+def ref_ball_intersect(a: Ball, b: Ball):
+    """Ultrametric: balls are nested or disjoint."""
+    if a.contains_ball(b):
+        return b
+    if b.contains_ball(a):
+        return a
+    return None
+
+
+def ref_ball_subtract(a: Ball, b: Ball):
+    """a minus b as a list of balls."""
+    if a.is_disjoint(b):
+        return [a]
+    if b.contains_ball(a):
+        return []
+    out = []
+    cur = a
+    while cur.scale < b.scale:
+        for child in cur.children():
+            if child.contains_ball(b):
+                nxt = child
+            else:
+                out.append(child)
+        cur = nxt
+    return out
+
+
+def ref_intersect(A, B):
+    pieces = []
+    for a in A.balls:
+        for b in B.balls:
+            c = ref_ball_intersect(a, b)
+            if c is not None:
+                pieces.append(c)
+    return ClopenSet(A.config, pieces)
+
+
+def ref_subtract(A, B):
+    cur = list(A.balls)
+    for b in B.balls:
+        cur = [p for piece in cur for p in ref_ball_subtract(piece, b)]
+    return ClopenSet(A.config, cur)
+
+
+def ref_overlay(config, sets):
+    coverage = ClopenSet.empty(config)
+    overlap = ClopenSet.empty(config)
+    for s in sets:
+        overlap = overlap.union(ref_intersect(coverage, s))
+        coverage = coverage.union(s)
+    return coverage, overlap
+
+
+def ref_joint_fold(config, sets):
+    fragments = [fr for s in sets for b in s.balls for fr in fold_ball(b)]
+    fragments.sort(key=lambda fr: (fr[1], fr[0].sort_key()))
+    coverage, overlap = ref_overlay(
+        config, (ClopenSet.from_ball(frag) for frag, _ in fragments))
+    return FoldResult(fragments, coverage, overlap)
+
+
+def overlapping_set(cfg, rng, roots, max_balls=8):
+    """0..max_balls balls at scales -3..5, each a random descendant of one of
+    a few shared roots, so that sets drawn this way often meet and nest."""
+    balls = []
+    for _ in range(rng.randrange(max_balls + 1)):
+        b = rng.choice(roots)
+        for _ in range(rng.randrange(b.scale, 6) - b.scale):
+            b = b.sub_ball(b.scale + 1, rng.randrange(cfg.q))
+        balls.append(b)
+    return ClopenSet(cfg, balls)
+
+
+def forced_families(cfg, rng, A):
+    """Families that pin the corner cases: equal sets, empty sets, a set
+    inside one ball of the other, equal balls across sets, and a chain
+    nested three deep across three sets."""
+    empty = ClopenSet.empty(cfg)
+    yield [A, A]
+    yield [A, empty]
+    yield [empty, empty]
+    if A.balls:
+        a = rng.choice(A.balls)
+        inside = ClopenSet(cfg, [a.sub_ball(a.scale + 2, rng.randrange(cfg.q ** 2))
+                                 for _ in range(3)])
+        yield [A, inside]
+        yield [inside, A]
+        yield [A, ClopenSet.from_ball(a)]
+        mid = a.sub_ball(a.scale + 1, rng.randrange(cfg.q))
+        low = mid.sub_ball(mid.scale + rng.randrange(1, 3), 0)
+        yield [ClopenSet.from_ball(a), ClopenSet.from_ball(mid),
+               ClopenSet.from_ball(low), A]
+
+
+def test_key_set_algebra_agrees_with_pairwise_reference():
+    rng = random.Random(1414)
+    for cfg in (CFG2, CFG3, CFG4, CFG5, FieldConfig(3, 2)):
+        for _ in range(30):
+            # roots at scales -3..3, descendants down to scale 5
+            roots = [Ball._from_key(cfg, rand_key(cfg, rng)).scale_by(-1) for _ in range(3)]
+            sets = [overlapping_set(cfg, rng, roots) for _ in range(rng.randrange(2, 5))]
+            families = [sets, *forced_families(cfg, rng, sets[0])]
+            for fam in families:
+                for A in fam:
+                    for B in fam:
+                        assert A.intersect(B) == ref_intersect(A, B)
+                        assert A.subtract(B) == ref_subtract(A, B)
+                        assert A.contains_set(B) == ref_subtract(B, A).is_empty()
+                assert fam[0].subtract(fam[0]).is_empty()
+                assert overlay(cfg, fam) == ref_overlay(cfg, fam)
+                got, want = joint_fold(cfg, fam), ref_joint_fold(cfg, fam)
+                assert got.fragments == want.fragments
+                assert (got.coverage, got.overlap) == (want.coverage, want.overlap)
