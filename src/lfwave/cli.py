@@ -1,6 +1,9 @@
 """Command-line front end: a small declarative spec language for fields,
 sets, spectra, and check/bound/solve/simulate directives, with deterministic
-JSON reports whose numbers are exact rational strings.
+JSON reports whose numbers are exact rational strings.  Each decision of the
+language is one table: `_FORMS`, `_FAMILIES`, `_CHECKS` and `_DIRECTIVES`.
+Their entries look up what they call in other modules when they run, so a
+wrapper patched onto those modules (perfbench's layer tracer) sees the call.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ import random
 import re
 import sys
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
 
 from . import construct, framesim, verify
 from .clopen import Ball, ClopenSet, fractional_ideal, integers, shell, units
@@ -54,13 +59,6 @@ def _split_args(text: str, line_no: int):
 
 _CALL = re.compile(r"^([A-Za-z_][\w-]*)\s*\((.*)\)$", re.DOTALL)
 
-# (fewest, most) arguments of each call form; None is unbounded
-_ARITY = {
-    "shell": (1, 1), "ball": (2, 2), "inter": (1, None), "diff": (2, 2),
-    "scale": (2, 2), "translate": (2, 2), "scaling": (2, 2), "indicator": (1, 2),
-    "tower": (1, 1), "shell-tuple": (1, 1), "scaled-shannon": (1, 1),
-}
-
 
 def _call(text: str, line_no: int):
     """(name, args) of a call `name(a, b, ..)` with its argument count
@@ -69,7 +67,9 @@ def _call(text: str, line_no: int):
     if not m:
         return None, None
     fn, args = m.group(1), _split_args(m.group(2), line_no)
-    lo, hi = _ARITY.get(fn, (0, None))
+    lo, hi = _FORMS[fn][1:3] if fn in _FORMS else (0, None)
+    if _FAMILIES.get(fn, (None,))[0]:  # a stock family takes its parameter
+        lo = hi = 1
     if len(args) < lo or (hi is not None and len(args) > hi):
         want = lo if hi == lo else f"{lo} or more" if hi is None else f"{lo} to {hi}"
         raise SpecError(line_no, f"{fn}() takes {want} arguments, got {len(args)}")
@@ -85,6 +85,57 @@ def _int(text: str) -> int:
         raise ElementSyntaxError(f"expected an integer, got {text!r}") from None
 
 
+def _operand(kind, cfg, text, env, line_no):
+    """text read as one operand of the given kind: a "set" or "fn"
+    expression, a `[..]` list or family name of "sets" or "fns", or a
+    "family" definition."""
+    if kind in ("set", "fn"):
+        return (parse_set_expr if kind == "set" else parse_fn_expr)(cfg, text, env, line_no)
+    if kind == "family":
+        return _parse_family(cfg, text, env, line_no)
+    text = text.strip()
+    if text.startswith("["):
+        return [_operand(kind[:-1], cfg, a, env, line_no) for a in _list_items(text, line_no)]
+    fam, want = env.get(text), ClopenSet if kind == "sets" else StepFunction
+    if isinstance(fam, list) and all(isinstance(x, want) for x in fam):
+        return fam
+    raise SpecError(line_no, f"expected [..] list or {kind[:-1]} family name, got {text!r}")
+
+
+def _sets(cfg, args, env, line_no):
+    return [parse_set_expr(cfg, a, env, line_no) for a in args]
+
+
+def _scaling(cfg, args, env, line_no):
+    S, certified = construct.scaling_set(parse_set_expr(cfg, args[0], env, line_no),
+                                         _int(args[1]))
+    if not certified:
+        raise SpecError(line_no, "scaling-set tail not certifiable at this depth")
+    return S
+
+
+# call forms NAME(args): name -> (what it builds, "set" or "fn"; fewest and
+# most arguments, None unbounded; builder(cfg, args, env, line_no), which
+# reads its arguments left to right)
+_FORMS = {
+    "shell": ("set", 1, 1, lambda cfg, a, env, ln: shell(cfg, _int(a[0]))),
+    "ball": ("set", 2, 2, lambda cfg, a, env, ln:
+             ClopenSet.from_ball(Ball(cfg, parse_element(cfg, a[0]), _int(a[1])))),
+    "union": ("set", 0, None, lambda cfg, a, env, ln:
+              reduce(ClopenSet.union, _sets(cfg, a, env, ln), ClopenSet.empty(cfg))),
+    "inter": ("set", 1, None, lambda cfg, a, env, ln:
+              reduce(ClopenSet.intersect, _sets(cfg, a, env, ln))),
+    "diff": ("set", 2, 2, lambda cfg, a, env, ln: ClopenSet.subtract(*_sets(cfg, a, env, ln))),
+    "scale": ("set", 2, 2, lambda cfg, a, env, ln:
+              parse_set_expr(cfg, a[0], env, ln).scale_by(_int(a[1]))),
+    "translate": ("set", 2, 2, lambda cfg, a, env, ln:
+                  parse_set_expr(cfg, a[0], env, ln).translate(parse_element(cfg, a[1]))),
+    "scaling": ("set", 2, 2, _scaling),
+    "indicator": ("fn", 1, 2, lambda cfg, a, env, ln: StepFunction.indicator(
+        parse_set_expr(cfg, a[0], env, ln), parse_value(cfg, a[1], ln) if a[1:] else None)),
+}
+
+
 def parse_set_expr(cfg: FieldConfig, text: str, env: dict, line_no: int) -> ClopenSet:
     text = text.strip()
     if text == "O":
@@ -96,40 +147,10 @@ def parse_set_expr(cfg: FieldConfig, text: str, env: dict, line_no: int) -> Clop
         return fractional_ideal(cfg, int(m.group(1)))
     fn, args = _call(text, line_no)
     if fn:
-        if fn == "shell":
-            return shell(cfg, _int(args[0]))
-        if fn == "ball":
-            return ClopenSet.from_ball(
-                Ball(cfg, parse_element(cfg, args[0]), _int(args[1]))
-            )
-        if fn == "union":
-            out = ClopenSet.empty(cfg)
-            for a in args:
-                out = out.union(parse_set_expr(cfg, a, env, line_no))
-            return out
-        if fn == "inter":
-            out = parse_set_expr(cfg, args[0], env, line_no)
-            for a in args[1:]:
-                out = out.intersect(parse_set_expr(cfg, a, env, line_no))
-            return out
-        if fn == "diff":
-            return parse_set_expr(cfg, args[0], env, line_no).subtract(
-                parse_set_expr(cfg, args[1], env, line_no)
-            )
-        if fn == "scale":
-            return parse_set_expr(cfg, args[0], env, line_no).scale_by(_int(args[1]))
-        if fn == "translate":
-            return parse_set_expr(cfg, args[0], env, line_no).translate(
-                parse_element(cfg, args[1])
-            )
-        if fn == "scaling":
-            S, certified = construct.scaling_set(
-                parse_set_expr(cfg, args[0], env, line_no), _int(args[1])
-            )
-            if not certified:
-                raise SpecError(line_no, "scaling-set tail not certifiable at this depth")
-            return S
-        raise SpecError(line_no, f"unknown set function {fn!r}")
+        form = _FORMS.get(fn)
+        if form is None or form[0] != "set":
+            raise SpecError(line_no, f"unknown set function {fn!r}")
+        return form[3](cfg, args, env, line_no)
     if text in env and isinstance(env[text], ClopenSet):
         return env[text]
     raise SpecError(line_no, f"unknown set {text!r}")
@@ -163,10 +184,9 @@ def parse_value(cfg: FieldConfig, text: str, line_no: int) -> CycloScalar:
 def parse_fn_expr(cfg: FieldConfig, text: str, env: dict, line_no: int) -> StepFunction:
     text = text.strip()
     fn, args = _call(text, line_no)
-    if fn == "indicator":
-        support = parse_set_expr(cfg, args[0], env, line_no)
-        value = parse_value(cfg, args[1], line_no) if len(args) > 1 else None
-        return StepFunction.indicator(support, value)
+    form = _FORMS.get(fn)
+    if form and form[0] == "fn":
+        return form[3](cfg, args, env, line_no)
     m = re.match(r"^step\{(.*)\}$", text, re.DOTALL)
     if m:
         cells = []
@@ -196,16 +216,32 @@ def _list_items(text: str, line_no: int):
     return items
 
 
-def _name_list(cfg, text, env, line_no, kind):
-    """A `[..]` list or a family name: sets for kind "set", else functions."""
-    parse, want = (parse_set_expr, ClopenSet) if kind == "set" else (parse_fn_expr, StepFunction)
+# stock families: name -> (the integer parameter, None for none, which
+# `lfw construct` takes as --m or --n; builder, with that option's default).
+# `family F = shannon` names the one without a parameter, and the others are
+# called: `family F = tower(3)`.
+_FAMILIES = {
+    "shannon": (None, lambda cfg: construct.shannon_family(cfg)),
+    "scaled-shannon": ("m", lambda cfg, m=1: construct.scaled_shannon_family(cfg, m)),
+    "shell-tuple": ("n", lambda cfg, n=2: construct.shell_tuple(cfg, n)),
+    "tower": ("n", lambda cfg, n=2: construct.tower_components(cfg, n)),
+}
+
+
+def _parse_family(cfg, text, env, line_no):
+    """A stock family, or a `[..]` list of sets or else of functions."""
     text = text.strip()
+    fn, args = _call(text, line_no)
+    stock = _FAMILIES.get(text if fn is None else fn)
+    if stock and (stock[0] is None) == (fn is None):
+        return stock[1](cfg, *map(_int, args or ()))
     if text.startswith("["):
-        return [parse(cfg, a, env, line_no) for a in _list_items(text, line_no)]
-    fam = env.get(text)
-    if isinstance(fam, list) and all(isinstance(x, want) for x in fam):
-        return fam
-    raise SpecError(line_no, f"expected [..] list or {kind} family name, got {text!r}")
+        items = _list_items(text, line_no)
+        try:
+            return [parse_set_expr(cfg, a, env, line_no) for a in items]
+        except SpecError:
+            return [parse_fn_expr(cfg, a, env, line_no) for a in items]
+    raise SpecError(line_no, f"unknown family {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +250,21 @@ def _name_list(cfg, text, env, line_no, kind):
 
 
 _FIELD = re.compile(r"^field\s*\{(.*)\}$")
+_KEYVAL = re.compile(r"\w[\w-]*=\S+")
+
+
+def _options(items, allowed, line_no):
+    """The `KEY=VALUE` items as a dict; each key is one of allowed, at most once."""
+    opts = {}
+    for item in items:
+        key, _, value = item.partition("=")
+        key = key.strip()
+        if key not in allowed:
+            raise SpecError(line_no, f"unknown option {key!r}; expected {', '.join(allowed)}")
+        if key in opts:
+            raise SpecError(line_no, f"option {key!r} given twice")
+        opts[key] = value.strip()
+    return opts
 
 
 class SpecDocument:
@@ -232,28 +283,19 @@ def parse_spec(text: str) -> SpecDocument:
         if m:
             if doc.config is not None:
                 raise SpecError(line_no, "field block redefined")
-            params = {}
-            for item in _split_args(m.group(1), line_no):
-                key, _, val = item.partition("=")
-                params[key.strip()] = val.strip()
+            params = _options(_split_args(m.group(1), line_no), ("p", "c", "modulus"), line_no)
             if "p" not in params:
                 raise SpecError(line_no, "field block needs p")
+            modulus = params.get("modulus")
             try:
-                modulus = None
-                if "modulus" in params:
-                    modulus = tuple(
-                        int(x) for x in params["modulus"].strip("[]").split(",")
-                    )
-                doc.config = FieldConfig(
-                    int(params["p"]), int(params.get("c", 1)), modulus
-                )
+                if modulus is not None:
+                    modulus = tuple(int(x) for x in modulus.strip("[]").split(","))
+                doc.config = FieldConfig(int(params["p"]), int(params.get("c", 1)), modulus)
             except ValueError as exc:
                 raise SpecError(line_no, str(exc)) from None
             continue
         keyword, _, rest = line.partition(" ")
-        if keyword not in (
-            "set", "fn", "family", "check", "bound", "solve", "simulate"
-        ):
+        if keyword not in _DIRECTIVES:
             raise SpecError(line_no, f"unknown directive {keyword!r}")
         doc.statements.append((line_no, keyword, rest.strip()))
     if doc.config is None and doc.statements:
@@ -269,33 +311,7 @@ def parse_spec(text: str) -> SpecDocument:
 def _scalar_str(x) -> str:
     if x == float("inf"):
         return "inf"
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, CycloScalar):
-        return repr(x)
-    return str(x)
-
-
-# `lfw construct WHAT`: the stock set or family, from --m or --n
-_CONSTRUCTS = {
-    "shannon": lambda cfg, args: construct.shannon_family(cfg),
-    "shell": lambda cfg, args: construct.shell_wavelet(cfg, args.m),
-    "scaled-shannon": lambda cfg, args: construct.scaled_shannon_family(cfg, args.m),
-    "shell-tuple": lambda cfg, args: construct.shell_tuple(cfg, args.n),
-    "tower": lambda cfg, args: construct.tower_components(cfg, args.n),
-}
-
-_KEYVAL = re.compile(r"(\w[\w-]*)=(\S+)")
-
-_STOCK_FAMILIES = {
-    "scaled-shannon": construct.scaled_shannon_family,
-    "shell-tuple": construct.shell_tuple,
-    "tower": construct.tower_components,
-}
-
-
-def _options(text: str):
-    return {m.group(1): m.group(2) for m in _KEYVAL.finditer(text)}
+    return repr(x) if isinstance(x, CycloScalar) else str(x)
 
 
 def _int_option(opts, name, default, line_no, minimum=None):
@@ -314,194 +330,165 @@ def _int_option(opts, name, default, line_no, minimum=None):
     return value
 
 
-def _split_mode(args, modes):
-    """(expression, mode): a trailing word in modes is the mode; otherwise
-    the whole text is the expression and the mode is modes[0]."""
-    expr, _, mode = args.rpartition(" ")
-    if mode in modes:
-        return expr, mode
-    return args, modes[0]
+_WORD = re.compile(r"\w+")
 
 
-def _run_check(cfg, rest, env, line_no):
+def _name(text, line_no):
+    """A name a directive binds: a word other than O, which is the integers."""
+    if not _WORD.fullmatch(text) or text == "O":
+        raise SpecError(line_no, f"expected a name (a word other than O), got {text!r}")
+    return text
+
+
+def _definer(kind, field):
+    """The handler of `KEYWORD NAME = EXPR`: bind NAME to EXPR read as an
+    operand of kind, and report field(value)."""
+    def define(cfg, env, line_no, rest, *_):
+        name, _, expr = rest.partition("=")
+        name = _name(name.strip(), line_no)
+        env[name] = _operand(kind, cfg, expr, env, line_no)
+        return field(env[name]), True
+    return define
+
+
+# check KIND ARGS: kind -> (verify function, operand kinds, modes with the
+# default first[, what the operands are when there are two]).  Where there is
+# a choice of modes, a trailing mode word picks one; a mode goes to the verifier.
+_CHECKS = {
+    "dilation": ("check_dilation_tiling", ("set",), ()),
+    "translation": ("check_translation", ("set",), ("packing", "tiling")),
+    "multiwavelet": ("verify_multiwavelet_set", ("sets",), ("orthonormal",)),
+    "parseval-multiwavelet": ("verify_multiwavelet_set", ("sets",), ("parseval",)),
+    "superwavelet": ("verify_superwavelet", ("sets",), ("orthonormal", "parseval")),
+    "frame": ("verify_frame_pointwise", ("fns",), ()),
+    "translates": ("verify_translates", ("fn",), ("parseval", "orthonormal")),
+    "super-functions": ("verify_super_functions", ("fns",), ()),
+    "equivalent": ("equivalent_superwavelets", ("fns", "fns"), (), "two function lists"),
+    "scaling": ("mra_scaling_check", ("set", "set"), (), "a wavelet set and a scaling set"),
+}
+
+
+def _run_check(cfg, env, line_no, rest, *_):
     kind, _, args = rest.partition(" ")
-    args = args.strip()
-    if kind == "dilation":
-        return verify.check_dilation_tiling(parse_set_expr(cfg, args, env, line_no))
-    if kind == "translation":
-        expr, mode = _split_mode(args, ("packing", "tiling"))
-        return verify.check_translation(parse_set_expr(cfg, expr, env, line_no), mode)
-    if kind == "parseval-multiwavelet":
-        return verify.verify_multiwavelet_set(
-            _name_list(cfg, args, env, line_no, "set"), mode="parseval"
-        )
-    if kind == "multiwavelet":
-        return verify.verify_multiwavelet_set(_name_list(cfg, args, env, line_no, "set"))
-    if kind == "superwavelet":
-        expr, mode = _split_mode(args, ("orthonormal", "parseval"))
-        return verify.verify_superwavelet(
-            _name_list(cfg, expr, env, line_no, "set"), mode
-        )
-    if kind == "frame":
-        return verify.verify_frame_pointwise(_name_list(cfg, args, env, line_no, "fn"))
-    if kind == "translates":
-        expr, mode = _split_mode(args, ("parseval", "orthonormal"))
-        return verify.verify_translates(parse_fn_expr(cfg, expr, env, line_no), mode)
-    if kind == "super-functions":
-        return verify.verify_super_functions(_name_list(cfg, args, env, line_no, "fn"))
-    if kind == "equivalent":
-        parts = _split_args(args, line_no)
-        if len(parts) != 2:
-            raise SpecError(line_no, "equivalent takes two function lists")
-        return verify.equivalent_superwavelets(
-            _name_list(cfg, parts[0], env, line_no, "fn"),
-            _name_list(cfg, parts[1], env, line_no, "fn"),
-        )
-    if kind == "scaling":
-        parts = _split_args(args, line_no)
-        if len(parts) != 2:
-            raise SpecError(line_no, "scaling takes a wavelet set and a scaling set")
-        return verify.mra_scaling_check(
-            parse_set_expr(cfg, parts[0], env, line_no),
-            parse_set_expr(cfg, parts[1], env, line_no),
-        )
-    raise SpecError(line_no, f"unknown check kind {kind!r}")
+    if kind not in _CHECKS:
+        raise SpecError(line_no, f"unknown check kind {kind!r}")
+    verifier, kinds, modes, *usage = _CHECKS[kind]
+    args, mode = args.strip(), modes[:1]
+    if len(modes) > 1:
+        expr, word = args.rpartition(" ")[::2]
+        if word in modes:
+            args, mode = expr, (word,)
+    parts = _split_args(args, line_no) if len(kinds) > 1 else [args]
+    if len(parts) != len(kinds):
+        raise SpecError(line_no, f"{kind} takes {usage[0]}")
+    operands = [_operand(k, cfg, t, env, line_no) for k, t in zip(kinds, parts)]
+    verdict = getattr(verify, verifier)(*operands, *mode)
+    return {"verdict": verdict.as_json()}, verdict.passed
+
+
+# bound KIND f: kind -> the singular-integral bound of f's periodized weight
+_BOUNDS = {"decomposability": "decomposability_bound", "extendability": "extendability_bound"}
+
+
+def _run_bound(cfg, env, line_no, rest, *_):
+    kind, _, expr = rest.partition(" ")
+    f = parse_fn_expr(cfg, expr.strip(), env, line_no)
+    if kind not in _BOUNDS:
+        raise SpecError(line_no, f"unknown bound kind {kind!r}")
+    value, max_m = getattr(verify, _BOUNDS[kind])(f)
+    return {"value": _scalar_str(value),
+            "max_m_not_excluded": "unbounded" if max_m is None else max_m}, True
+
+
+def _run_solve(cfg, env, line_no, rest, options, seed):
+    m = re.match(r"^(\w+)\s+from\s+(\[.*?\]|\S+)\s+(.*)$", rest)
+    if not m:
+        raise SpecError(line_no,
+                        "expected: solve NAME from F shells=a..b max-scale=r [node-cap=N]")
+    name, fam_expr, opt_text = m.groups()
+    name = _name(name, line_no)
+    opts = _options(_KEYVAL.findall(opt_text), options, line_no)
+    shells = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", opts.get("shells", ""))
+    if not shells:
+        raise SpecError(line_no, "expected shells=a..b with integers a, b")
+    max_scale = _int_option(opts, "max-scale", None, line_no)
+    node_cap = _int_option(opts, "node-cap", 2_000_000, line_no, minimum=1)
+    fam = _operand("sets", cfg, fam_expr, env, line_no)
+    stray = _KEYVAL.sub("", opt_text).split()
+    if stray:
+        raise SpecError(line_no, f"unexpected {stray[0]!r}; options are KEY=VALUE")
+    shells = int(shells[1]), int(shells[2])
+    result = construct.solve_complement(fam, shells, max_scale, node_cap=node_cap)
+    if result.status == "sat":
+        env[name] = result.complement
+    return {"result": result.as_json()}, result.status == "sat"
+
+
+def _run_simulate(cfg, env, line_no, rest, options, seed):
+    kind, _, args = rest.partition(" ")
+    if kind not in ("parseval", "gram"):
+        raise SpecError(line_no, f"unknown simulate kind {kind!r}")
+    opts = _options(_KEYVAL.findall(args), options, line_no)
+    window = re.fullmatch(r"(\d+),(\d+)", opts.get("window", ""))
+    if not window and (kind == "parseval" or "window" in opts):
+        raise SpecError(line_no, "expected window=R,S with integers R, S >= 0")
+    trials = _int_option(opts, "trials", 0, line_no, minimum=0)
+    jmax = _int_option(opts, "jmax", 2, line_no)
+    kmax = _int_option(opts, "kmax", 8, line_no)
+    fns = _operand("fns", cfg, _KEYVAL.sub("", args), env, line_no)
+    if kind == "gram":
+        one, zero = CycloScalar.rational(cfg.p, cfg.q, 1), CycloScalar.zero(cfg.p, cfg.q)
+        bad = sum(framesim.gram_entry(fns, (0, 0), (j, k)) != (one if (j, k) == (0, 0) else zero)
+                  for j in range(-jmax, jmax + 1) for k in range(kmax))
+        return {"non_delta_entries": bad}, not bad
+    model = framesim.FiniteModel(cfg, int(window[1]), int(window[2]))
+    rng = random.Random(seed)
+    residuals = chain((r for _, r in framesim.mesh_delta_residuals(model, fns)),
+                      (framesim.parseval_residual(model, fns, model.random_step(rng))[0]
+                       for _ in range(trials)))
+    bad = [r for r in residuals if not r.is_zero()]
+    last = {"last_residual": _scalar_str(bad[-1])} if bad else {}
+    return {"nonzero_residuals": len(bad), **last}, not bad
+
+
+# directive keyword -> (handler, scope, the keys of its KEY=VALUE options).
+# handler(cfg, env, line_no, rest, options, seed) returns (the fields of the
+# report entry, whether the directive passed).  Scope "definition": it binds
+# a name, every `lfw` subcommand runs it, and a ValueError in it is a
+# SpecError; "spec": `lfw KEYWORD SPEC` runs the whole spec; "kind":
+# `lfw KEYWORD SPEC` runs the definitions and the directives of this keyword.
+_DIRECTIVES = {
+    "set": (_definer("set", lambda S: {"set": S.as_json()}), "definition", ()),
+    "fn": (_definer("fn", lambda f: {"cells": len(f.cells)}), "definition", ()),
+    "family": (_definer("family", lambda F: {"size": len(F)}), "definition", ()),
+    "check": (_run_check, "spec", ()),
+    "bound": (_run_bound, "kind", ()),
+    "solve": (_run_solve, "kind", ("shells", "max-scale", "node-cap")),
+    "simulate": (_run_simulate, "kind", ("window", "trials", "jmax", "kmax")),
+}
 
 
 def run(doc: SpecDocument, seed: int = 0) -> dict:
     cfg = doc.config
     env: dict = {}
-    report = {
-        "field": {"p": cfg.p, "c": cfg.c, "q": cfg.q} if cfg else {},
-        "directives": [],
-        "passed": True,
-    }
+    field = {"p": cfg.p, "c": cfg.c, "q": cfg.q} if cfg else {}
+    report = {"field": field, "directives": [], "passed": True}
     for line_no, keyword, rest in doc.statements:
         entry = {"line": line_no, "directive": f"{keyword} {rest}"}
+        handler, scope, options = _DIRECTIVES[keyword]
         try:
-            if keyword == "set":
-                name, _, expr = rest.partition("=")
-                env[name.strip()] = parse_set_expr(cfg, expr, env, line_no)
-                entry["set"] = env[name.strip()].as_json()
-            elif keyword == "fn":
-                name, _, expr = rest.partition("=")
-                env[name.strip()] = parse_fn_expr(cfg, expr, env, line_no)
-                entry["cells"] = len(env[name.strip()].cells)
-            elif keyword == "family":
-                name, _, expr = rest.partition("=")
-                expr = expr.strip()
-                fn, args = _call(expr, line_no)
-                if expr == "shannon":
-                    fam = construct.shannon_family(cfg)
-                elif fn in _STOCK_FAMILIES:
-                    fam = _STOCK_FAMILIES[fn](cfg, _int(args[0]))
-                elif expr.startswith("["):
-                    items = _list_items(expr, line_no)
-                    try:
-                        fam = [parse_set_expr(cfg, a, env, line_no) for a in items]
-                    except SpecError:
-                        fam = [parse_fn_expr(cfg, a, env, line_no) for a in items]
-                else:
-                    raise SpecError(line_no, f"unknown family {expr!r}")
-                env[name.strip()] = fam
-                entry["size"] = len(fam)
-            elif keyword == "check":
-                verdict = _run_check(cfg, rest, env, line_no)
-                entry["verdict"] = verdict.as_json()
-                if not verdict.passed:
-                    report["passed"] = False
-            elif keyword == "bound":
-                kind, _, expr = rest.partition(" ")
-                f = parse_fn_expr(cfg, expr.strip(), env, line_no)
-                if kind == "decomposability":
-                    value, max_m = verify.decomposability_bound(f)
-                elif kind == "extendability":
-                    value, max_m = verify.extendability_bound(f)
-                else:
-                    raise SpecError(line_no, f"unknown bound kind {kind!r}")
-                entry["value"] = _scalar_str(value)
-                entry["max_m_not_excluded"] = (
-                    "unbounded" if max_m is None else max_m
-                )
-            elif keyword == "solve":
-                m = re.match(r"^(\w+)\s+from\s+(\[.*?\]|\S+)\s+(.*)$", rest)
-                if not m:
-                    raise SpecError(
-                        line_no, "expected: solve NAME from F shells=a..b max-scale=r [node-cap=N]"
-                    )
-                name, fam_expr, opt_text = m.groups()
-                opts = _options(opt_text)
-                shells = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", opts.get("shells", ""))
-                if not shells:
-                    raise SpecError(line_no, "expected shells=a..b with integers a, b")
-                max_scale = _int_option(opts, "max-scale", None, line_no)
-                node_cap = _int_option(opts, "node-cap", 2_000_000, line_no, minimum=1)
-                fam = _name_list(cfg, fam_expr, env, line_no, "set")
-                result = construct.solve_complement(
-                    fam, (int(shells[1]), int(shells[2])), max_scale, node_cap=node_cap
-                )
-                entry["result"] = result.as_json()
-                if result.status == "sat":
-                    env[name] = result.complement
-                else:
-                    report["passed"] = False
-            elif keyword == "simulate":
-                kind, _, args = rest.partition(" ")
-                if kind not in ("parseval", "gram"):
-                    raise SpecError(line_no, f"unknown simulate kind {kind!r}")
-                opts = _options(args)
-                window = re.fullmatch(r"(\d+),(\d+)", opts.get("window", ""))
-                if not window and (kind == "parseval" or "window" in opts):
-                    raise SpecError(
-                        line_no, "expected window=R,S with integers R, S >= 0"
-                    )
-                trials = _int_option(opts, "trials", 0, line_no, minimum=0)
-                jmax = _int_option(opts, "jmax", 2, line_no)
-                kmax = _int_option(opts, "kmax", 8, line_no)
-                fns = _name_list(cfg, _KEYVAL.sub("", args), env, line_no, "fn")
-                if kind == "parseval":
-                    model = framesim.FiniteModel(cfg, int(window[1]), int(window[2]))
-                    rng = random.Random(seed)
-                    worst = CycloScalar.zero(cfg.p, cfg.q)
-                    failures = 0
-                    for _, residual in framesim.mesh_delta_residuals(model, fns):
-                        if not residual.is_zero():
-                            failures += 1
-                            worst = residual
-                    for _ in range(trials):
-                        f = model.random_step(rng)
-                        residual, _ = framesim.parseval_residual(model, fns, f)
-                        if not residual.is_zero():
-                            failures += 1
-                            worst = residual
-                    entry["nonzero_residuals"] = failures
-                    if failures:
-                        entry["last_residual"] = _scalar_str(worst)
-                        report["passed"] = False
-                else:
-                    bad = 0
-                    for j1 in range(-jmax, jmax + 1):
-                        for k1 in range(kmax):
-                            g = framesim.gram_entry(fns, (0, 0), (j1, k1))
-                            want = (
-                                CycloScalar.rational(cfg.p, cfg.q, 1)
-                                if (j1, k1) == (0, 0)
-                                else CycloScalar.zero(cfg.p, cfg.q)
-                            )
-                            if g != want:
-                                bad += 1
-                    entry["non_delta_entries"] = bad
-                    if bad:
-                        report["passed"] = False
+            fields, passed = handler(cfg, env, line_no, rest, options, seed)
+            entry.update(fields)
         except SpecError:
             raise
         except (ValueError, KeyError) as exc:
             # a malformed definition, integer or element names its line; only
             # the mathematics of a well-formed directive is an error entry
-            if keyword in ("set", "fn", "family") or isinstance(exc, ElementSyntaxError):
+            if scope == "definition" or isinstance(exc, ElementSyntaxError):
                 raise SpecError(line_no, str(exc)) from None
             entry["error"] = str(exc)
-            report["passed"] = False
+            passed = False
+        report["passed"] = report["passed"] and passed
         report["directives"].append(entry)
     return report
 
@@ -515,10 +502,8 @@ def _run_file(path: str, seed: int, json_path: str | None, only: str | None = No
     with open(path, encoding="utf-8") as fh:
         doc = parse_spec(fh.read())
     if only is not None:
-        doc.statements = [
-            s for s in doc.statements
-            if s[1] in ("set", "fn", "family", only)
-        ]
+        doc.statements = [s for s in doc.statements
+                          if s[1] == only or _DIRECTIVES[s[1]][1] == "definition"]
     report = run(doc, seed=seed)
     text = json.dumps(report, indent=2, sort_keys=True)
     if json_path:
@@ -528,36 +513,40 @@ def _run_file(path: str, seed: int, json_path: str | None, only: str | None = No
     return 0 if report["passed"] else 1
 
 
+# `lfw construct WHAT`: a stock family, or the Parseval frame wavelet set p^m O*
+_CONSTRUCTS = {**_FAMILIES, "shell": ("m", lambda cfg, m=1: construct.shell_wavelet(cfg, m))}
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="lfw",
-        description="exact wavelet-set verification on local fields of "
-                    "positive characteristic",
-    )
+    parser = argparse.ArgumentParser(prog="lfw", description="exact wavelet-set verification "
+                                     "on local fields of positive characteristic")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, only in (
-        ("check", None), ("bound", "bound"), ("solve", "solve"),
-        ("simulate", "simulate"),
-    ):
-        sp = sub.add_parser(name)
-        sp.add_argument("spec")
-        sp.add_argument("--json", dest="json_path")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.set_defaults(only=only)
+    for keyword, (_, scope, _) in _DIRECTIVES.items():
+        if scope != "definition":
+            sp = sub.add_parser(keyword)
+            sp.add_argument("spec")
+            sp.add_argument("--json", dest="json_path")
+            sp.add_argument("--seed", type=int, default=0)
+            sp.set_defaults(only=keyword if scope == "kind" else None)
 
     cp = sub.add_parser("construct")
     cp.add_argument("what", choices=list(_CONSTRUCTS))
     cp.add_argument("--p", type=int, required=True)
     cp.add_argument("--c", type=int, default=1)
-    cp.add_argument("--m", type=int, default=1)
-    cp.add_argument("--n", type=int, default=2)
+    cp.add_argument("--m", type=int)
+    cp.add_argument("--n", type=int)
 
     args = parser.parse_args(argv)
     try:
         if args.command != "construct":
             return _run_file(args.spec, args.seed, args.json_path, args.only)
-        built = _CONSTRUCTS[args.what](FieldConfig(args.p, args.c), args)
+        param, build = _CONSTRUCTS[args.what]
+        given = {k: v for k, v in (("m", args.m), ("n", args.n)) if v is not None}
+        extra = sorted(given.keys() - {param})
+        if extra:
+            raise ValueError(f"{args.what} takes no --{extra[0]}")
+        built = build(FieldConfig(args.p, args.c), **given)
     except ValueError as exc:  # a malformed spec or bad construct parameters
         print(f"lfw: {exc}", file=sys.stderr)
         return 2

@@ -247,6 +247,12 @@ def test_main_construct_and_exit_codes(tmp_path, capsys):
         ("tower --p 2 --n 1", "tower needs length >= 2"),
         ("shell-tuple --p 3 --n 0", "tuple length must be >= 1"),
         ("shannon --p 2 --c 5", "extension degree must be in [1, 4], got 5"),
+        # a parameter the construct does not take
+        ("tower --p 2 --m 3", "tower takes no --m"),
+        ("shannon --p 3 --n 2", "shannon takes no --n"),
+        ("shannon --p 3 --m 1 --n 2", "shannon takes no --m"),
+        ("shell --p 2 --n 2", "shell takes no --n"),
+        ("scaled-shannon --p 3 --n 1", "scaled-shannon takes no --n"),
     ]:
         assert main(["construct", *argv.split()]) == 2
         out = capsys.readouterr()
@@ -388,11 +394,58 @@ def test_front_end_errors_name_their_line():
          "solve X from T shells=-1..1 max-scale=2 node-cap=0\n", 3),
         ("field {p=2}\nfamily T = tower(2)\n"
          "solve X from T shells=-1..1 max-scale=2 node-cap=many\n", 3),
+        # an unknown or repeated option, or stray text among the options
+        ("field {p=2}\nfamily T = tower(2)\n"
+         "solve X from T shells=-1..1 max-scale=2 nodecap=1\n", 3),
+        ("field {p=2}\nfamily T = tower(2)\n"
+         "solve X from T shells=-1..1 max-scale=2 max-scale=3\n", 3),
+        ("field {p=2}\nfamily T = tower(2)\n"
+         "solve X from T shells=-1..1 max-scale=2 node-cap 5\n", 3),
+        ("field {p=2}\nfn a = indicator(O*)\nsimulate parseval [a] window=1,1 trial=3\n", 3),
+        ("field {p=2}\nfn a = indicator(O*)\nsimulate gram [a] jmax=1 bogus=1\n", 3),
+        ("field {p=2}\nfn a = indicator(O*)\nsimulate gram [a] window=1,1 window=0,0\n", 3),
+        ("field {p=2}\nfn a = indicator(O*)\n"
+         "simulate parseval [a] window=1,1 window=0,0\n", 3),
+        ("field {p=2, q=3}\nset A = O*\n", 1),
+        ("field {p=2, c=1, c=2}\nset A = O*\n", 1),
+        ("field {p=2, 3}\nset A = O*\n", 1),
     ]
     for text, line in cases:
         with pytest.raises(SpecError) as err:
             run_text(text)
         assert err.value.line_no == line, text
+
+
+def test_definition_names_are_words_other_than_O():
+    # O is the integers, so a set named O could never be read back
+    for text in ("set O = shell(1)\ncheck dilation O\n", "set A B = O*\n",
+                 "fn = indicator(O*)\n", "fn f(x) = indicator(O*)\n",
+                 "family O = shannon\n", "family F G = shannon\n",
+                 "solve O from [shell(0)] shells=-1..1 max-scale=2\n"):
+        with pytest.raises(SpecError, match="expected a name") as err:
+            run_text("field {p=2}\n" + text)
+        assert err.value.line_no == 2, text
+    report = run_text("field {p=2}\nset A_1 = O*\nfn f2 = indicator(A_1)\n"
+                      "family O2 = [f2]\ncheck frame O2\ncheck dilation A_1\n")
+    assert [("error" in e) for e in report["directives"]] == [False] * 5
+
+
+def test_filter_subcommands_run_the_definitions_and_one_kind(tmp_path, capsys):
+    """`lfw bound|solve|simulate SPEC` runs the definitions (lines 6-14 of
+    the spec) and the directives of that kind, each entry as `lfw check`
+    reports it; the exit status is that of those directives."""
+    golden = json.loads((SPECS / "every_directive_p5.json").read_text())
+    entries = {e["line"]: e for e in golden["directives"]}
+    definitions = list(range(6, 15))
+    for sub, lines, status in (("bound", [26, 27], 0), ("solve", [28], 1),
+                               ("simulate", [29, 30, 31], 1)):
+        out = tmp_path / f"{sub}.json"
+        assert main([sub, str(SPECS / "every_directive_p5.lfw"), "--json", str(out)]) == status
+        capsys.readouterr()
+        report = json.loads(out.read_text())
+        assert [e["line"] for e in report["directives"]] == definitions + lines, sub
+        assert report["directives"] == [entries[n] for n in definitions + lines], sub
+        assert report["field"] == golden["field"]
 
 
 def assert_report_pinned(spec, tmp_path, capsys):
