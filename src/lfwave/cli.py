@@ -237,10 +237,18 @@ def _parse_family(cfg, text, env, line_no):
         return stock[1](cfg, *map(_int, args or ()))
     if text.startswith("["):
         items = _list_items(text, line_no)
-        try:
-            return [parse_set_expr(cfg, a, env, line_no) for a in items]
-        except SpecError:
-            return [parse_fn_expr(cfg, a, env, line_no) for a in items]
+        failed = []  # (items read, error) of each reading
+        for parse in (parse_set_expr, parse_fn_expr):
+            out = []
+            try:
+                for a in items:
+                    out.append(parse(cfg, a, env, line_no))
+                return out
+            except SpecError as exc:
+                failed.append((len(out), exc))
+        # the error of the reading that got further, the functions' on a tie
+        (n_sets, set_error), (n_fns, fn_error) = failed
+        raise set_error if n_sets > n_fns else fn_error
     raise SpecError(line_no, f"unknown family {text!r}")
 
 

@@ -199,12 +199,13 @@ class Ball:
         return {"center": format_element(self.center), "scale": self.scale}
 
 
-def ancestor_keys(key, t0: int):
-    """Sort keys of the balls at scales t0..scale containing the ball with
-    sort key `key` (of that scale), coarsest first."""
+def parent_key(key):
+    """Sort key of the ball one scale coarser holding the ball with sort key
+    `key`: its digit at exponent scale - 1, if any, is dropped."""
     scale, digits = key
-    for t in range(t0, scale + 1):
-        yield t, digits[:bisect_left(digits, (t,))]
+    if digits and digits[-1][0] == scale - 1:
+        digits = digits[:-1]
+    return scale - 1, digits
 
 
 def translated_keys(u: FieldElement, keys):

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .clopen import (Ball, ClopenSet, ancestor_keys, fractional_ideal, integers, joint_fold,
+from .clopen import (Ball, ClopenSet, fractional_ideal, integers, joint_fold, parent_key,
                      shell, translated_keys, units)
 from .gfq import FieldConfig
 from .lfield import coset_rep
@@ -156,27 +156,15 @@ def _solver_preconditions(existing, config) -> tuple[Verdict, ClopenSet]:
     return v, target
 
 
-def _bits(mask):
-    """Indices of the set bits of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _exact_cover(columns, rows, node_cap):
-    """Deterministic Algorithm X over integer bitsets: `columns[c]` is the
-    mask of the rows covering column c, `rows[r]` the mask of the columns
-    row r covers.  Each node branches on the first uncovered column with the
-    fewest live rows and tries its rows lowest id first; choosing row r
-    drops every row that shares a column with it.  Returns (solution row
+def _exact_cover(columns, rows, clash, node_cap):
+    """Deterministic Algorithm X (Knuth, "Dancing Links", arXiv cs/0011047)
+    over integer bitsets: `columns[c]` is the mask of the rows covering
+    column c, `rows[r]` the mask of the columns row r covers, and `clash[r]`
+    the mask of the rows sharing a column with row r (itself included); the
+    caller builds all three tables.  Each node branches on the first
+    uncovered column with the fewest live rows and tries its rows lowest id
+    first; choosing row r drops the rows of clash[r].  Returns (solution row
     ids, nodes) or (None, nodes); raises _CapExceeded beyond node_cap."""
-    clash = []
-    for cols in rows:
-        m = 0
-        for c in _bits(cols):
-            m |= columns[c]
-        clash.append(m)
     live = (1 << len(rows)) - 1
     uncovered = (1 << len(columns)) - 1
     stack = []  # (live, uncovered, untried) of every open node
@@ -220,29 +208,50 @@ class _CapExceeded(Exception):
     pass
 
 
+def _cell_levels(balls, t):
+    """The cell tree of the disjoint `balls` down to scale t (at least each
+    ball's scale): per scale, coarsest first, the sort keys of the sub-balls
+    at that scale in sort-key order.  The last level holds the atoms."""
+    return [sorted(k for b in balls if b.scale <= s for k in b.sub_keys(s))
+            for s in range(min(b.scale for b in balls), t + 1)]
+
+
+def _tree_masks(levels, first, rows_at):
+    """Masks on a cell tree from _cell_levels, one pass per scale each way.
+    The atoms take bits first, first+1, ... in key order, and a key's atom
+    mask is the OR of its children's; `rows_at` maps a key to the mask of
+    the rows whose cell it is.  Returns per key the atoms under it and the
+    rows whose cell meets it, at, above or below it: two cells meet exactly
+    when one holds the other.  For an atom these are the rows covering it."""
+    under = {key: 1 << i for i, key in enumerate(levels[-1], first)}
+    below, above = {}, {}
+    for keys in reversed(levels):
+        for key in keys:
+            mask = below[key] = below.get(key, 0) | rows_at.get(key, 0)
+            up = parent_key(key)
+            under[up] = under.get(up, 0) | under[key]
+            below[up] = below.get(up, 0) | mask
+    for keys in levels:
+        for key in keys:
+            above[key] = above.get(parent_key(key), 0) | rows_at.get(key, 0)
+    return under, {key: above[key] | below[key] for key in above}
+
+
 def _candidates(config, target, shells, r):
-    """(fold atom count, unit atom count, row masks, cell keys) of the cells
-    X + u(l) in `shells`, X a target sub-ball of scale <= r, by coset l then X.
-    Columns: fold atoms, then unit atoms, each in sort-key order; a row covers
-    the fold atoms under X and the unit atoms under the normalized cell."""
+    """(fold atom count, unit atom count, row masks, cell keys, column masks,
+    clash masks) of the cells X + u(l) in `shells`, X a target sub-ball of
+    scale <= r, by coset l then X.  Columns: fold atoms, then unit atoms,
+    each in sort-key order; a row covers the fold atoms under X and the unit
+    atoms under the normalized cell.  A column's mask holds the rows at or
+    above its atom, and a row clashes with the rows at, above or below its
+    fold cell or its normalized cell: these are read off each universe's
+    cell tree, with no walk over the bits of a mask."""
     lo, hi = shells
-    fold_atoms = sorted(k for b in target.balls for k in b.sub_keys(r))
-    unit_atoms = sorted(k for b in units(config).balls for k in b.sub_keys(r - lo))
+    fold_levels = _cell_levels(target.balls, r)
+    unit_levels = _cell_levels(units(config).balls, max(r - lo, 1))
+    sub_keys = [k for keys in fold_levels for k in keys]
 
-    def under(atoms, first):
-        table = {}
-        for i, key in enumerate(atoms, first):
-            for anc in ancestor_keys(key, 0):
-                table[anc] = table.get(anc, 0) | 1 << i
-        return table
-
-    fold_under = under(fold_atoms, 0)
-    unit_under = under(unit_atoms, len(fold_atoms))
-    sub_keys = sorted(k for b in target.balls for t in range(b.scale, r + 1)
-                      for k in b.sub_keys(t))
-    fold_rows = [fold_under[k] for k in sub_keys]
-
-    rows, row_keys = [], []
+    cells, row_keys = [], []  # (X, normalized key) and cell key per row
     l = 0
     while True:
         ul = coset_rep(config, l)
@@ -250,13 +259,24 @@ def _candidates(config, target, shells, r):
             break
         # for l > 0 every cell X + u(l) lies in the shell of u(l)
         if not l or ul.valuation() <= hi:
-            for fold, (cell, s, norm) in zip(fold_rows, translated_keys(ul, sub_keys)):
+            for X, (cell, s, norm) in zip(sub_keys, translated_keys(ul, sub_keys)):
                 if not l and (s is None or not lo <= s <= hi):
                     continue
-                rows.append(unit_under[norm] | fold)
+                cells.append((X, norm))
                 row_keys.append(cell)
         l += 1
-    return len(fold_atoms), len(unit_atoms), rows, row_keys
+
+    fold_at, unit_at = {}, {}
+    for i, (X, norm) in enumerate(cells):
+        fold_at[X] = fold_at.get(X, 0) | 1 << i
+        unit_at[norm] = unit_at.get(norm, 0) | 1 << i
+    fold_atoms, unit_atoms = fold_levels[-1], unit_levels[-1]
+    f_under, f_meets = _tree_masks(fold_levels, 0, fold_at)
+    u_under, u_meets = _tree_masks(unit_levels, len(fold_atoms), unit_at)
+    rows = [f_under[X] | u_under[norm] for X, norm in cells]
+    clash = [f_meets[X] | u_meets[norm] for X, norm in cells]
+    columns = [f_meets[k] for k in fold_atoms] + [u_meets[k] for k in unit_atoms]
+    return len(fold_atoms), len(unit_atoms), rows, row_keys, columns, clash
 
 
 def solve_complement(existing, shells: tuple[int, int], max_scale: int,
@@ -311,11 +331,8 @@ def solve_complement(existing, shells: tuple[int, int], max_scale: int,
     if r < t_min:
         raise ValueError(f"max_scale {r} below target resolution {t_min}")
 
-    fold_count, unit_count, rows, row_keys = _candidates(config, target, shells, r)
-    columns = [0] * (fold_count + unit_count)
-    for i, m in enumerate(rows):
-        for c in _bits(m):
-            columns[c] |= 1 << i
+    fold_count, unit_count, rows, row_keys, columns, clash = \
+        _candidates(config, target, shells, r)
     if not all(columns):
         return SolveResult(
             status="unsat",
@@ -325,7 +342,7 @@ def solve_complement(existing, shells: tuple[int, int], max_scale: int,
         )
 
     try:
-        picked, nodes = _exact_cover(columns, rows, node_cap)
+        picked, nodes = _exact_cover(columns, rows, clash, node_cap)
     except _CapExceeded:
         return SolveResult(status="cap",
                            stats={"candidates": len(rows), "node_cap": node_cap})

@@ -334,11 +334,15 @@ def mesh_delta_residuals(model: FiniteModel, psis):
 
     Each analysis layer (psi, j) is tabled once: its dilated cells of scale
     <= S by their sort key, and its finer cells grouped under the ancestor
-    key of their scale-S host.  For an atom away from zero, the coefficient
-    cells are then the one coarse cell holding it, found by the atom's
-    ancestor key at each coarse scale (the cells are disjoint), or else the
-    fine cells inside it.  The zero atom goes through the general path (it
-    needs the geometric tail).
+    key of their scale-S host.  The hits are then filed across layers: one
+    table per coarse scale s maps a scale-s key to the (layer, key) hits of
+    the layers holding that cell, and one table maps a scale-S host key to
+    the layers with fine cells inside it.  A layer's cells are disjoint, so
+    an atom away from zero meets a layer at most once, in the one coarse
+    cell holding it or in its fine cells.  Its hits are thus one lookup of
+    its ancestor key per coarse scale plus one host lookup, sorted into
+    layer order.  The zero atom goes through the general path (it needs the
+    geometric tail).
 
     The k-sum of a single cell does not depend on its centre, so the energy
     term of a coarse cell is the same for every atom under it: it is computed
@@ -350,7 +354,9 @@ def mesh_delta_residuals(model: FiniteModel, psis):
     cfg = model.config
     S = model.S
     one = _rat(cfg, 1)  # the value of a delta
-    layers = []
+    layers = []  # (j, coarse cells by key, fine cells by host key)
+    by_scale = {}  # coarse scale -> {key: [(layer index, key), ...]}
+    hosts = {}  # scale-S key -> [(layer index, None), ...]
     for psi in psis:
         model.check_analyzer(psi)
         _check_away_from_zero(psi)
@@ -358,14 +364,19 @@ def mesh_delta_residuals(model: FiniteModel, psis):
             continue
         pa, pb, _ = shell_range([psi])
         for j in range(pa - (model.R + S), pb + model.R + 1):
+            i = len(layers)
             coarse, fine = {}, {}
             for ball, v in psi.precompose(-j).cells:
                 if ball.scale <= S:
-                    coarse[ball.sort_key()] = v
+                    key = ball.sort_key()
+                    coarse[key] = v
+                    by_scale.setdefault(ball.scale, {}).setdefault(key, []).append((i, key))
                 else:
                     fine.setdefault(ball.ancestor_key(S), []).append((ball, v))
-            layers.append((j, coarse, sorted({s for s, _ in coarse}), fine))
-    scales = sorted({s for _, _, layer_scales, _ in layers for s in layer_scales})
+            for key in fine:
+                hosts.setdefault(key, []).append((i, None))
+            layers.append((j, coarse, fine))
+    tables = sorted(by_scale.items())
     norm = _q_pow(cfg, -S)  # ||delta||^2
     terms = {}  # (layer index, coarse key) -> energy term of that cell
     residuals = {}  # tuple of coarse hits -> residual
@@ -376,7 +387,7 @@ def mesh_delta_residuals(model: FiniteModel, psis):
     def residual(a, hits):
         r = norm
         for i, key in hits:
-            j, coarse, _, fine = layers[i]
+            j, coarse, fine = layers[i]
             if key is None:
                 t = term(j, fine[a.sort_key()])
             else:
@@ -392,19 +403,12 @@ def mesh_delta_residuals(model: FiniteModel, psis):
             delta = StepFunction.indicator(ClopenSet.from_ball(a))
             out.append((a, parseval_residual(model, psis, delta)[0]))
             continue
-        up = {s: a.ancestor_key(s) for s in scales}
-        own = a.sort_key()
         hits = []  # (layer index, coarse key, or None for the fine cells in a)
-        for i, (_, coarse, layer_scales, fine) in enumerate(layers):
-            for s in layer_scales:
-                if up[s] in coarse:
-                    hits.append((i, up[s]))
-                    break
-            else:
-                if own in fine:
-                    hits.append((i, None))
-        hits = tuple(hits)
-        if any(key is None for _, key in hits):
+        for s, table in tables:
+            hits += table.get(a.ancestor_key(s), ())
+        fine_hits = hosts.get(a.sort_key(), [])
+        hits = tuple(sorted(hits + fine_hits))
+        if fine_hits:
             out.append((a, residual(a, hits)))
             continue
         r = residuals.get(hits)

@@ -5,11 +5,13 @@ first, are its coordinates over GF(p) in the power basis 1, e, ..., e**(c-1)
 of a root e of a monic irreducible modulus polynomial: 0 is zero, 1 is one.
 FieldConfig computes on indices with O(q) tables built on first use: exp/log
 of a primitive element g, Zech logarithms log(1 + g**n) for sums, negation
-and trace.  FqElement wraps an index for operator syntax.  No global state.
+and trace.  FqElement wraps an index for operator syntax.  The only global
+state is a cache of default moduli by (p, c).
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from operator import mul
 
@@ -88,6 +90,12 @@ def default_modulus(p: int, c: int):
     raise ValueError(f"no irreducible polynomial of degree {c} over GF({p})")
 
 
+@cache
+def _default_modulus(p: int, c: int):
+    """default_modulus(p, c), searched once per (p, c) a process uses."""
+    return default_modulus(p, c)
+
+
 _TABLES = ("_exp", "_log", "_zech", "_neg", "_trace")
 
 
@@ -102,12 +110,13 @@ class FieldConfig:
         if not 1 <= c <= 4:
             raise ValueError(f"extension degree must be in [1, 4], got {c}")
         if modulus is None:
-            modulus = default_modulus(p, c)
-        modulus = tuple(x % p for x in modulus)
-        if len(modulus) != c + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree c")
-        if not is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
+            modulus = _default_modulus(p, c)  # irreducible by construction
+        else:
+            modulus = tuple(x % p for x in modulus)
+            if len(modulus) != c + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree c")
+            if not is_irreducible(modulus, p):
+                raise ValueError(f"modulus {modulus} is reducible over GF({p})")
         self.p = p
         self.c = c
         self.q = p**c

@@ -409,11 +409,18 @@ def test_front_end_errors_name_their_line():
         ("field {p=2, q=3}\nset A = O*\n", 1),
         ("field {p=2, c=1, c=2}\nset A = O*\n", 1),
         ("field {p=2, 3}\nset A = O*\n", 1),
+        # an inline list is read as sets and as functions; the error is the
+        # one of the reading that got further, so it names the bad item
+        ("field {p=2}\nfamily F = [O*, bogus]\n", 2, "unknown set 'bogus'"),
+        ("field {p=2}\nfn f = indicator(O*)\nfamily F = [f, O*]\n", 3,
+         "unknown function expression 'O*'"),
+        ("field {p=2}\nset A = O*\nfamily F = [A, bogus, O*]\n", 3, "'bogus'"),
     ]
-    for text, line in cases:
+    for text, line, *message in cases:
         with pytest.raises(SpecError) as err:
             run_text(text)
         assert err.value.line_no == line, text
+        assert all(m in str(err.value) for m in message), (text, str(err.value))
 
 
 def test_definition_names_are_words_other_than_O():

@@ -268,7 +268,7 @@ def test_candidate_rows_match_ball_based_reference():
             t_min = max(b.scale for b in target.balls)
             for shells in rng.sample(shell_ranges, 5):
                 r = rng.randint(t_min, max(t_min, top))
-                fold, unit, rows, keys = _candidates(cfg, target, shells, r)
+                fold, unit, rows, keys, _, _ = _candidates(cfg, target, shells, r)
                 ref_fold, ref_unit, ref_rows, cells = \
                     _reference_candidates(cfg, target, shells, r)
                 assert (fold, unit, rows) == (ref_fold, ref_unit, ref_rows), (cfg, shells, r)
@@ -279,11 +279,52 @@ def test_candidate_rows_match_ball_based_reference():
     assert fractional_rows > 100
 
 
+def _transposed(rows, n_cols):
+    """Column masks (the rows covering each column) and clash masks (the
+    rows sharing a column with each row) by a bit-by-bit transposition."""
+    bits = [[c for c, b in enumerate(reversed(bin(m)[2:])) if b == "1"] for m in rows]
+    columns = [0] * n_cols
+    for i, cs in enumerate(bits):
+        for c in cs:
+            columns[c] |= 1 << i
+    clash = []
+    for cs in bits:
+        x = 0
+        for c in cs:
+            x |= columns[c]
+        clash.append(x)
+    return columns, clash
+
+
+def test_solver_masks_match_row_transposition():
+    # the reference grid's fields and shell ranges, plus r - lo <= 1 (unit
+    # atoms at scale 1, or no row at all) and targets with balls at up to
+    # three scales (the family [p^2 O*])
+    seen = {"r-lo<=1": 0, "no rows": 0, "multi-scale": 0}
+    shell_ranges = [(-3, -2), (-2, 0), (-2, 2), (-1, 1), (0, 0), (0, 2), (1, 3), (2, 3)]
+    for cfg, top in ((CFG2, 4), (CFG3, 3), (CFG4, 2)):
+        for family in ([], tower_components(cfg, 2), [shell(cfg, 1)], [shell(cfg, 2)]):
+            target = _solver_preconditions(family, cfg)[1]
+            t_min = max(b.scale for b in target.balls)
+            for shells in shell_ranges:
+                for r in range(t_min, max(t_min, top) + 1):
+                    fold, unit, rows, _, columns, clash = _candidates(cfg, target, shells, r)
+                    ref_fold, ref_unit, ref_rows, _ = \
+                        _reference_candidates(cfg, target, shells, r)
+                    assert (fold, unit, rows) == (ref_fold, ref_unit, ref_rows)
+                    assert (columns, clash) == _transposed(ref_rows, fold + unit), \
+                        (cfg, family, shells, r)
+                    seen["r-lo<=1"] += r - shells[0] <= 1
+                    seen["no rows"] += not rows
+                    seen["multi-scale"] += len({b.scale for b in target.balls}) > 2
+    assert min(seen.values()) >= 10, seen
+
+
 def test_exact_cover_is_not_recursive():
     # a chain of 1,500 singleton rows is 1,500 levels deep
     n = 1500
     masks = [1 << i for i in range(n)]
-    solution, nodes = _exact_cover(masks, masks, 10_000)
+    solution, nodes = _exact_cover(masks, masks, masks, 10_000)
     assert solution == list(range(n))
     assert nodes == n + 1
 
@@ -359,16 +400,18 @@ def _random_cover_instance(rng):
 
 
 def _as_masks(columns, rows):
+    """(column masks, row masks, clash masks) of a set-based instance."""
     index = {c: i for i, c in enumerate(sorted(columns))}
     col_masks = [sum(1 << r for r in columns[c]) for c in sorted(columns)]
     row_masks = [sum(1 << index[e] for e in rows[r]) for r in range(len(rows))]
-    return col_masks, row_masks
+    clash = [sum(1 << r2 for r2 in rows if rows[r2] & rows[r]) for r in range(len(rows))]
+    return col_masks, row_masks, clash
 
 
 def test_exact_cover_matches_set_based_reference():
-    def outcome(search, columns, rows, cap):
+    def outcome(search, *args):
         try:
-            return search(columns, rows, cap)
+            return search(*args)
         except _CapExceeded:
             return "cap"
 

@@ -521,6 +521,47 @@ def test_mesh_sweep_matches_per_atom_reference():
                 assert repr(mesh_delta_residuals(model, psis)) == repr(want)
 
 
+class AtomSlice(FiniteModel):
+    """The window model restricted to a fixed list of its mesh atoms."""
+
+    def __init__(self, base, atoms):
+        super().__init__(base.config, base.R, base.S)
+        self.slice = atoms
+
+    def atoms(self):
+        return iter(self.slice)
+
+
+def fine_hosts(model, psis):
+    """Sort keys of the atoms holding a dilated cell finer than the mesh."""
+    hosts = set()
+    for psi in psis:
+        pa, pb, _ = shell_range([psi])
+        for j in range(pa - (model.R + model.S), pb + model.R + 1):
+            hosts.update(b.ancestor_key(model.S) for b, _ in psi.precompose(-j).cells
+                         if b.scale > model.S)
+    return hosts
+
+
+def test_sliced_mesh_sweep_matches_full_sweep():
+    # every 7th atom from each offset, as a mesh check slices the window,
+    # and the empty slice; the residual caches start afresh in each slice
+    rng = random.Random(16)
+    fine_atoms = 0
+    for cfg, R, S in ((CFG2, 3, 3), (CFG3, 2, 2), (CFG4, 1, 2), (CFG5, 1, 1)):
+        model = FiniteModel(cfg, R, S)
+        atoms = list(model.atoms())
+        for psis in mesh_families(cfg, S, rng):
+            full = mesh_delta_residuals(model, psis)
+            hosts = fine_hosts(model, psis)
+            for i in range(7):
+                part = mesh_delta_residuals(AtomSlice(model, atoms[i::7]), psis)
+                assert repr(part) == repr(full[i::7]), (cfg, i)
+                fine_atoms += sum(a.sort_key() in hosts for a, _ in part)
+            assert mesh_delta_residuals(AtomSlice(model, []), psis) == []
+    assert fine_atoms >= 100
+
+
 def test_mesh_sweep_k_sum_calls(monkeypatch):
     calls = []
     k_sum = fs._k_sum

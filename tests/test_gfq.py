@@ -203,6 +203,30 @@ def test_default_moduli_are_irreducible():
         assert is_irreducible(default_modulus(p, c), p)
 
 
+def test_cached_default_modulus_matches_search():
+    # FieldConfig searches the default modulus once per (p, c); every field
+    # with q <= 125 must get what the uncached search finds, twice over
+    for p in (2, 3, 5, 7, 11):
+        for c in range(1, 5):
+            if p**c <= 125:
+                want = default_modulus(p, c)
+                assert FieldConfig(p, c).modulus == want
+                assert FieldConfig(p, c).modulus == want
+
+
+def test_explicit_modulus_bypasses_the_default_cache():
+    default = FieldConfig(3, 2)
+    other = FieldConfig(3, 2, modulus=(2, 1, 1))  # x^2 + x + 2
+    assert default.modulus == default_modulus(3, 2) != other.modulus == (2, 1, 1)
+    assert other != default
+    assert FieldConfig(3, 2).modulus == default.modulus
+    FieldConfig(2, 2)
+    with pytest.raises(ValueError, match="reducible"):
+        FieldConfig(2, 2, modulus=[1, 0, 1])
+    with pytest.raises(ValueError, match="monic"):
+        FieldConfig(2, 2, modulus=[1, 1])
+
+
 def test_config_mismatch_rejected():
     a = FieldConfig(2, 1).one
     b = FieldConfig(3, 1).one
