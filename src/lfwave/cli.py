@@ -400,9 +400,9 @@ _BOUNDS = {"decomposability": "decomposability_bound", "extendability": "extenda
 
 def _run_bound(cfg, env, line_no, rest, *_):
     kind, _, expr = rest.partition(" ")
-    f = parse_fn_expr(cfg, expr.strip(), env, line_no)
     if kind not in _BOUNDS:
         raise SpecError(line_no, f"unknown bound kind {kind!r}")
+    f = parse_fn_expr(cfg, expr.strip(), env, line_no)
     value, max_m = getattr(verify, _BOUNDS[kind])(f)
     return {"value": _scalar_str(value),
             "max_m_not_excluded": "unbounded" if max_m is None else max_m}, True
@@ -441,8 +441,8 @@ def _run_simulate(cfg, env, line_no, rest, options, seed):
     if not window and (kind == "parseval" or "window" in opts):
         raise SpecError(line_no, "expected window=R,S with integers R, S >= 0")
     trials = _int_option(opts, "trials", 0, line_no, minimum=0)
-    jmax = _int_option(opts, "jmax", 2, line_no)
-    kmax = _int_option(opts, "kmax", 8, line_no)
+    jmax = _int_option(opts, "jmax", 2, line_no, minimum=0)
+    kmax = _int_option(opts, "kmax", 8, line_no, minimum=1)
     fns = _operand("fns", cfg, _KEYVAL.sub("", args), env, line_no)
     if kind == "gram":
         one, zero = CycloScalar.rational(cfg.p, cfg.q, 1), CycloScalar.zero(cfg.p, cfg.q)

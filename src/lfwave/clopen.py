@@ -109,26 +109,6 @@ class Ball:
         digits = self._key[1]
         return t, digits[:bisect_left(digits, (t,))]
 
-    def sub_keys(self, t: int):
-        """Sort keys of the sub-balls at scale t, in sort-key order; the
-        ball's own key when t <= scale (the keys of split_to(t))."""
-        scale, digits = self._key
-        if t <= scale:
-            yield self._key
-            return
-        q = self.config.q
-
-        def extend(prefix, e0):
-            # prefix first, then every extension by a nonzero digit at
-            # e0..t-1 in increasing (exponent, digit): sort-key order
-            yield prefix
-            for e in range(e0, t):
-                for i in range(1, q):
-                    yield from extend(prefix + ((e, i),), e + 1)
-
-        for d in extend(digits, scale):
-            yield t, d
-
     def children(self):
         """The q sub-balls one scale finer, in digit index order 0..q-1."""
         return self.split_to(self.scale + 1)
@@ -206,6 +186,14 @@ def parent_key(key):
     if digits and digits[-1][0] == scale - 1:
         digits = digits[:-1]
     return scale - 1, digits
+
+
+def child_keys(key, q: int):
+    """Sort keys of the q balls one scale finer inside the ball with sort key
+    `key`, in sort-key order: no digit at exponent scale first, then digit
+    indices 1..q-1."""
+    scale, digits = key
+    return [(scale + 1, digits)] + [(scale + 1, digits + ((scale, i),)) for i in range(1, q)]
 
 
 def translated_keys(u: FieldElement, keys):

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .clopen import (Ball, ClopenSet, fractional_ideal, integers, joint_fold, parent_key,
-                     shell, translated_keys, units)
+from .clopen import (Ball, ClopenSet, child_keys, fractional_ideal, integers, joint_fold,
+                     parent_key, shell, translated_keys, units)
 from .gfq import FieldConfig
 from .lfield import coset_rep
 from .verify import Verdict, check_dilation_tiling, verify_superwavelet
@@ -211,9 +211,15 @@ class _CapExceeded(Exception):
 def _cell_levels(balls, t):
     """The cell tree of the disjoint `balls` down to scale t (at least each
     ball's scale): per scale, coarsest first, the sort keys of the sub-balls
-    at that scale in sort-key order.  The last level holds the atoms."""
-    return [sorted(k for b in balls if b.scale <= s for k in b.sub_keys(s))
-            for s in range(min(b.scale for b in balls), t + 1)]
+    at that scale in sort-key order.  Each level is the children of the
+    previous one plus the balls at its scale.  The last level holds the atoms."""
+    q = balls[0].config.q
+    levels, keys = [], []
+    for s in range(min(b.scale for b in balls), t + 1):
+        keys = sorted([k for key in keys for k in child_keys(key, q)]
+                      + [b.sort_key() for b in balls if b.scale == s])
+        levels.append(keys)
+    return levels
 
 
 def _tree_masks(levels, first, rows_at):

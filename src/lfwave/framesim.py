@@ -332,31 +332,27 @@ def gram_entry(etas, a: tuple[int, int], b: tuple[int, int]) -> CycloScalar:
 def mesh_delta_residuals(model: FiniteModel, psis):
     """Residuals of all mesh deltas at once.
 
-    Each analysis layer (psi, j) is tabled once: its dilated cells of scale
-    <= S by their sort key, and its finer cells grouped under the ancestor
-    key of their scale-S host.  The hits are then filed across layers: one
-    table per coarse scale s maps a scale-s key to the (layer, key) hits of
-    the layers holding that cell, and one table maps a scale-S host key to
-    the layers with fine cells inside it.  A layer's cells are disjoint, so
-    an atom away from zero meets a layer at most once, in the one coarse
-    cell holding it or in its fine cells.  Its hits are thus one lookup of
-    its ancestor key per coarse scale plus one host lookup, sorted into
-    layer order.  The zero atom goes through the general path (it needs the
-    geometric tail).
-
-    The k-sum of a single cell does not depend on its centre, so the energy
-    term of a coarse cell is the same for every atom under it: it is computed
-    once per (layer, coarse key).  An atom whose every hit is coarse thus has
-    a residual fixed by its tuple of hits, computed once per tuple.  An atom
-    with a fine hit gets its own residual, with the k-sum of its fine cells.
-    Either way the terms are subtracted in layer order.
+    The k-sum of a single cell (b, s, t) at level j is q**max(j+s, 0) *
+    |t|**2: its level weights 1, q - 1, ..., q**L - q**(L-1) telescope, and
+    it does not depend on b.  So a dilated cell (b, v) of layer (psi, j) of
+    scale <= S, which is constant on every atom a under it, takes the energy
+    q**-j * k-sum of (a, S, conj(v) * q**-S) = q**(max(j+S, 0) - j - 2S) * |v|**2
+    from each such atom.  These energies are summed, over all layers, into
+    one table per coarse scale s <= S keyed by the cell's sort key.  The
+    cells finer than S are filed under the key of their scale-S host, with
+    their layer's j.  A layer's cells are disjoint, so an atom away from zero
+    meets a layer at most once, in the one coarse cell holding it or in its
+    fine cells: its residual is ||delta||**2 = q**-S minus one lookup of its
+    ancestor key per coarse scale, minus the k-sum of each fine group in it.
+    Every term is an exact scalar of grade 0 in canonical form, so the order
+    of the sums does not change a residual.  The zero atom goes through the
+    general path (it needs the geometric tail).
     """
     cfg = model.config
     S = model.S
     one = _rat(cfg, 1)  # the value of a delta
-    layers = []  # (j, coarse cells by key, fine cells by host key)
-    by_scale = {}  # coarse scale -> {key: [(layer index, key), ...]}
-    hosts = {}  # scale-S key -> [(layer index, None), ...]
+    coarse = {}  # coarse scale -> {key: energy of the layers' cells with that key}
+    fine = {}  # scale-S key -> [(j, cells finer than S inside it), ...]
     for psi in psis:
         model.check_analyzer(psi)
         _check_away_from_zero(psi)
@@ -364,55 +360,31 @@ def mesh_delta_residuals(model: FiniteModel, psis):
             continue
         pa, pb, _ = shell_range([psi])
         for j in range(pa - (model.R + S), pb + model.R + 1):
-            i = len(layers)
-            coarse, fine = {}, {}
+            weight = _q_pow(cfg, max(j + S, 0) - j - 2 * S)
+            hosted = {}
             for ball, v in psi.precompose(-j).cells:
                 if ball.scale <= S:
+                    table = coarse.setdefault(ball.scale, {})
                     key = ball.sort_key()
-                    coarse[key] = v
-                    by_scale.setdefault(ball.scale, {}).setdefault(key, []).append((i, key))
+                    e = weight * v.abs_sq().reduce_grade()
+                    table[key] = table[key] + e if key in table else e
                 else:
-                    fine.setdefault(ball.ancestor_key(S), []).append((ball, v))
-            for key in fine:
-                hosts.setdefault(key, []).append((i, None))
-            layers.append((j, coarse, fine))
-    tables = sorted(by_scale.items())
+                    hosted.setdefault(ball.ancestor_key(S), []).append((ball, v))
+            for key, cells in hosted.items():
+                fine.setdefault(key, []).append((j, cells))
     norm = _q_pow(cfg, -S)  # ||delta||^2
-    terms = {}  # (layer index, coarse key) -> energy term of that cell
-    residuals = {}  # tuple of coarse hits -> residual
-
-    def term(j, cells):
-        return _q_pow(cfg, -j) * _k_sum(cfg, j, _constant_side_cells(cfg, one, cells))
-
-    def residual(a, hits):
-        r = norm
-        for i, key in hits:
-            j, coarse, fine = layers[i]
-            if key is None:
-                t = term(j, fine[a.sort_key()])
-            else:
-                t = terms.get((i, key))
-                if t is None:
-                    t = terms[i, key] = term(j, [(a, coarse[key])])
-            r = r - t
-        return r
-
     out = []
     for a in model.atoms():
         if a.contains_zero():
             delta = StepFunction.indicator(ClopenSet.from_ball(a))
             out.append((a, parseval_residual(model, psis, delta)[0]))
             continue
-        hits = []  # (layer index, coarse key, or None for the fine cells in a)
-        for s, table in tables:
-            hits += table.get(a.ancestor_key(s), ())
-        fine_hits = hosts.get(a.sort_key(), [])
-        hits = tuple(sorted(hits + fine_hits))
-        if fine_hits:
-            out.append((a, residual(a, hits)))
-            continue
-        r = residuals.get(hits)
-        if r is None:
-            r = residuals[hits] = residual(a, hits)
+        r = norm
+        for s, table in coarse.items():
+            e = table.get(a.ancestor_key(s))
+            if e is not None:
+                r = r - e
+        for j, cells in fine.get(a.sort_key(), ()):
+            r = r - _q_pow(cfg, -j) * _k_sum(cfg, j, _constant_side_cells(cfg, one, cells))
         out.append((a, r))
     return out

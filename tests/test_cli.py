@@ -179,6 +179,10 @@ def test_simulate_options_are_checked():
         ("gram", "jmax=x"),
         ("gram", "kmax=2.0"),
         ("gram", "window=1"),
+        # a gram check over no translations or dilations checks nothing
+        ("gram", "kmax=0"),
+        ("gram", "kmax=-5"),
+        ("gram", "jmax=-1"),
     ]
     for kind, opts in bad:
         with pytest.raises(SpecError) as err:
@@ -377,6 +381,8 @@ def test_front_end_errors_name_their_line():
         # ... and so does one inside a check, bound, solve or simulate expression
         ("field {p=2}\ncheck dilation ball(3, 0)\n", 2),
         ("field {p=2}\nbound decomposability indicator(ball(1, x))\n", 2),
+        # the bound kind is checked before its operand is read
+        ("field {p=2}\nbound bogus indicator(nonsense)\n", 2, "unknown bound kind 'bogus'"),
         ("field {p=2}\nsolve X from [shell(x)] shells=-1..1 max-scale=2\n", 2),
         ("field {p=2}\nsimulate parseval [indicator(translate(O, u(x)))] window=1,1\n", 2),
         ("field {p=2}\nfn a = indicator(O*)\ncheck equivalent [a], []\n", 3),

@@ -12,6 +12,7 @@ from lfwave.clopen import (
     Ball,
     ClopenSet,
     FoldResult,
+    child_keys,
     fold_ball,
     fractional_ideal,
     integers,
@@ -207,10 +208,9 @@ def test_randomized_property_suite():
             for b in A.balls:
                 for k in range(b.scale - 4, b.scale + 1):
                     assert b.ancestor_key(k) == Ball(cfg, b.center, k).sort_key()
-                # key helpers: sub-ball keys, the ball from its key
-                k = b.scale + rng.randrange(-1, 3)
-                assert list(b.sub_keys(k)) == \
-                    [c.sort_key() for c in sorted(b.split_to(k), key=Ball.sort_key)]
+                # key helpers: child keys in sort-key order, the ball from its key
+                assert child_keys(b.sort_key(), cfg.q) == \
+                    sorted(c.sort_key() for c in b.children())
                 assert Ball.from_key(cfg, b.sort_key()) == b
             # translate-and-normalize on keys, for balls inside O and a
             # purely fractional shift

@@ -373,6 +373,11 @@ def test_k_sum_matches_pair_sum():
                 for n in (1, 2, 5, 12):
                     cells = random_k_cells(cfg, rng, j, n, grades)
                     assert _k_sum(cfg, j, cells) == pair_sum_k_sum(cfg, j, cells)
+                    if n == 1:
+                        # the level weights telescope: the mesh sweep's closed form
+                        (_, s, t), = cells
+                        q_l = rat(cfg, Fraction(cfg.q) ** max(j + s, 0))
+                        assert _k_sum(cfg, j, cells) == q_l * t.abs_sq().reduce_grade()
             cells = [c for c in random_k_cells(cfg, rng, j, 6, (1,)) if not c[2].is_zero()]
             cells += random_k_cells(cfg, rng, j, 6, (2,))
             with pytest.raises(ValueError, match="odd half-grade"):
@@ -503,6 +508,8 @@ def mesh_families(cfg, S, rng):
         # the same coarse keys in two layers, with different terms
         [StepFunction(cfg, [(b, z) for b in shell(cfg, 0).balls]
                       + [(b, half) for b in shell(cfg, 1).balls])],
+        # half-grade +-1 values: the closed-form coarse energy at odd grades
+        [ind(shell(cfg, 1), z.q_half_shift(1)), ind(shell(cfg, 2), half.q_half_shift(-1))],
     ]
     families += [[random_analyzer(cfg, rng, 1, S, rng.randint(2, 5))
                   for _ in range(rng.randint(1, 2))] for _ in range(4)]
@@ -516,7 +523,9 @@ def test_mesh_sweep_matches_per_atom_reference():
             if cfg.q ** (R + S) > 125:
                 continue
             model = FiniteModel(cfg, R, S)
-            for psis in mesh_families(cfg, S, rng):
+            # the shell p^-R O*: at R >= 2 a layer j < -S has cells no finer
+            # than the mesh, whose closed-form energy takes q**max(j+S, 0) = 1
+            for psis in mesh_families(cfg, S, rng) + [[ind(shell(cfg, -R))]]:
                 want = reference_mesh_delta_residuals(model, psis)
                 assert repr(mesh_delta_residuals(model, psis)) == repr(want)
 
@@ -574,10 +583,10 @@ def test_mesh_sweep_k_sum_calls(monkeypatch):
     cfg = CFG3
     model = FiniteModel(cfg, 2, 2)
     psis = mesh_families(cfg, 2, random.Random(7))[3] + shannon_spectra(cfg)
-    # 22 layers: 4 k-sums for the zero atom's general path, one per distinct
-    # (layer, coarse cell) hit (10) and one per fine hit (6)
+    # 22 layers: 4 k-sums for the zero atom's general path and one per fine
+    # hit (6); a coarse hit's energy is in closed form and takes none
     mesh_delta_residuals(model, psis)
-    assert len(calls) == 4 + 10 + 6
+    assert len(calls) == 4 + 6
     # the per-atom loop takes one per (atom, layer) hit (90) instead
     calls.clear()
     reference_mesh_delta_residuals(model, psis)
