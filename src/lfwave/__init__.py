@@ -3,7 +3,9 @@ positive characteristic GF(q)((p)).
 
 All arithmetic is exact: field elements are finite-support Laurent series,
 measures are rationals, and character values live in the cyclotomic field
-Q(zeta_p) with a half-integer grade tracking powers of sqrt(q).
+Q(zeta_p), times q**(g/2) with half-grade g of 0 or 1: the dilation factors
+q**(j/2) fold their even part into the rational coordinates, so each value
+has one representation.
 """
 
 from .clopen import Ball, ClopenSet, fractional_ideal, integers, shell, units

@@ -1,19 +1,23 @@
 """Exact scalars for frame computations: Q(zeta_p) graded by half powers of q.
 
-A scalar is  (c_0 + c_1*zeta + ... + c_{p-2}*zeta^{p-2}) * q**(e/2)  with
-rational c_i and integer e.  The power basis 1..zeta^{p-2} gives unique
-coordinates; zeta^{p-1} is rewritten via 1 + zeta + ... + zeta^{p-1} = 0.
-Magnitudes and inner-product sums always cancel the half grade back to an
-integer power of q, so equality checks stay exact and no irrational
-arithmetic is ever needed.
+A scalar is  (c_0 + c_1*zeta + ... + c_{p-2}*zeta^{p-2}) * q**(g/2)  with
+rational c_i and half-grade g in {0, 1}: a factor q**(e/2) is folded on
+construction, its rational part q**(e // 2) into the coordinates, while
+q**(1/2) stays a formal s with s**2 = q, so scalars are the elements of
+Q(zeta_p)[s] / (s**2 - q) (where sqrt(q) lies in Q(zeta_p), s is still
+kept apart).  The power basis 1..zeta^{p-2} gives unique coordinates;
+zeta^{p-1} is rewritten via 1 + zeta + ... + zeta^{p-1} = 0.  Magnitudes
+and inner-product sums cancel the half grade back to grade 0, so equality
+checks stay exact and no irrational arithmetic is ever needed.
 
 The coordinates are stored as one integer vector over one common
-denominator, c_i = nums[i] / den, in canonical form: den > 0 and
-gcd(den, *nums) == 1, and zero is all-zero nums with den 1 and grade 0.
-Equal scalars therefore have equal fields, and the ring operations are
-integer sums, convolutions and one gcd; negation and conjugation permute
-and negate integer coordinates (a unimodular map), so they keep the form
-without a gcd.  `coeffs` rebuilds the rational coordinates for printing.
+denominator, c_i = nums[i] / den, in canonical form: den > 0,
+gcd(den, *nums) == 1, grade 0 or 1, and zero is all-zero nums with den 1
+and grade 0.  Equal scalars therefore have equal fields, across grades too
+(q**(2/2) is the rational q), and the ring operations are integer sums,
+convolutions and one gcd; negation and conjugation permute and negate
+integer coordinates (a unimodular map), so they keep the form without a
+gcd.  `coeffs` rebuilds the rational coordinates for printing.
 """
 
 from __future__ import annotations
@@ -25,23 +29,27 @@ from operator import add, neg
 
 
 class GradeMismatch(ValueError):
-    """Adding scalars carrying distinct nonzero q**(e/2) grades."""
+    """Adding a scalar of grade 0 to one of grade 1."""
+
+
+def _exact(x):
+    """x as an int or Fraction; a float (a binary approximation) is refused."""
+    if isinstance(x, float):
+        raise TypeError(f"inexact value {x!r}: give an int, a Fraction or a string such as '1/3'")
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
 class CycloScalar:
     __slots__ = ("p", "q", "nums", "den", "grade")
 
     def __init__(self, p: int, q: int, coeffs, grade: int = 0):
-        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        coeffs = [_exact(c) for c in coeffs]
         if len(coeffs) != p - 1:
             raise ValueError(f"expected {p - 1} coefficients, got {len(coeffs)}")
-        # lcm of reduced denominators: the numerators share no factor with it
         den = lcm(*(c.denominator for c in coeffs))
-        self.p = p
-        self.q = q
-        self.nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
-        self.den = den
-        self.grade = grade if any(self.nums) else 0
+        r = CycloScalar._reduced(p, q, tuple(c.numerator * (den // c.denominator)
+                                             for c in coeffs), den, grade)
+        self.p, self.q, self.nums, self.den, self.grade = p, q, r.nums, r.den, r.grade
 
     @classmethod
     def _from_parts(cls, p: int, q: int, nums: tuple, den: int, grade: int) -> "CycloScalar":
@@ -56,7 +64,15 @@ class CycloScalar:
 
     @classmethod
     def _reduced(cls, p: int, q: int, nums: tuple, den: int, grade: int) -> "CycloScalar":
-        """nums / den brought to canonical form (all-zero nums end with den 1)."""
+        """nums / den * q**(grade/2) brought to canonical form: the even part
+        q**(grade // 2) folded into nums or den, leaving grade 0 or 1, then the
+        gcd divided out (all-zero nums end with den 1 and grade 0)."""
+        if grade >> 1:
+            h, grade = divmod(grade, 2)
+            if h > 0:
+                nums = tuple([n * q ** h for n in nums])
+            else:
+                den *= q ** -h
         if den != 1:
             g = gcd(den, *nums)
             if g != 1:
@@ -74,12 +90,12 @@ class CycloScalar:
 
     @classmethod
     def rational(cls, p: int, q: int, value, grade: int = 0) -> "CycloScalar":
-        if not isinstance(value, (int, Fraction)):
-            value = Fraction(value)
+        """value times q**(grade/2)."""
+        value = _exact(value)
         if not value:
             return cls.zero(p, q)
-        return cls._from_parts(p, q, (value.numerator,) + (0,) * (p - 2),
-                               value.denominator, grade)
+        return (cls._reduced if grade >> 1 else cls._from_parts)(
+            p, q, (value.numerator,) + (0,) * (p - 2), value.denominator, grade)
 
     @classmethod
     def q_power(cls, p: int, q: int, e: int) -> "CycloScalar":
@@ -96,7 +112,7 @@ class CycloScalar:
             nums = (-1,) * (p - 1)
         else:
             nums = (0,) * t + (1,) + (0,) * (p - 2 - t)
-        return cls._from_parts(p, q, nums, 1, grade)
+        return (cls._reduced if grade >> 1 else cls._from_parts)(p, q, nums, 1, grade)
 
     # -- predicates --------------------------------------------------------
 
@@ -113,14 +129,12 @@ class CycloScalar:
 
     def as_fraction(self) -> Fraction:
         """Exact rational value; requires a rational coefficient vector and
-        an even grade (so q**(e/2) is itself rational)."""
+        grade 0 (an even power of q**(1/2) is already folded into it)."""
         if not self.is_rational():
             raise ValueError(f"not a rational scalar: {self!r}")
-        if self.is_zero():
-            return Fraction(0)
-        if self.grade % 2:
-            raise ValueError(f"odd half-grade {self.grade} is irrational")
-        return Fraction(self.nums[0], self.den) * Fraction(self.q) ** (self.grade // 2)
+        if self.grade:
+            raise ValueError("odd half-grade 1 is irrational")
+        return Fraction(self.nums[0], self.den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -181,27 +195,19 @@ class CycloScalar:
         return CycloScalar._from_parts(self.p, self.q, nums, self.den, self.grade)
 
     def abs_sq(self) -> "CycloScalar":
-        """Squared magnitude; grade doubles into an integer q power."""
+        """Squared magnitude, of grade 0: the grade doubles into a power of q."""
         return self * self.conj()
 
     def q_half_shift(self, e: int) -> "CycloScalar":
         """Multiply by q**(e/2)."""
-        if self.is_zero():
-            return self
-        return CycloScalar._from_parts(self.p, self.q, self.nums, self.den, self.grade + e)
+        return CycloScalar._reduced(self.p, self.q, self.nums, self.den, self.grade + e)
 
     def reduce_grade(self) -> "CycloScalar":
-        """Fold an even grade into the rational coefficients (grade -> 0)."""
-        g = self.grade
-        if g == 0:
-            return self
-        if g % 2:
-            raise ValueError(f"odd half-grade {g} cannot be reduced")
-        f = self.q ** (abs(g) // 2)
-        if g > 0:
-            return CycloScalar._reduced(self.p, self.q, tuple([n * f for n in self.nums]),
-                                        self.den, 0)
-        return CycloScalar._reduced(self.p, self.q, self.nums, self.den * f, 0)
+        """Itself at grade 0 (even grades are folded on construction); at
+        grade 1 the factor q**(1/2) is formal and this raises."""
+        if self.grade:
+            raise ValueError("odd half-grade 1 cannot be reduced")
+        return self
 
     # -- comparisons, printing, numeric shadow ------------------------------
 

@@ -93,7 +93,7 @@ def _norm_sq(f: StepFunction) -> CycloScalar:
     cfg = f.config
     total = CycloScalar.zero(cfg.p, cfg.q)
     for b, v in f.cells:
-        total = total + v.abs_sq().reduce_grade() * _q_pow(cfg, -b.scale)
+        total = total + v.abs_sq() * _q_pow(cfg, -b.scale)
     return total
 
 
@@ -142,11 +142,9 @@ def _k_sum(config: FieldConfig, j: int, cells) -> CycloScalar:
     q = config.q
     if not cells:
         return zero
-    # mixed parities pair into odd grades, which reduce_grade refuses
-    grades = [t.grade for _, _, t in cells if not t.is_zero()]
-    odd = [g for g in grades if (g - grades[0]) % 2]
-    if odd:
-        raise ValueError(f"odd half-grade {grades[0] + odd[0]} cannot be reduced")
+    # grades 0 and 1 would pair into cross terms of grade 1
+    if len({t.grade for _, _, t in cells if not t.is_zero()}) > 1:
+        raise ValueError("odd half-grade 1 cannot be reduced")
     l_max = max(max(j + s for _, s, _ in cells), 0)
     # the digit of p^j b at exponent n is the digit of b at exponent n - j
     keys = [tuple(b.digit(e) for e in range(-j, l_max - j)) for b, _, _ in cells]
@@ -168,15 +166,8 @@ def _k_sum(config: FieldConfig, j: int, cells) -> CycloScalar:
             weigh(L - 1, active, -q ** (L - 1))
     total = zero
     for members, w in weights.items():
-        if not w:
-            continue
-        sums = {}  # per grade, so that mixed grades pair as in reduce_grade
-        for i in members:
-            t = cells[i][2]
-            sums[t.grade] = sums[t.grade] + t if t.grade in sums else t
-        for a in sums.values():
-            for b in sums.values():
-                total = total + _rat(config, w) * (a * b.conj()).reduce_grade()
+        if w:
+            total = total + _rat(config, w) * sum([cells[i][2] for i in members], zero).abs_sq()
     return total
 
 
@@ -366,7 +357,7 @@ def mesh_delta_residuals(model: FiniteModel, psis):
                 if ball.scale <= S:
                     table = coarse.setdefault(ball.scale, {})
                     key = ball.sort_key()
-                    e = weight * v.abs_sq().reduce_grade()
+                    e = weight * v.abs_sq()
                     table[key] = table[key] + e if key in table else e
                 else:
                     hosted.setdefault(ball.ancestor_key(S), []).append((ball, v))

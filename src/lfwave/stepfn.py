@@ -153,7 +153,7 @@ def periodized_weight(f: StepFunction) -> StepFunction:
     cfg = f.config
     pieces = []
     for ball, value in f.cells:
-        sq = value.abs_sq().reduce_grade()
+        sq = value.abs_sq()
         pieces.extend(
             StepFunction(cfg, [(frag, sq)], _canonical=True) for frag, _ in fold_ball(ball)
         )

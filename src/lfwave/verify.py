@@ -255,7 +255,7 @@ def verify_frame_pointwise(fns) -> Verdict:
             continue
         total = CycloScalar.zero(cfg.p, cfg.q)
         for x in values:
-            total = total + x.abs_sq().reduce_grade()
+            total = total + x.abs_sq()
         if total != one:
             bad = (cell, total)
             break
@@ -298,7 +298,7 @@ def verify_translates(phi: StepFunction, mode: str = "parseval") -> Verdict:
     w = periodized_weight(phi)
     values = []
     for ball, val in w.cells:
-        if not val.is_rational() or val.grade:
+        if not val.is_rational():
             raise ValueError(f"periodized weight is not rational on {ball}")
         values.append((ball, val.as_fraction()))
 

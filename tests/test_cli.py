@@ -4,6 +4,7 @@ and the command-line entry points."""
 import json
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,66 @@ def test_simulate_options_are_checked():
     assert report["directives"][-1]["non_delta_entries"] == 0
     report = run_text(head + "simulate gram F window=1,1 jmax=1 kmax=4\n")
     assert report["directives"][-1]["non_delta_entries"] == 0
+
+
+def test_even_half_grades_are_rationals():
+    """A value c * qhalf^(2k) is the rational c * q^k: specs that were wrong
+    while even grades stayed apart from grade 0."""
+    # p=2: q^(2/2)/2 = 1 on O + u(1), the Shannon spectrum
+    shannon = run_text("field {p=2}\n"
+                       "check super-functions [indicator(translate(O, u(1)), 1/2*qhalf^2)]\n")
+    assert shannon["passed"]
+    equivalent = run_text("field {p=3}\nfn a = indicator(shell(1))\n"
+                          "fn b = indicator(shell(1), 1/3*qhalf^2)\n"
+                          "check equivalent [a], [b]\n")
+    assert equivalent["passed"]
+    for field, value in (("p=2", "1/2*qhalf^2"), ("p=2, c=2", "1/2*qhalf^1")):
+        gram = run_text(f"field {{{field}}}\n"
+                        f"simulate gram [indicator(translate(O, u(1)), {value})]\n")
+        assert gram["directives"][-1]["non_delta_entries"] == 0, field
+    # grade 2 and grade 0 values meet in one sum: a verdict, not an error
+    mixed = run_text("field {p=3}\ncheck super-functions [indicator(translate(O, u(1)), "
+                     "qhalf^2), indicator(translate(O, u(2)))]\n")
+    assert "verdict" in mixed["directives"][-1]
+
+
+def half_grade_spec_pair(p, c, rng):
+    """One spec twice: its values written with even powers of qhalf, then as
+    rationals c * q^k (an odd power keeps one qhalf^1 factor)."""
+    q = p ** c
+
+    def value():
+        odd = rng.random() < 0.3  # one parity per value: the terms are summed
+        terms = []
+        for _ in range(rng.randint(1, 2)):
+            a = Fraction(rng.choice((-2, -1, 1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+            k = rng.randint(-2, 2)
+            z = f"zeta^{rng.randrange(p)}*" if p > 2 and rng.random() < 0.4 else ""
+            tail = "*qhalf^1" if odd else ""
+            terms.append((f"{z}{a}*qhalf^{2 * k + odd}", f"{z}{a * Fraction(q) ** k}{tail}"))
+        return [" + ".join(side) for side in zip(*terms)]
+
+    sets = [f"translate(O, u({i}))" for i in range(1, q)] + ["shell(1)", "shell(2)", "O*"]
+    fns = [(name, rng.choice(sets), value()) for name in "fg"]
+    body = ("check frame [f, g]\ncheck translates f\ncheck super-functions [f, g]\n"
+            "check equivalent [f], [g]\nbound decomposability f\nbound extendability g\n"
+            "simulate parseval [f, g] window=1,1 trials=1\n"
+            "simulate gram [f, g] jmax=1 kmax=2\n")
+    return [f"field {{p={p}, c={c}}}\n"
+            + "".join(f"fn {name} = indicator({where}, {v[side]})\n" for name, where, v in fns)
+            + body for side in (0, 1)]
+
+
+def test_half_grade_spellings_give_equal_reports():
+    def entries(text):
+        return [{k: v for k, v in d.items() if k != "directive"}
+                for d in run_text(text, seed=1)["directives"]]
+
+    for p, c in ((2, 1), (3, 1), (5, 1), (2, 2)):
+        rng = random.Random(f"half-grades/{p}/{c}")
+        for _ in range(4):
+            graded, rational = half_grade_spec_pair(p, c, rng)
+            assert entries(graded) == entries(rational), graded
 
 
 def test_run_is_deterministic():
@@ -472,6 +533,12 @@ def test_every_directive_p5_report_is_pinned(tmp_path, capsys):
     """Every directive kind at p=5 with zeta-valued spectra: the JSON report,
     non-rational residual and note strings included, is pinned byte for byte."""
     assert_report_pinned("every_directive_p5", tmp_path, capsys)
+
+
+def test_half_grades_p3_report_is_pinned(tmp_path, capsys):
+    """Values with half-grades 1, -1 and 2 at p=3 through every check kind
+    that reads values: an even grade is the rational q**k in every entry."""
+    assert_report_pinned("half_grades_p3", tmp_path, capsys)
 
 
 def test_every_directive_p2c2_report_is_pinned(tmp_path, capsys):

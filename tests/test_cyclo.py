@@ -116,12 +116,53 @@ def test_grade_tracks_q_half_powers():
 
 
 def test_mixed_grade_addition_rejected():
-    a = CycloScalar.rational(3, 3, 1, grade=2)
+    a = CycloScalar.rational(3, 3, 1, grade=1)
     b = CycloScalar.rational(3, 3, 1)
     with pytest.raises(GradeMismatch):
         a + b
     # zero is grade-exempt
     assert CycloScalar.zero(3, 3) + a == a
+    # grade 2 is the rational q: no mismatch
+    assert CycloScalar.rational(3, 3, 1, grade=2) + b == CycloScalar.rational(3, 3, 4)
+
+
+def test_even_grades_fold_on_every_constructor():
+    """c * q**((2k + g)/2) is the scalar with coordinates c * q**k at grade
+    g, whichever constructor builds it: equal fields, equal hashes."""
+    for p, q in AGREEMENT_PQ.items():
+        rng = random.Random(3200 + p)
+        for k in range(-3, 4):
+            for g in (0, 1):
+                e = 2 * k + g
+                c = [Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)) for _ in range(p - 1)]
+                t = rng.randrange(p)
+                z = CycloScalar.zeta_pow(p, q, t).coeffs
+                built = [
+                    (CycloScalar(p, q, c, e), c),
+                    (CycloScalar.rational(p, q, c[0], e), [c[0]] + [0] * (p - 2)),
+                    (CycloScalar.zeta_pow(p, q, t, e), z),
+                    (CycloScalar(p, q, c, g).q_half_shift(2 * k), c),
+                    # s * c * s**(e - 1): the product's grade reaches 2 at g = 0
+                    (CycloScalar(p, q, c, 1) * CycloScalar.rational(p, q, 1, e - 1), c),
+                ]
+                for got, coeffs in built:
+                    want = CycloScalar(p, q, [x * Fraction(q) ** k for x in coeffs], g)
+                    assert got.grade in (0, 1) and want.grade in (0, 1)
+                    assert got == want and hash(got) == hash(want)
+    one, s = CycloScalar.rational(3, 3, 1), CycloScalar.rational(3, 3, 1, grade=1)
+    assert one.reduce_grade() is one
+    with pytest.raises(ValueError, match="odd half-grade 1 cannot be reduced"):
+        s.reduce_grade()
+
+
+def test_float_inputs_refused():
+    with pytest.raises(TypeError):
+        CycloScalar(3, 3, [0.1, 0])
+    with pytest.raises(TypeError):
+        CycloScalar.rational(3, 3, 0.1)
+    third = CycloScalar(3, 3, [Fraction(1, 3), 0])
+    assert CycloScalar(3, 3, ["1/3", 0]) == third == CycloScalar.rational(3, 3, "1/3")
+    assert CycloScalar(3, 3, [1, 0]) == CycloScalar.rational(3, 3, 1)
 
 
 def test_zero_normalization():
@@ -152,7 +193,8 @@ def test_exact_formatting_round_trips_value():
 
 class ReferenceScalar:
     """The Fraction-coefficient implementation that CycloScalar replaced,
-    kept as the reference the integer form must agree with."""
+    kept as the reference the integer form must agree with.  It folds even
+    grades on construction by Fraction arithmetic."""
 
     __slots__ = ("p", "q", "coeffs", "grade")
 
@@ -162,10 +204,11 @@ class ReferenceScalar:
             raise ValueError(f"expected {p - 1} coefficients, got {len(coeffs)}")
         if not any(coeffs):
             grade = 0
+        f = Fraction(q) ** (grade // 2)
         self.p = p
         self.q = q
-        self.coeffs = coeffs
-        self.grade = grade
+        self.coeffs = tuple(c * f for c in coeffs)
+        self.grade = grade % 2
 
     # -- constructors ------------------------------------------------------
 
@@ -198,14 +241,12 @@ class ReferenceScalar:
 
     def as_fraction(self) -> Fraction:
         """Exact rational value; requires a rational coefficient vector and
-        an even grade (so q**(e/2) is itself rational)."""
+        grade 0."""
         if not self.is_rational():
             raise ValueError(f"not a rational scalar: {self!r}")
-        if self.is_zero():
-            return Fraction(0)
-        if self.grade % 2:
+        if self.grade:
             raise ValueError(f"odd half-grade {self.grade} is irrational")
-        return self.coeffs[0] * Fraction(self.q) ** (self.grade // 2)
+        return self.coeffs[0]
 
     # -- ring operations ---------------------------------------------------
 
@@ -259,7 +300,7 @@ class ReferenceScalar:
         return ReferenceScalar(p, self.q, coeffs, self.grade)
 
     def abs_sq(self) -> "ReferenceScalar":
-        """Squared magnitude; grade doubles into an integer q power."""
+        """Squared magnitude, of grade 0: the grade doubles into a power of q."""
         return self * self.conj()
 
     def q_half_shift(self, e: int) -> "ReferenceScalar":
@@ -269,13 +310,10 @@ class ReferenceScalar:
         return ReferenceScalar(self.p, self.q, self.coeffs, self.grade + e)
 
     def reduce_grade(self) -> "ReferenceScalar":
-        """Fold an even grade into the rational coefficients (grade -> 0)."""
-        if self.grade == 0:
-            return self
-        if self.grade % 2:
+        """Itself at grade 0; a grade-1 scalar has no grade-0 form."""
+        if self.grade:
             raise ValueError(f"odd half-grade {self.grade} cannot be reduced")
-        f = Fraction(self.q) ** (self.grade // 2)
-        return ReferenceScalar(self.p, self.q, tuple(c * f for c in self.coeffs))
+        return self
 
     # -- comparisons, printing, numeric shadow ------------------------------
 
@@ -351,6 +389,7 @@ def check_canonical(x):
     assert len(x.nums) == x.p - 1
     assert all(type(n) is int for n in x.nums) and type(x.den) is int
     assert x.den > 0 and gcd(x.den, *x.nums) == 1
+    assert x.grade in (0, 1)
     if x.is_zero():
         assert x.den == 1 and x.grade == 0
 

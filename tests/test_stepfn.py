@@ -82,6 +82,11 @@ def test_equality_is_refinement_stable():
     assert coarse == fine
     half = StepFunction.indicator(integers(CFG2), rat(CFG2, Fraction(1, 2)))
     assert coarse != half
+    # the same value at two half-grades: q**(2/2) is the rational q
+    for cfg in (CFG2, CFG3):
+        O = integers(cfg)
+        assert StepFunction.indicator(O, rat(cfg, 1, grade=2)) == \
+            StepFunction.indicator(O, rat(cfg, cfg.q))
 
 
 def test_precompose_dilation_and_shift():
