@@ -107,8 +107,10 @@ def _sets(cfg, args, env, line_no):
 
 
 def _scaling(cfg, args, env, line_no):
-    S, certified = construct.scaling_set(parse_set_expr(cfg, args[0], env, line_no),
-                                         _int(args[1]))
+    W, depth = parse_set_expr(cfg, args[0], env, line_no), _int(args[1])
+    if depth < 1:
+        raise SpecError(line_no, "depth must be >= 1")
+    S, certified = construct.scaling_set(W, depth)
     if not certified:
         raise SpecError(line_no, "scaling-set tail not certifiable at this depth")
     return S
@@ -200,7 +202,10 @@ def parse_fn_expr(cfg: FieldConfig, text: str, env: dict, line_no: int) -> StepF
             support = parse_set_expr(cfg, inner[0], env, line_no)
             value = parse_value(cfg, inner[1], line_no)
             cells.extend((b, value) for b in support.balls)
-        return StepFunction(cfg, cells)
+        try:
+            return StepFunction(cfg, cells)
+        except ValueError as exc:  # overlapping cells: a malformed literal
+            raise SpecError(line_no, str(exc)) from None
     if text in env and isinstance(env[text], StepFunction):
         return env[text]
     raise SpecError(line_no, f"unknown function expression {text!r}")

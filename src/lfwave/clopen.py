@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gfq import ConfigMismatch, FieldConfig
-from .lfield import FieldElement
+from .lfield import FieldElement, coset_rep
 
 INF = math.inf
 
@@ -111,44 +111,32 @@ class Ball:
 
     def children(self):
         """The q sub-balls one scale finer, in digit index order 0..q-1."""
-        return self.split_to(self.scale + 1)
+        cfg = self.config
+        return [Ball._from_key(cfg, k) for k in child_keys(self._key, cfg.q)]
 
     def split_to(self, scale: int):
         """All sub-balls at the given finer (or equal) scale: the digit at
         this ball's scale is the most significant, each digit runs through
         index order 0..q-1."""
-        if scale <= self.scale:
-            yield self
-            return
         cfg = self.config
-        level = [self._key[1]]
+        keys = [self._key]
         for e in range(self.scale, scale):
-            ext = [((e, i),) for i in range(1, cfg.q)]
-            nxt = []
-            for d in level:
-                nxt.append(d)
-                nxt.extend([d + x for x in ext])
-            level = nxt
-        for d in level:
-            yield Ball._from_key(cfg, (scale, d))
+            # the children of p**e O give every key its digit at exponent e,
+            # as digit tuples shared by all the keys
+            tails = child_keys((e, ()), cfg.q)
+            keys = [(e + 1, d + t) for _, d in keys for _, t in tails]
+        return (Ball._from_key(cfg, k) for k in keys)
 
     def sub_ball(self, scale: int, n: int) -> "Ball":
-        """The n-th ball of split_to(scale), without enumerating: the base-q
-        digits of n, least significant at exponent scale-1, follow the
-        centre's digits."""
-        q = self.config.q
-        if not 0 <= n < q ** max(scale - self.scale, 0):
+        """The n-th ball of split_to(scale), without enumerating: the centre's
+        digits followed by those of p**scale * u(n)."""
+        cfg = self.config
+        if not 0 <= n < cfg.q ** max(scale - self.scale, 0):
             raise ValueError(f"sub-ball index {n} out of range")
         if scale <= self.scale:
             return self
-        tail = []
-        e = scale
-        while n:
-            n, i = divmod(n, q)
-            e -= 1
-            if i:
-                tail.append((e, i))
-        return Ball._from_key(self.config, (scale, self._key[1] + tuple(reversed(tail))))
+        tail = sorted(coset_rep(cfg, n).scale_exponents(scale).digits.items())
+        return Ball._from_key(cfg, (scale, self._key[1] + tuple(tail)))
 
     def scale_by(self, j: int) -> "Ball":
         scale, digits = self._key

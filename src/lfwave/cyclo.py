@@ -199,8 +199,12 @@ class CycloScalar:
         return self * self.conj()
 
     def q_half_shift(self, e: int) -> "CycloScalar":
-        """Multiply by q**(e/2)."""
-        return CycloScalar._reduced(self.p, self.q, self.nums, self.den, self.grade + e)
+        """Multiply by q**(e/2).  A nonzero scalar landing on grade 0 or 1
+        keeps its canonical nums and den."""
+        grade = self.grade + e
+        if grade >> 1 or not any(self.nums):
+            return CycloScalar._reduced(self.p, self.q, self.nums, self.den, grade)
+        return CycloScalar._from_parts(self.p, self.q, self.nums, self.den, grade)
 
     def reduce_grade(self) -> "CycloScalar":
         """Itself at grade 0 (even grades are folded on construction); at

@@ -9,6 +9,12 @@ support, so no truncation ever happens.
 The canonical coset representatives of the ring of integers are indexed by
 the non-negative integers: coset_rep(n) places the base-q digits of n, as
 GF(q) indices, at the negative exponents.
+
+Elements are written as terms joined by `+`: `u(n)` (coset_rep(n)) or
+`[digit][*]p[^e]`, where a digit is an integer below p or, for c > 1, a
+coordinate list `[a0,a1,...]`.  parse_element reads the text term by term,
+and refuses an empty term (a trailing `+`) and a `*` not between a digit
+and p; format_element writes the same syntax.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ INFINITY = math.inf
 class FieldElement:
     """Finite-support Laurent series in the prime element, digits in GF(q)."""
 
-    __slots__ = ("config", "digits", "_hash")
+    __slots__ = ("config", "digits")
 
     def __init__(self, config: FieldConfig, digits, _canonical: bool = False):
         # digits: mapping exponent -> GF(q) index in 0..q-1; zero digits
@@ -37,7 +43,6 @@ class FieldElement:
             digits = {e: d for e, d in digits.items() if d}
         self.config = config
         self.digits = digits
-        self._hash = None  # computed on first use: most elements are never hashed
 
     @classmethod
     def zero(cls, config: FieldConfig) -> "FieldElement":
@@ -78,9 +83,7 @@ class FieldElement:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.digits.items()))
-        return self._hash
+        return hash(frozenset(self.digits.items()))
 
     def _check(self, other):
         if not isinstance(other, FieldElement) or self.config != other.config:
@@ -184,9 +187,11 @@ def character(y: FieldElement, x: FieldElement) -> CycloScalar:
 # Textual element syntax:  `p^-1 + 2*p^3`, `[1,0]*p^2`, `u(17)`, `0`
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<u>u\(\s*\d+\s*\))|(?P<digits>\[[0-9,\s]+\])|(?P<int>\d+)"
-    r"|(?P<p>p)|(?P<caret>\^)|(?P<star>\*)|(?P<plus>\+)|(?P<minus>-))"
+# one nonempty term; a `*` only between a digit and p
+_TERM = re.compile(
+    r"(?=.)(?:u\(\s*(?P<u>\d+)\s*\)"
+    r"|(?P<digit>(?P<int>\d+)|(?P<coords>\[\s*\d+\s*(?:,\s*\d+\s*)*\]))?"
+    r"(?P<mono>(?(digit)\s*\*?\s*)p(?:\s*\^\s*(?P<sign>-?)\s*(?P<exp>\d+))?)?)"
 )
 
 
@@ -195,76 +200,29 @@ class ElementSyntaxError(ValueError):
 
 
 def parse_element(config: FieldConfig, text: str) -> FieldElement:
-    """Parse the monomial-sum syntax; exact inverse of format_element."""
-    pos = 0
-    n = len(text)
-    tokens = []
-    while pos < n:
-        if text[pos:].strip() == "":
-            break
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ElementSyntaxError(f"bad element syntax at column {pos}: {text!r}")
-        tokens.append(m)
-        pos = m.end()
-
+    """Parse the monomial-sum syntax term by term; exact inverse of
+    format_element.  Blank text is 0."""
     result = FieldElement.zero(config)
-    i = 0
-
-    def expect_plus():
-        nonlocal i
-        if i < len(tokens):
-            if tokens[i].group("plus") is None:
-                raise ElementSyntaxError(f"expected '+' in {text!r}")
-            i += 1
-
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok.group("u"):
-            idx = int(tok.group("u")[2:-1])
-            result = result + coset_rep(config, idx)
-            i += 1
-            expect_plus()
+    for term in text.split("+") if text.strip() else ():
+        m = _TERM.fullmatch(term.strip())
+        if not m:
+            raise ElementSyntaxError(f"bad element term {term.strip()!r} in {text!r}")
+        if m["u"]:
+            result = result + coset_rep(config, int(m["u"]))
             continue
-        # term := [coeff *] p [^ exp]   |   coeff
-        coeff = None
-        if tok.group("digits"):
-            parts = [int(s) for s in tok.group("digits")[1:-1].split(",")]
+        coeff = 1
+        if m["coords"]:
+            parts = [int(s) for s in m["coords"][1:-1].split(",")]
             if len(parts) != config.c or any(a >= config.p for a in parts):
                 raise ElementSyntaxError(f"digit literal needs {config.c} coordinates "
-                                         f"in 0..{config.p - 1}: {tok.group('digits')}")
+                                         f"in 0..{config.p - 1}: {m['coords']}")
             coeff = config.index(parts)
-            i += 1
-        elif tok.group("int"):
-            v = int(tok.group("int"))
-            if v >= config.p:
-                raise ElementSyntaxError(f"digit {v} out of range for p={config.p}")
-            coeff = v  # the index of (v, 0, ..., 0)
-            i += 1
-        if i < len(tokens) and tokens[i].group("star"):
-            i += 1
-        exp = None
-        if i < len(tokens) and tokens[i].group("p"):
-            i += 1
-            exp = 1
-            if i < len(tokens) and tokens[i].group("caret"):
-                i += 1
-                sign = 1
-                if i < len(tokens) and tokens[i].group("minus"):
-                    sign = -1
-                    i += 1
-                if i >= len(tokens) or not tokens[i].group("int"):
-                    raise ElementSyntaxError(f"expected exponent in {text!r}")
-                exp = sign * int(tokens[i].group("int"))
-                i += 1
-        if coeff is None and exp is None:
-            raise ElementSyntaxError(f"unexpected token in {text!r}")
-        if coeff is None:
-            coeff = 1
-        if exp is None:
-            exp = 0
+        elif m["int"]:
+            coeff = int(m["int"])  # the index of (coeff, 0, ..., 0)
+            if coeff >= config.p:
+                raise ElementSyntaxError(f"digit {coeff} out of range for p={config.p}")
+        exp = int(m["sign"] + m["exp"]) if m["exp"] else 1 if m["mono"] else 0
         result = result + FieldElement.monomial(config, coeff, exp)
-        expect_plus()
     return result
 
 

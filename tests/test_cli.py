@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lfwave.cli import SpecError, main, parse_set_expr, parse_spec, parse_value, run
+from lfwave.cli import _FORMS, SpecError, main, parse_set_expr, parse_spec, parse_value, run
 from lfwave.clopen import integers, shell, units
 from lfwave.cyclo import CycloScalar
 from lfwave.gfq import FieldConfig
@@ -488,6 +488,36 @@ def test_front_end_errors_name_their_line():
             run_text(text)
         assert err.value.line_no == line, text
         assert all(m in str(err.value) for m in message), (text, str(err.value))
+
+
+# one malformed argument for each call form, and a step{} whose cells overlap
+MALFORMED_CALLS = {
+    "shell": "shell(x)",
+    "ball": "ball(p +, 0)",
+    "union": "union(O, bogus)",
+    "inter": "inter(O, bogus)",
+    "diff": "diff(O, bogus)",
+    "scale": "scale(O, 2*)",
+    "translate": "translate(O, *p)",
+    "scaling": "scaling(shell(1), 0)",
+    "indicator": "indicator(O, 1/2 +)",
+    "step": "step{(O, 1), (O*, 2)}",
+}
+
+
+def test_malformed_call_is_the_same_spec_error_in_a_definition_and_a_check():
+    assert MALFORMED_CALLS.keys() - {"step"} == _FORMS.keys()
+    for form, expr in MALFORMED_CALLS.items():
+        if _FORMS.get(form, ("fn",))[0] == "set":
+            uses = [f"set A = {expr}", f"check dilation {expr}", f"check translation {expr}"]
+        else:
+            uses = [f"fn f = {expr}", f"check frame [{expr}]", f"check translates {expr}"]
+        errors = set()
+        for use in uses:
+            with pytest.raises(SpecError) as err:
+                run_text(f"field {{p=2}}\n{use}\n")
+            errors.add(str(err.value))
+        assert len(errors) == 1 and errors.pop().startswith("line 2: "), (form, errors)
 
 
 def test_definition_names_are_words_other_than_O():

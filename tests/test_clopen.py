@@ -324,6 +324,26 @@ def test_key_built_balls_match_field_arithmetic():
                 balls[0].sub_ball(scale, 1)
 
 
+def test_sub_balls_come_from_child_keys_and_coset_rep():
+    # split_to(t) is child_keys applied t - scale times, and its n-th ball
+    # extends the key by the digits of p**t * u(n)
+    rng = random.Random(74)
+    for cfg in (CFG2, CFG3, CFG4, CFG5):
+        for _ in range(20):
+            scale = rng.randrange(-2, 2)
+            b = Ball(cfg, rand_point(cfg, rng, lo=scale - 3, hi=scale - 1), scale)
+            for depth in range(4):
+                t = scale + depth
+                want = [b.sort_key()]
+                for _ in range(depth):
+                    want = [k for key in want for k in child_keys(key, cfg.q)]
+                assert keys(b.split_to(t)) == want
+                n = rng.randrange(cfg.q ** depth)
+                tail = sorted(coset_rep(cfg, n).scale_exponents(t).digits.items())
+                assert b.sub_ball(t, n).sort_key() == (t, b.sort_key()[1] + tuple(tail))
+            assert keys(b.children()) == child_keys(b.sort_key(), cfg.q)
+
+
 def test_from_key_rejects_malformed_keys():
     good = Ball(CFG3, parse_element(CFG3, "p^-2 + 2*p^-1"), 0)
     assert Ball.from_key(CFG3, (0, ((-2, 1), (-1, 2)))) == good

@@ -440,3 +440,19 @@ def test_canonical_form_invariant():
     assert (zero.nums, zero.den, zero.grade) == ((0, 0, 0, 0), 1, 0)
     half = CycloScalar(3, 3, [Fraction(2, 4), Fraction(-3, 6)])
     assert (half.nums, half.den) == ((1, -1), 2)
+
+
+def test_q_half_shift_matches_reduced_form():
+    # the shortcut onto grade 0 or 1 gives the fields _reduced would give
+    rng = random.Random(2300)
+    for p, q in ((2, 2), (2, 4), (3, 3), (5, 5)):
+        for g in (0, 1):
+            nonzero = CycloScalar(p, q, [rng.randrange(1, 9)] + [Fraction(rng.randrange(-4, 5), 3)
+                                                               for _ in range(p - 2)], g)
+            for x in (CycloScalar.zero(p, q), nonzero):
+                for e in range(-3, 4):
+                    got = x.q_half_shift(e)
+                    want = CycloScalar._reduced(p, q, x.nums, x.den, x.grade + e)
+                    assert (got.nums, got.den, got.grade) == (want.nums, want.den, want.grade)
+                    assert hash(got) == hash(want)
+                    check_canonical(got)

@@ -214,11 +214,42 @@ def test_parse_format_round_trip():
     assert parse_element(CFG2, "u(17)") == coset_rep(CFG2, 17)
 
 
+def test_parse_round_trip_with_random_spacing():
+    # format_element's output with blanks strewn around every token
+    rng = random.Random(10)
+    for cfg in (CFG2, CFG3, CFG4, CFG9):
+        for _ in range(200):
+            x = rand_element(cfg, rng)
+            text = format_element(x)
+            for tok in ("+", "*", "^", "p", "-"):
+                text = text.replace(tok, rng.choice(("", " ", "  ")) + tok
+                                    + rng.choice(("", " ", "\t")))
+            assert parse_element(cfg, text) == x, text
+
+
+# (field, literal, digits): each term u(n), a digit, or [digit][*]p[^e]
+ACCEPTED = [
+    (CFG2, "", {}), (CFG2, "  ", {}), (CFG2, "0", {}), (CFG2, "1", {0: 1}),
+    (CFG2, "p", {1: 1}), (CFG3, "2p", {1: 2}), (CFG3, "2 p", {1: 2}),
+    (CFG3, "2 * p ^ - 1", {-1: 2}), (CFG3, "p ^ - 1", {-1: 1}), (CFG3, "p^0", {0: 1}),
+    (CFG3, "2*p^3 + p^-1", {3: 2, -1: 1}), (CFG2, "p + p", {}), (CFG2, "u(0)", {}),
+    (CFG2, "u( 5 )", {-1: 1, -3: 1}), (CFG3, "u(5) + 1", {-1: 2, -2: 1, 0: 1}),
+    (CFG4, "[1,1]*p^-1", {-1: 3}), (CFG4, "[ 0 , 1 ]p", {1: 2}), (CFG9, "[2,1]", {0: 5}),
+]
+REFUSED = ["p +", "u(1)+", "2*", "*p", "p + + p", "+ p", "p^", "2 3", "p*2", "u(3)*p",
+           "pp", "q + 1", "-1", "p^-", "u()", "[1,]", "[]*p", "2**p"]
+
+
+def test_parse_accepts_literals():
+    for cfg, text, digits in ACCEPTED:
+        assert parse_element(cfg, text).digits == digits, text
+
+
 def test_parse_rejects_bad_syntax():
-    with pytest.raises(ValueError):
-        parse_element(CFG2, "p^")
-    with pytest.raises(ValueError):
-        parse_element(CFG2, "q + 1")
+    # a trailing `+` or a dangling `*` is malformed, not an ignored token
+    for text in REFUSED:
+        with pytest.raises(ElementSyntaxError):
+            parse_element(CFG9, text)
 
 
 def test_digit_literal_coordinates_must_be_residues():
