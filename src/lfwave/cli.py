@@ -77,12 +77,12 @@ def _call(text: str, line_no: int):
 
 
 def _int(text: str) -> int:
-    """An integer literal; a malformed one is a literal syntax error, like a
-    malformed element, so that run() reports it as a SpecError."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ElementSyntaxError(f"expected an integer, got {text!r}") from None
+    """An integer literal, ASCII `-?[0-9]+`; a malformed one is a literal
+    syntax error, like a malformed element, so that run() reports it as a
+    SpecError."""
+    if not re.fullmatch(r"-?[0-9]+", text.strip()):
+        raise ElementSyntaxError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 def _operand(kind, cfg, text, env, line_no):
@@ -106,16 +106,6 @@ def _sets(cfg, args, env, line_no):
     return [parse_set_expr(cfg, a, env, line_no) for a in args]
 
 
-def _scaling(cfg, args, env, line_no):
-    W, depth = parse_set_expr(cfg, args[0], env, line_no), _int(args[1])
-    if depth < 1:
-        raise SpecError(line_no, "depth must be >= 1")
-    S, certified = construct.scaling_set(W, depth)
-    if not certified:
-        raise SpecError(line_no, "scaling-set tail not certifiable at this depth")
-    return S
-
-
 # call forms NAME(args): name -> (what it builds, "set" or "fn"; fewest and
 # most arguments, None unbounded; builder(cfg, args, env, line_no), which
 # reads its arguments left to right)
@@ -132,7 +122,8 @@ _FORMS = {
               parse_set_expr(cfg, a[0], env, ln).scale_by(_int(a[1]))),
     "translate": ("set", 2, 2, lambda cfg, a, env, ln:
                   parse_set_expr(cfg, a[0], env, ln).translate(parse_element(cfg, a[1]))),
-    "scaling": ("set", 2, 2, _scaling),
+    "scaling": ("set", 1, 1, lambda cfg, a, env, ln:
+                construct.scaling_set(parse_set_expr(cfg, a[0], env, ln))),
     "indicator": ("fn", 1, 2, lambda cfg, a, env, ln: StepFunction.indicator(
         parse_set_expr(cfg, a[0], env, ln), parse_value(cfg, a[1], ln) if a[1:] else None)),
 }
@@ -144,7 +135,7 @@ def parse_set_expr(cfg: FieldConfig, text: str, env: dict, line_no: int) -> Clop
         return integers(cfg)
     if text == "O*":
         return units(cfg)
-    m = re.match(r"^P\^(-?\d+)$", text)
+    m = re.match(r"^P\^(-?[0-9]+)$", text)
     if m:
         return fractional_ideal(cfg, int(m.group(1)))
     fn, args = _call(text, line_no)
@@ -159,8 +150,8 @@ def parse_set_expr(cfg: FieldConfig, text: str, env: dict, line_no: int) -> Clop
 
 
 _VALUE_TERM = re.compile(
-    r"^\s*(?:zeta\^(?P<zk>-?\d+)|qhalf\^(?P<qe>-?\d+)"
-    r"|(?P<rat>-?\d+(?:/0*[1-9]\d*)?))\s*$"
+    r"^\s*(?:zeta\^(?P<zk>-?[0-9]+)|qhalf\^(?P<qe>-?[0-9]+)"
+    r"|(?P<rat>-?[0-9]+(?:/0*[1-9][0-9]*)?))\s*$"
 )
 
 
@@ -266,6 +257,13 @@ _FIELD = re.compile(r"^field\s*\{(.*)\}$")
 _KEYVAL = re.compile(r"\w[\w-]*=\S+")
 
 
+def _refuse_stray(text, line_no):
+    """Refuse a word of text that is not a KEY=VALUE option."""
+    stray = _KEYVAL.sub("", text).split()
+    if stray:
+        raise SpecError(line_no, f"unexpected {stray[0]!r}; options are KEY=VALUE")
+
+
 def _options(items, allowed, line_no):
     """The `KEY=VALUE` items as a dict; each key is one of allowed, at most once."""
     opts = {}
@@ -302,8 +300,8 @@ def parse_spec(text: str) -> SpecDocument:
             modulus = params.get("modulus")
             try:
                 if modulus is not None:
-                    modulus = tuple(int(x) for x in modulus.strip("[]").split(","))
-                doc.config = FieldConfig(int(params["p"]), int(params.get("c", 1)), modulus)
+                    modulus = tuple(map(_int, modulus.strip("[]").split(",")))
+                doc.config = FieldConfig(_int(params["p"]), _int(params.get("c", "1")), modulus)
             except ValueError as exc:
                 raise SpecError(line_no, str(exc)) from None
             continue
@@ -335,7 +333,7 @@ def _int_option(opts, name, default, line_no, minimum=None):
             raise SpecError(line_no, f"missing {name}=")
         return default
     try:
-        value = int(text)
+        value = _int(text)
     except ValueError:
         raise SpecError(line_no, f"{name}= needs an integer, got {text!r}") from None
     if minimum is not None and value < minimum:
@@ -421,15 +419,13 @@ def _run_solve(cfg, env, line_no, rest, options, seed):
     name, fam_expr, opt_text = m.groups()
     name = _name(name, line_no)
     opts = _options(_KEYVAL.findall(opt_text), options, line_no)
-    shells = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", opts.get("shells", ""))
+    shells = re.fullmatch(r"(-?[0-9]+)\.\.(-?[0-9]+)", opts.get("shells", ""))
     if not shells:
         raise SpecError(line_no, "expected shells=a..b with integers a, b")
     max_scale = _int_option(opts, "max-scale", None, line_no)
     node_cap = _int_option(opts, "node-cap", 2_000_000, line_no, minimum=1)
     fam = _operand("sets", cfg, fam_expr, env, line_no)
-    stray = _KEYVAL.sub("", opt_text).split()
-    if stray:
-        raise SpecError(line_no, f"unexpected {stray[0]!r}; options are KEY=VALUE")
+    _refuse_stray(opt_text, line_no)
     shells = int(shells[1]), int(shells[2])
     result = construct.solve_complement(fam, shells, max_scale, node_cap=node_cap)
     if result.status == "sat":
@@ -442,13 +438,16 @@ def _run_simulate(cfg, env, line_no, rest, options, seed):
     if kind not in ("parseval", "gram"):
         raise SpecError(line_no, f"unknown simulate kind {kind!r}")
     opts = _options(_KEYVAL.findall(args), options, line_no)
-    window = re.fullmatch(r"(\d+),(\d+)", opts.get("window", ""))
+    # the family is a [..] list or one word; the rest must be options
+    fns_text, rest = re.fullmatch(r"(\[.*\]|\S*)(.*)", _KEYVAL.sub("", args).strip()).groups()
+    _refuse_stray(rest, line_no)
+    window = re.fullmatch(r"([0-9]+),([0-9]+)", opts.get("window", ""))
     if not window and (kind == "parseval" or "window" in opts):
         raise SpecError(line_no, "expected window=R,S with integers R, S >= 0")
     trials = _int_option(opts, "trials", 0, line_no, minimum=0)
     jmax = _int_option(opts, "jmax", 2, line_no, minimum=0)
     kmax = _int_option(opts, "kmax", 8, line_no, minimum=1)
-    fns = _operand("fns", cfg, _KEYVAL.sub("", args), env, line_no)
+    fns = _operand("fns", cfg, fns_text, env, line_no)
     if kind == "gram":
         one, zero = CycloScalar.rational(cfg.p, cfg.q, 1), CycloScalar.zero(cfg.p, cfg.q)
         bad = sum(framesim.gram_entry(fns, (0, 0), (j, k)) != (one if (j, k) == (0, 0) else zero)
@@ -511,7 +510,8 @@ def run(doc: SpecDocument, seed: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_file(path: str, seed: int, json_path: str | None, only: str | None = None) -> int:
+def _run_file(path: str, seed: int, json_path: str | None, only: str | None = None):
+    """(the report's JSON text, exit status) of the spec file at path."""
     with open(path, encoding="utf-8") as fh:
         doc = parse_spec(fh.read())
     if only is not None:
@@ -522,12 +522,23 @@ def _run_file(path: str, seed: int, json_path: str | None, only: str | None = No
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    print(text)
-    return 0 if report["passed"] else 1
+    return text, 0 if report["passed"] else 1
 
 
 # `lfw construct WHAT`: a stock family, or the Parseval frame wavelet set p^m O*
 _CONSTRUCTS = {**_FAMILIES, "shell": ("m", lambda cfg, m=1: construct.shell_wavelet(cfg, m))}
+
+
+def _construct(args) -> str:
+    """The JSON text of `lfw construct`'s stock construction."""
+    param, build = _CONSTRUCTS[args.what]
+    given = {k: v for k, v in (("m", args.m), ("n", args.n)) if v is not None}
+    extra = sorted(given.keys() - {param})
+    if extra:
+        raise ValueError(f"{args.what} takes no --{extra[0]}")
+    built = build(FieldConfig(args.p, args.c), **given)
+    out = built.as_json() if isinstance(built, ClopenSet) else [W.as_json() for W in built]
+    return json.dumps(out, indent=2, sort_keys=True)
 
 
 def main(argv=None) -> int:
@@ -552,20 +563,16 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command != "construct":
-            return _run_file(args.spec, args.seed, args.json_path, args.only)
-        param, build = _CONSTRUCTS[args.what]
-        given = {k: v for k, v in (("m", args.m), ("n", args.n)) if v is not None}
-        extra = sorted(given.keys() - {param})
-        if extra:
-            raise ValueError(f"{args.what} takes no --{extra[0]}")
-        built = build(FieldConfig(args.p, args.c), **given)
-    except ValueError as exc:  # a malformed spec or bad construct parameters
+        if args.command == "construct":
+            text, status = _construct(args), 0
+        else:
+            text, status = _run_file(args.spec, args.seed, args.json_path, args.only)
+    except (OSError, ValueError) as exc:
+        # an unreadable spec or --json path, a malformed spec, bad parameters
         print(f"lfw: {exc}", file=sys.stderr)
         return 2
-    out = built.as_json() if isinstance(built, ClopenSet) else [W.as_json() for W in built]
-    print(json.dumps(out, indent=2, sort_keys=True))
-    return 0
+    print(text)
+    return status
 
 
 if __name__ == "__main__":

@@ -352,11 +352,6 @@ class ClopenSet:
 
     # -- structure -------------------------------------------------------------
 
-    def min_valuation(self):
-        """m with the set inside p**m * O; +inf for the empty set."""
-        return min((b.scale if b.contains_zero() else b.shell_index() for b in self.balls),
-                   default=INF)
-
     def shells(self):
         """Split along shells of constant absolute value.
 

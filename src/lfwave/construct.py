@@ -1,11 +1,12 @@
-"""Builders for the stock wavelet families, scaling-set computation with a
-certified tail, and an exact-cover solver that completes a packing family to
-an orthonormal super-wavelet at a stated finite resolution.
+"""Builders for the stock wavelet families, scaling sets in closed form, and
+an exact-cover solver that completes a packing family to an orthonormal
+super-wavelet at a stated finite resolution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .clopen import (Ball, ClopenSet, child_keys, fractional_ideal, integers, joint_fold,
                      parent_key, shell, translated_keys, units)
@@ -87,44 +88,26 @@ def tower_audit(components, target) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def scaling_set(W: ClopenSet, depth: int):
-    """(S, certified): S approximates the union of all contracted dilates
-    p**j * W, j >= 1.
+def scaling_set(W: ClopenSet) -> ClopenSet:
+    """The scaling set S = union of the contracted dilates p**j * W, j >= 1,
+    in closed form.  Raises ValueError when the dilates of W do not
+    partition the field.
 
-    The partial union up to `depth` is exact; the remaining tail has measure
-    r = measure(W)/(q-1) - measure(partial).  When r is exactly a ball
-    measure q**-k, the tail region p**k * O contains the true tail and is
-    disjoint from the partial union, the returned S equals the infinite
-    union up to a null set and is certified.
+    The dilates of W partition K minus {0}, and W lies in the shells
+    smin..smax, so a point of shell s lies in p**j * W for exactly one j,
+    and s - smax <= j <= s - smin.  A point of a shell s > smax thus lies in
+    S, and one of a shell s <= smax lies in S exactly when it lies in some
+    p**j * W with 1 <= j <= smax - smin.  Hence S with 0 added is
+    p**(smax+1) * O together with those smax - smin dilates: nothing is
+    truncated, and nothing is left to certify.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     pre = check_dilation_tiling(W)
     if not pre.passed:
         raise ValueError("dilates of W do not partition the field")
-    cfg = W.config
-    q = cfg.q
-    partial = ClopenSet.empty(cfg)
-    for j in range(1, depth + 1):
-        partial = partial.union(W.scale_by(j))
-    r = W.measure() / (q - 1) - partial.measure()
-    if r == 0:
-        return partial, True
-    num, den = r.numerator, r.denominator
-    k = 0
-    while den % q == 0:
-        den //= q
-        k += 1
-    if (num, den) != (1, 1):
-        return partial, False
-    # the true tail lives inside p**(depth+1+smin) * O
-    smin = W.min_valuation()
-    if k > depth + 1 + smin:
-        return partial, False
-    tail = fractional_ideal(cfg, k)
-    if not partial.intersect(tail).is_empty():
-        return partial, False
-    return partial.union(tail), True
+    shells = pre.bounds["shells"]
+    smin, smax = shells[0], shells[-1]
+    dilates = (W.scale_by(j) for j in range(1, smax - smin + 1))
+    return reduce(ClopenSet.union, dilates, fractional_ideal(W.config, smax + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -187,11 +187,12 @@ def character(y: FieldElement, x: FieldElement) -> CycloScalar:
 # Textual element syntax:  `p^-1 + 2*p^3`, `[1,0]*p^2`, `u(17)`, `0`
 # ---------------------------------------------------------------------------
 
-# one nonempty term; a `*` only between a digit and p
+# one nonempty term; a `*` only between a digit and p; ASCII digits only
 _TERM = re.compile(
     r"(?=.)(?:u\(\s*(?P<u>\d+)\s*\)"
     r"|(?P<digit>(?P<int>\d+)|(?P<coords>\[\s*\d+\s*(?:,\s*\d+\s*)*\]))?"
-    r"(?P<mono>(?(digit)\s*\*?\s*)p(?:\s*\^\s*(?P<sign>-?)\s*(?P<exp>\d+))?)?)"
+    r"(?P<mono>(?(digit)\s*\*?\s*)p(?:\s*\^\s*(?P<sign>-?)\s*(?P<exp>\d+))?)?)",
+    re.ASCII,
 )
 
 

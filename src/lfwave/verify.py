@@ -287,6 +287,18 @@ def verify_frame_pointwise(fns) -> Verdict:
     return v
 
 
+def _rational_cells(w: StepFunction):
+    """The (ball, Fraction) cells of a periodized weight w.  Raises
+    ValueError naming the first ball where w is not rational."""
+    cells = []
+    for ball, val in w.cells:
+        try:
+            cells.append((ball, val.as_fraction()))
+        except ValueError:
+            raise ValueError(f"periodized weight is not rational on {ball}") from None
+    return cells
+
+
 def verify_translates(phi: StepFunction, mode: str = "parseval") -> Verdict:
     """Is the integral-translate system of phi a Parseval frame for its span
     (periodized weight within [0, 1]) or an orthonormal system (identically
@@ -296,12 +308,7 @@ def verify_translates(phi: StepFunction, mode: str = "parseval") -> Verdict:
     v = Verdict()
     cfg = phi.config
     w = periodized_weight(phi)
-    values = []
-    for ball, val in w.cells:
-        if not val.is_rational():
-            raise ValueError(f"periodized weight is not rational on {ball}")
-        values.append((ball, val.as_fraction()))
-
+    values = _rational_cells(w)
     bad = next(((b, x) for b, x in values if not 0 <= x <= 1), None)
     if mode == "parseval":
         v.add("weight-within-unit-interval", bad is None,
@@ -430,11 +437,8 @@ def decomposability_bound(psi: StepFunction):
     """Exact value of the weighted singular integral of the periodized weight
     and the largest decomposition length it fails to exclude.  Necessary
     condition only: never claims decomposability."""
-    cfg = psi.config
-    w = periodized_weight(psi)
-    cells = [(b, val.as_fraction()) for b, val in w.cells]
-    value = inv_norm_integral(cells)
-    return value, _max_m_not_excluded(value, cfg.q)
+    value = inv_norm_integral(_rational_cells(periodized_weight(psi)))
+    return value, _max_m_not_excluded(value, psi.config.q)
 
 
 def extendability_bound(psi: StepFunction):
@@ -443,8 +447,7 @@ def extendability_bound(psi: StepFunction):
     cfg = psi.config
     w = periodized_weight(psi)
     cells = []
-    for ball, val in w.cells:
-        x = val.as_fraction()
+    for ball, x in _rational_cells(w):
         if x > 1:
             raise ValueError(
                 f"periodized weight exceeds 1 on {ball}: not a Parseval frame wavelet"

@@ -75,8 +75,8 @@ def test_acceptance_1_translated_coset_families():
         assert len(fam) == q - 1
         assert verify_multiwavelet_set(fam).passed
         W = union(fam)
-        S, certified = scaling_set(W, 6)
-        assert certified and S.measure() == 1
+        S = scaling_set(W)
+        assert S.measure() == 1
         v = mra_scaling_check(W, S)
         assert v.passed and v.bounds["mra_kind"] == "orthonormal"
         assert v.check("translates-tile").ok
@@ -93,8 +93,7 @@ def test_acceptance_2_shell_families():
             assert not v.passed
             gap = v.check("component-1:translates-cover")
             assert not gap.ok and gap.witness is not None
-            S, certified = scaling_set(W, 6)
-            assert certified
+            S = scaling_set(W)
             assert S == fractional_ideal(cfg, m + 1)
             assert S.measure() == Fraction(q) ** -(m + 1)
             mra = mra_scaling_check(W, S)
@@ -107,8 +106,8 @@ def test_acceptance_3_contracted_coset_families():
         fam = scaled_shannon_family(CFG3, m)
         assert len(fam) == 2  # order q - 1
         assert verify_multiwavelet_set(fam, mode="parseval").passed
-        S, certified = scaling_set(union(fam), 6)
-        assert certified and S.measure() == Fraction(3) ** -m
+        S = scaling_set(union(fam))
+        assert S.measure() == Fraction(3) ** -m
 
 
 def test_acceptance_4_shell_tuples():

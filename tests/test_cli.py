@@ -76,6 +76,18 @@ def test_run_shannon_spec_passes():
     assert verdict["passed"]
 
 
+def test_scaling_set_of_a_two_shell_wavelet_set():
+    # its dilates leave a tail that is no single ball at any finite depth
+    report = run_text(
+        "field {p=2}\n"
+        "set W = union(ball(p + p^2, 3), ball(p^2, 4))\n"
+        "check scaling W, scaling(W)\n"
+    )
+    verdict = report["directives"][-1]["verdict"]
+    assert report["passed"] and verdict["passed"]
+    assert [c["status"] for c in verdict["checks"] if c.get("binding", True)] == ["pass"] * 4
+
+
 def test_run_tower_spec_fails_with_measure_witness():
     report = run_text(
         "field {p=2}\n"
@@ -274,7 +286,7 @@ def test_run_is_deterministic():
 def test_runtime_value_errors_are_reported_not_raised():
     report = run_text(
         "field {p=2}\n"
-        "set S = scaling(translate(O, u(1)), 4)\n"
+        "set S = scaling(translate(O, u(1)))\n"
         "fn g = indicator(O)\n"
         "bound extendability g\n"  # weight exceeds 1 nowhere; this is fine
         "fn h = indicator(O, 2/1)\n"
@@ -335,6 +347,14 @@ def test_main_construct_and_exit_codes(tmp_path, capsys):
     assert main(["check", str(bad)]) == 1
     capsys.readouterr()
 
+    # an unreadable spec or --json path: exit status 2 and one line on stderr
+    for argv in (["check", str(tmp_path / "missing.lfw")], ["solve", str(tmp_path)],
+                 ["check", str(good), "--json", str(tmp_path / "no-dir" / "r.json")]):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("lfw: [Errno "), argv
+        assert out.err.count("\n") == 1
+
     # a malformed spec: exit status 2 and its line on stderr, no traceback
     for text in ("field {p=2}\nset A = ball(3, 0)\ncheck dilation A\n",
                  "field {p=2}\nfrobnicate A\n"):
@@ -368,7 +388,7 @@ _FUZZ_DOCS = [
     "field {p=3}\nfn a = indicator(translate(O, u(1)))\nfn b = indicator(translate(O, u(2)))\n"
     "simulate parseval [a, b] window=1,1 trials=1\n",
     "field {p=2}\nfamily T = tower(2)\nsolve X from T shells=-1..1 max-scale=2\n",
-    "field {p=2}\nset W = translate(O, u(1))\ncheck scaling W, scaling(W, 2)\n"
+    "field {p=2}\nset W = translate(O, u(1))\ncheck scaling W, scaling(W)\n"
     "bound extendability indicator(W)\n",
 ]
 
@@ -471,6 +491,13 @@ def test_front_end_errors_name_their_line():
         ("field {p=2}\nfn a = indicator(O*)\nsimulate parseval [a] window=1,1 trial=3\n", 3),
         ("field {p=2}\nfn a = indicator(O*)\nsimulate gram [a] jmax=1 bogus=1\n", 3),
         ("field {p=2}\nfn a = indicator(O*)\nsimulate gram [a] window=1,1 window=0,0\n", 3),
+        ("field {p=2}\nfn a = indicator(O*)\nsimulate gram [a] jmax=1 kmax=2 junk\n", 3,
+         "unexpected 'junk'; options are KEY=VALUE"),
+        ("field {p=2}\nfn a = indicator(O*)\nsimulate parseval a junk window=1,1\n", 3,
+         "unexpected 'junk'; options are KEY=VALUE"),
+        # scaling(W) takes the wavelet set only; the depth argument is gone
+        ("field {p=2}\nset W = shell(1)\ncheck scaling W, scaling(W, 6)\n", 3,
+         "scaling() takes 1 arguments, got 2"),
         ("field {p=2}\nfn a = indicator(O*)\n"
          "simulate parseval [a] window=1,1 window=0,0\n", 3),
         ("field {p=2, q=3}\nset A = O*\n", 1),
@@ -488,6 +515,52 @@ def test_front_end_errors_name_their_line():
             run_text(text)
         assert err.value.line_no == line, text
         assert all(m in str(err.value) for m in message), (text, str(err.value))
+
+
+# an integer in each position that reads one, as ASCII text and then spelt
+# with a sign, an underscore or a non-ASCII digit: the first runs, the
+# second is a SpecError naming the line where the two differ
+_INTEGER_POSITIONS = [
+    ("field {p=2}\nset A = shell(1)\n", "field {p=2}\nset A = shell(+1)\n"),
+    ("field {p=2}\nset A = ball(p^3, 10)\n", "field {p=2}\nset A = ball(p^3, 1_0)\n"),
+    ("field {p=2}\nset A = scale(O, 3)\n", "field {p=2}\nset A = scale(O, ٣)\n"),
+    ("field {p=2}\nfamily T = tower(3)\n", "field {p=2}\nfamily T = tower(٣)\n"),
+    ("field {p=2}\nset A = P^3\n", "field {p=2}\nset A = P^٣\n"),
+    ("field {p=2}\nset A = ball(p^3, 4)\n", "field {p=2}\nset A = ball(p^٣, 4)\n"),
+    ("field {p=2}\nset A = ball(u(3), 4)\n", "field {p=2}\nset A = ball(u(٣), 4)\n"),
+    ("field {p=3}\nset A = ball(2*p, 4)\n", "field {p=3}\nset A = ball(٢*p, 4)\n"),
+    ("field {p=2, c=2}\nset A = ball([1,1]*p, 4)\n",
+     "field {p=2, c=2}\nset A = ball([1,١]*p, 4)\n"),
+    ("field {p=2}\nfn f = indicator(O, 1/2)\n", "field {p=2}\nfn f = indicator(O, ١/2)\n"),
+    ("field {p=2}\nfn f = indicator(O, zeta^1)\n",
+     "field {p=2}\nfn f = indicator(O, zeta^١)\n"),
+    ("field {p=2}\nfn f = indicator(O, qhalf^1)\n",
+     "field {p=2}\nfn f = indicator(O, qhalf^١)\n"),
+    ("field {p=2}\nset A = O\n", "field {p=٢}\nset A = O\n"),
+    ("field {p=2, c=2}\nset A = O\n", "field {p=2, c=٢}\nset A = O\n"),
+    ("field {p=2, c=2, modulus=[1,1,1]}\nset A = O\n",
+     "field {p=2, c=2, modulus=[]}\nset A = O\n"),
+    ("field {p=2, c=2, modulus=[1,1,1]}\nset A = O\n",
+     "field {p=2, c=2, modulus=[1,1,١]}\nset A = O\n"),
+    ("field {p=2}\nfamily T = tower(2)\nsolve X from T shells=-1..1 max-scale=2\n",
+     "field {p=2}\nfamily T = tower(2)\nsolve X from T shells=-1..1 max-scale=٢\n"),
+    ("field {p=2}\nfamily T = tower(2)\nsolve X from T shells=-1..1 max-scale=2\n",
+     "field {p=2}\nfamily T = tower(2)\nsolve X from T shells=-١..1 max-scale=2\n"),
+    ("field {p=2}\nfn a = indicator(O*)\nsimulate parseval [a] window=1,1\n",
+     "field {p=2}\nfn a = indicator(O*)\nsimulate parseval [a] window=١,1\n"),
+]
+
+
+def test_integer_literals_are_ascii_in_every_position():
+    for good, bad in _INTEGER_POSITIONS:
+        run_text(good)
+        with pytest.raises(SpecError) as err:
+            run_text(bad)
+        lines = zip(good.splitlines(), bad.splitlines())
+        assert err.value.line_no == next(n for n, (a, b) in enumerate(lines, 1) if a != b), bad
+    # the message of an empty modulus is lfwave's own, not int()'s
+    with pytest.raises(SpecError, match="expected an integer, got ''"):
+        parse_spec("field {p=2, c=2, modulus=[]}\n")
 
 
 # one malformed argument for each call form, and a step{} whose cells overlap

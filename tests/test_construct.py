@@ -1,4 +1,4 @@
-"""Builders, scaling sets with certified tails, tower-family audits, and the
+"""Builders, scaling sets in closed form, tower-family audits, and the
 double-exact-cover complement solver."""
 
 import random
@@ -26,6 +26,7 @@ from lfwave.construct import (
 from lfwave.gfq import FieldConfig
 from lfwave.lfield import FieldElement, coset_rep
 from lfwave.verify import (
+    mra_scaling_check,
     verify_multiwavelet_set,
     verify_superwavelet,
 )
@@ -33,6 +34,7 @@ from lfwave.verify import (
 CFG2 = FieldConfig(2, 1)
 CFG3 = FieldConfig(3, 1)
 CFG4 = FieldConfig(2, 2)
+CFG5 = FieldConfig(5, 1)
 
 
 def union(sets):
@@ -94,24 +96,52 @@ def test_shell_tuple():
             assert not verify_superwavelet(tup, "orthonormal").passed
 
 
-def test_scaling_sets_certified():
+def test_scaling_sets_closed_form():
     for cfg in (CFG2, CFG3, CFG4):
         W = union(shannon_family(cfg))
-        S, certified = scaling_set(W, 6)
-        assert certified and S == integers(cfg)
+        S = scaling_set(W)
+        assert S == integers(cfg)
         assert S.measure() == W.measure() / (cfg.q - 1) == 1
     for m in (1, 2, 3):
-        S, certified = scaling_set(shell_wavelet(CFG2, m), 6)
-        assert certified and S == fractional_ideal(CFG2, m + 1)
+        S = scaling_set(shell_wavelet(CFG2, m))
+        assert S == fractional_ideal(CFG2, m + 1)
         assert S.measure() == Fraction(2) ** -(m + 1)
     for m in (1, 2):
-        S, certified = scaling_set(union(scaled_shannon_family(CFG3, m)), 6)
-        assert certified and S.measure() == Fraction(3) ** -m
+        S = scaling_set(union(scaled_shannon_family(CFG3, m)))
+        assert S.measure() == Fraction(3) ** -m
 
 
 def test_scaling_set_requires_dilation_tiling():
     with pytest.raises(ValueError):
-        scaling_set(integers(CFG2), 4)
+        scaling_set(integers(CFG2))
+
+
+def _random_dilation_tiling_set(rng, cfg):
+    """The unit-shell atoms of a random scale 1..3, each dilated by a random
+    shift: a set whose dilates tile the field."""
+    t = rng.randint(1, 3)
+    atoms = [b for u in units(cfg).balls for b in u.split_to(t)]
+    return ClopenSet(cfg, [b.scale_by(rng.randint(-2, 2)) for b in atoms])
+
+
+def test_scaling_set_matches_the_dilate_union_shell_by_shell():
+    rng = random.Random(20040101)
+    for case in range(300):
+        cfg = (CFG2, CFG3, CFG4, CFG5)[case % 4]
+        W = _random_dilation_tiling_set(rng, cfg)
+        S = scaling_set(W)
+        shells = [b.shell_index() for b in W.balls]
+        smin, smax = min(shells), max(shells)
+        assert S.contains_set(fractional_ideal(cfg, smax + 1))
+        # the union of p^j W for 1 <= j <= s - smin, restricted to shell s
+        dilates = ClopenSet.empty(cfg)
+        for s in range(smin - 1, smax + 3):
+            if s - smin >= 1:
+                dilates = dilates.union(W.scale_by(s - smin))
+            assert S.intersect(shell(cfg, s)) == dilates.intersect(shell(cfg, s)), (case, s)
+        mra = mra_scaling_check(W, S)
+        for name in ("dilation-stable", "wavelet-is-dilation-layer", "measure-law"):
+            assert mra.check(name).ok, (case, name)
 
 
 def test_tower_audit_measures():

@@ -345,6 +345,17 @@ def test_extendability_bound_examples():
         extendability_bound(StepFunction.indicator(double))
 
 
+def test_weight_readers_refuse_an_irrational_weight_alike():
+    # at p=5, |1/2 + 1/2 zeta|^2 = 1/4 (2 + zeta + zeta^-1) is not rational
+    cfg = FieldConfig(5, 1)
+    value = rat(cfg, Fraction(1, 2)) * (rat(cfg, 1) + CycloScalar.zeta_pow(5, 5, 1))
+    f = StepFunction.indicator(ClopenSet.from_ball(Ball(cfg, parse_element(cfg, "1"), 1)), value)
+    for reader in (verify_translates, decomposability_bound, extendability_bound):
+        with pytest.raises(ValueError) as err:
+            reader(f)
+        assert str(err.value) == "periodized weight is not rational on ball(1, 1)", reader
+
+
 def test_bound_sum_diverges():
     # I + J integrates 1/|xi| over all of O, so at least one side is infinite
     rng = random.Random(43)
