@@ -85,6 +85,14 @@ def _int(text: str) -> int:
     return int(text)
 
 
+def _int_arg(text: str) -> int:
+    """A command-line integer, ASCII as in the spec language."""
+    try:
+        return _int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _operand(kind, cfg, text, env, line_no):
     """text read as one operand of the given kind: a "set" or "fn"
     expression, a `[..]` list or family name of "sets" or "fns", or a
@@ -551,15 +559,15 @@ def main(argv=None) -> int:
             sp = sub.add_parser(keyword)
             sp.add_argument("spec")
             sp.add_argument("--json", dest="json_path")
-            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--seed", type=_int_arg, default=0)
             sp.set_defaults(only=keyword if scope == "kind" else None)
 
     cp = sub.add_parser("construct")
     cp.add_argument("what", choices=list(_CONSTRUCTS))
-    cp.add_argument("--p", type=int, required=True)
-    cp.add_argument("--c", type=int, default=1)
-    cp.add_argument("--m", type=int)
-    cp.add_argument("--n", type=int)
+    cp.add_argument("--p", type=_int_arg, required=True)
+    cp.add_argument("--c", type=_int_arg, default=1)
+    cp.add_argument("--m", type=_int_arg)
+    cp.add_argument("--n", type=_int_arg)
 
     args = parser.parse_args(argv)
     try:

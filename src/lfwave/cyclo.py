@@ -22,7 +22,6 @@ gcd.  `coeffs` rebuilds the rational coordinates for printing.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, neg
@@ -213,7 +212,7 @@ class CycloScalar:
             raise ValueError("odd half-grade 1 cannot be reduced")
         return self
 
-    # -- comparisons, printing, numeric shadow ------------------------------
+    # -- comparisons, printing ------------------------------------------------
 
     def __eq__(self, other):
         return (
@@ -226,12 +225,6 @@ class CycloScalar:
 
     def __hash__(self):
         return hash((self.p, self.nums, self.den, self.grade))
-
-    def approx(self) -> complex:
-        """Floating shadow for tests only; never used in decisions."""
-        z = cmath.exp(2j * cmath.pi / self.p)
-        val = sum(float(c) * z**k for k, c in enumerate(self.coeffs))
-        return val * self.q ** (self.grade / 2)
 
     def __repr__(self):
         if self.is_zero():
@@ -247,8 +240,4 @@ class CycloScalar:
             else:
                 terms.append(f"{c}*z^{k}")
         s = " + ".join(terms)
-        if self.grade:
-            s = f"({s})*qh^{self.grade}"
-        a = self.approx()
-        approx = f"{a.real:.6g}" if abs(a.imag) < 1e-9 else f"{a:.6g}"
-        return f"{s} ({approx})"
+        return f"({s})*qh^{self.grade}" if self.grade else s

@@ -53,11 +53,6 @@ class FieldElement:
         return cls(config, {0: 1}, True)
 
     @classmethod
-    def prime_pow(cls, config: FieldConfig, k: int) -> "FieldElement":
-        """The monomial p**k."""
-        return cls(config, {k: 1}, True)
-
-    @classmethod
     def monomial(cls, config: FieldConfig, digit: int, k: int) -> "FieldElement":
         return cls(config, {k: digit})
 
@@ -70,10 +65,6 @@ class FieldElement:
     def valuation(self):
         """min exponent with nonzero digit; +inf for zero (|x| = q**-val)."""
         return min(self.digits) if self.digits else INFINITY
-
-    def abs_log(self):
-        """log_q |x| as an integer, -inf for zero."""
-        return -self.valuation() if self.digits else -INFINITY
 
     def __eq__(self, other):
         return (

@@ -62,9 +62,6 @@ class StepFunction:
 
     # -- pointwise algebra -------------------------------------------------------
 
-    def scalar_mul(self, s: CycloScalar) -> "StepFunction":
-        return StepFunction(self.config, [(b, s * v) for b, v in self.cells])
-
     def conj(self) -> "StepFunction":
         return StepFunction(
             self.config, [(b, v.conj()) for b, v in self.cells], _canonical=True
@@ -146,21 +143,23 @@ def common_refinement(config, fns, extras=()):
     return mesh
 
 
-def periodized_weight(f: StepFunction) -> StepFunction:
-    """Sum of |f|**2 over all integral translates, folded onto the ring of
-    integers.  The fold is finite because the support is bounded; the result
-    is integral periodic by construction."""
-    cfg = f.config
-    pieces = []
-    for ball, value in f.cells:
-        sq = value.abs_sq()
-        pieces.extend(
-            StepFunction(cfg, [(frag, sq)], _canonical=True) for frag, _ in fold_ball(ball)
-        )
-    zero = CycloScalar.zero(cfg.p, cfg.q)
-    cells = []
-    for cell, values in common_refinement(cfg, pieces):
+def periodize(config: FieldConfig, cells) -> StepFunction:
+    """The sum over all integral translates of (ball, value) cells, which
+    may overlap, as a step function on the ring of integers: each ball is
+    folded into O by fold_ball and the fragments are summed on one common
+    refinement.  The fold is finite because every ball is bounded; the
+    result is integral periodic by construction."""
+    pieces = [StepFunction(config, [(frag, value)], _canonical=True)
+              for ball, value in cells for frag, _ in fold_ball(ball)]
+    zero = CycloScalar.zero(config.p, config.q)
+    out = []
+    for cell, values in common_refinement(config, pieces):
         total = sum(values, zero)
         if not total.is_zero():
-            cells.append((cell, total))
-    return StepFunction(cfg, cells, _canonical=True)
+            out.append((cell, total))
+    return StepFunction(config, out, _canonical=True)
+
+
+def periodized_weight(f: StepFunction) -> StepFunction:
+    """The periodization of |f|**2."""
+    return periodize(f.config, [(ball, value.abs_sq()) for ball, value in f.cells])

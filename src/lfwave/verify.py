@@ -14,7 +14,7 @@ from .clopen import (INF, Ball, ClopenSet, FoldResult, integers, inv_norm_integr
                      overlay, units)
 from .cyclo import CycloScalar
 from .lfield import FieldElement, coset_rep, format_element
-from .stepfn import StepFunction, common_refinement, periodized_weight, shell_range
+from .stepfn import StepFunction, common_refinement, periodize, periodized_weight, shell_range
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +268,7 @@ def verify_frame_pointwise(fns) -> Verdict:
     s_max = cfg.q ** max(-smin, 0) - 1
     v.bounds["j_max"] = j_max
     v.bounds["s_max"] = s_max
+    nil = CycloScalar.zero(cfg.p, cfg.q)
     bad = None
     for s in range(1, s_max + 1):
         if s % cfg.q == 0:
@@ -275,10 +276,10 @@ def verify_frame_pointwise(fns) -> Verdict:
         us = coset_rep(cfg, s)
         pool = [g for f in fns for j in range(0, j_max + 1)
                 for g in (f.precompose(j=j), f.precompose(j=j, shift=us))]
-        mesh = common_refinement(cfg, pool)
-        pairs = [(i, i + 1) for i in range(0, len(pool), 2)]
-        bad = next(((s, cell) for cell, total in _pair_sums(cfg, mesh, pairs)
-                    if not total.is_zero()), None)
+        # pool holds (f(p**-j * x), f(p**-j * (x + u(s)))) pairs
+        bad = next(((s, cell) for cell, values in common_refinement(cfg, pool)
+                    if not sum((values[i] * values[i + 1].conj()
+                                for i in range(0, len(pool), 2)), nil).is_zero()), None)
         if bad:
             break
     v.add("translation-correlation", bad is None,
@@ -347,48 +348,36 @@ def verify_super_functions(fns) -> Verdict:
         v.add("(iii)-joint-correlation", False, witness_ball(zero[0]))
         return v
     j_max = max(smax - smin, 0)
-    k_max = cfg.q ** max(-smin, 0) - 1
     v.bounds["j_max"] = j_max
-    v.bounds["k_max"] = k_max
-
-    shifts = [coset_rep(cfg, k) for k in range(0, k_max + 1)]
-    offsets = range(j_max + 1)
-    mesh = _correlation_mesh(fns, offsets, shifts)
-    blocks = range(0, len(fns) * len(shifts) * len(offsets), len(offsets))
-    one = CycloScalar.rational(cfg.p, cfg.q, 1)
-    zero = CycloScalar.zero(cfg.p, cfg.q)
-    # cell-major, scale offset inner: the first failing cell is the witness
-    rows = zip(*(_pair_sums(cfg, mesh, [(b + j, b) for b in blocks]) for j in offsets))
-    bad = next(((j, cell, total) for row in rows
-                for j, (cell, total) in enumerate(row)
-                if total != (one if j == 0 else zero)), None)
+    v.bounds["k_max"] = cfg.q ** max(-smin, 0) - 1
+    # P_0 must be one on the integers and every other P_j zero
+    delta = [StepFunction.indicator(integers(cfg))] + [StepFunction.zero(cfg)] * j_max
+    bad = _first_discrepancy(cfg, j_max, lambda j: (_correlation(fns, j), delta[j]))
     v.add("(iii)-joint-correlation", bad is None,
           None if bad is None else witness_point(bad[1].center),
           note="" if bad is None else f"j={bad[0]}, sum = {bad[2]!r}")
     return v
 
 
-def _correlation_mesh(fns, offsets, shifts):
-    """The cells inside the integers of a refinement on which every
-    f(p**-n * (x + u)) is constant, for f in fns, u in shifts and n in
-    offsets.  The values run in that order: the block of (f, u) starts at a
-    multiple of len(offsets), so a periodized correlation pairs each block
-    start b + i (offset offsets[i]) with b (offset 0)."""
+def _correlation(fns, n):
+    """P_n, the periodized cross-scale correlation at scale offset n: the
+    periodization of the products f(p**-n * x) * conj f(x), f in fns."""
     cfg = fns[0].config
-    pool = [f.precompose(n, shift=uk) for f in fns for uk in shifts for n in offsets]
-    mesh = common_refinement(cfg, pool, extras=[integers(cfg)])
-    # shell index None: the zero cell, which lies inside the integers
-    return [(cell, values) for cell, values in mesh if (cell.shell_index() or 0) >= 0]
+    return periodize(cfg, [(cell, x * y.conj()) for f in fns
+                           for cell, (x, y) in common_refinement(cfg, [f.precompose(n), f])
+                           if not (x.is_zero() or y.is_zero())])
 
 
-def _pair_sums(cfg, mesh, pairs):
-    """(cell, sum over (a, b) in pairs of values[a] * conj(values[b])) for
-    each (cell, values) of a common refinement."""
-    for cell, values in mesh:
-        total = CycloScalar.zero(cfg.p, cfg.q)
-        for a, b in pairs:
-            total = total + values[a] * values[b].conj()
-        yield cell, total
+def _first_discrepancy(cfg, n_max, pair):
+    """(n, cell, x, y) at the smallest scale offset n <= n_max and the first
+    cell of the integers where the step functions pair(n) = (x, y) differ;
+    None when they agree at every offset."""
+    for n in range(n_max + 1):
+        mesh = common_refinement(cfg, pair(n), extras=[integers(cfg)])
+        bad = next(((n, cell, x, y) for cell, (x, y) in mesh if x != y), None)
+        if bad:
+            return bad
+    return None
 
 
 def equivalent_superwavelets(a_fns, b_fns) -> Verdict:
@@ -402,20 +391,10 @@ def equivalent_superwavelets(a_fns, b_fns) -> Verdict:
         v.add("bounded-away-from-zero", False, witness_ball(zero[0]))
         return v
     n_max = max(smax - smin, 0)
-    k_max = cfg.q ** max(-smin, 0) - 1
     v.bounds["n_max"] = n_max
-    v.bounds["k_max"] = k_max
-    shifts = [coset_rep(cfg, k) for k in range(0, k_max + 1)]
-    # offsets (0, n): a block of two per (f, u), a_fns first
-    split = 2 * len(a_fns) * len(shifts)
-    blocks = range(0, split, 2), range(split, split + 2 * len(b_fns) * len(shifts), 2)
-    bad = None
-    for n in range(0, n_max + 1):
-        mesh = _correlation_mesh(list(a_fns) + list(b_fns), (0, n), shifts)
-        pairs = zip(*(_pair_sums(cfg, mesh, [(b + 1, b) for b in bs]) for bs in blocks))
-        bad = next(((n, cell) for (cell, x), (_, y) in pairs if x != y), None)
-        if bad:
-            break
+    v.bounds["k_max"] = cfg.q ** max(-smin, 0) - 1
+    bad = _first_discrepancy(cfg, n_max, lambda n: (_correlation(a_fns, n),
+                                                    _correlation(b_fns, n)))
     v.add("correlations-agree", bad is None,
           None if bad is None else witness_point(bad[1].center),
           note="" if bad is None else f"first discrepancy at scale offset n={bad[0]}")

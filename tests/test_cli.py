@@ -365,6 +365,30 @@ def test_main_construct_and_exit_codes(tmp_path, capsys):
         assert out.err.count("\n") == 1
 
 
+def test_command_line_integers_are_ascii(tmp_path, capsys):
+    # every integer option reads the spec language's ASCII integers: a
+    # non-ASCII digit, an underscore or a sign is a usage error, exit 2
+    good = tmp_path / "good.lfw"
+    good.write_text("field {p=2}\ncheck dilation O*\n")
+    for argv, bad in [("construct shell --p {} --m 1", "\u0662"),
+                      ("construct shell --p 2 --m {}", "1_0"),
+                      ("construct shell --p 2 --c {} --m 1", "+1"),
+                      ("construct tower --p 2 --n {}", "\u0663"),
+                      ("check good --seed {}", "\u0661"),
+                      ("simulate good --seed {}", "0x1")]:
+        for value, status in (("2", 0), (bad, 2)):
+            args = argv.format(value).split()
+            args = [str(good) if a == "good" else a for a in args]
+            try:
+                got = main(args)
+            except SystemExit as exc:
+                got = exc.code
+            assert got == status, args
+            err = capsys.readouterr().err
+            if status == 2:
+                assert f"expected an integer, got {bad!r}" in err, args
+
+
 # ---------------------------------------------------------------------------
 # Seeded grammar fuzzer: every mutated document either runs to a report or
 # raises SpecError naming a line; no stray AttributeError or IndexError.

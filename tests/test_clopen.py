@@ -129,7 +129,7 @@ def test_translated_integer_coset_has_constant_absolute_value():
             x = rand_point(CFG3, rng, lo=0)
             xi = x + coset_rep(CFG3, i)
             assert Wi.member(xi)
-            assert xi.abs_log() == 1
+            assert xi.valuation() == -1
 
 
 def test_fold_examples():

@@ -54,7 +54,7 @@ def test_shannon_family():
 
 def test_shell_wavelet():
     W = shell_wavelet(CFG2, 1)
-    assert W.balls == (Ball(CFG2, FieldElement.prime_pow(CFG2, 1), 2),)
+    assert W.balls == (Ball(CFG2, FieldElement.monomial(CFG2, 1, 1), 2),)
     assert W.measure() == Fraction(1, 4)
     for m in (1, 2, 3):
         for cfg in (CFG2, CFG3):

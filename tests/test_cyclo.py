@@ -315,7 +315,7 @@ class ReferenceScalar:
             raise ValueError(f"odd half-grade {self.grade} cannot be reduced")
         return self
 
-    # -- comparisons, printing, numeric shadow ------------------------------
+    # -- comparisons, printing ------------------------------------------------
 
     def __eq__(self, other):
         return (
@@ -327,12 +327,6 @@ class ReferenceScalar:
 
     def __hash__(self):
         return hash((self.p, self.coeffs, self.grade))
-
-    def approx(self) -> complex:
-        """Floating shadow for tests only; never used in decisions."""
-        z = cmath.exp(2j * cmath.pi / self.p)
-        val = sum(float(c) * z**k for k, c in enumerate(self.coeffs))
-        return val * self.q ** (self.grade / 2)
 
     def __repr__(self):
         if self.is_zero():
@@ -348,11 +342,7 @@ class ReferenceScalar:
             else:
                 terms.append(f"{c}*z^{k}")
         s = " + ".join(terms)
-        if self.grade:
-            s = f"({s})*qh^{self.grade}"
-        a = self.approx()
-        approx = f"{a.real:.6g}" if abs(a.imag) < 1e-9 else f"{a:.6g}"
-        return f"{s} ({approx})"
+        return f"({s})*qh^{self.grade}" if self.grade else s
 
 
 AGREEMENT_PQ = {2: 4, 3: 9, 5: 5, 7: 7, 13: 13}

@@ -10,7 +10,7 @@ from lfwave.clopen import Ball, ClopenSet, fractional_ideal, integers, units
 from lfwave.cyclo import CycloScalar
 from lfwave.gfq import FieldConfig
 from lfwave.lfield import FieldElement, coset_rep
-from lfwave.stepfn import StepFunction, common_refinement, periodized_weight
+from lfwave.stepfn import StepFunction, common_refinement, periodize, periodized_weight
 
 CFG2 = FieldConfig(2, 1)
 CFG3 = FieldConfig(3, 1)
@@ -23,8 +23,8 @@ def rat(cfg, x, grade=0):
 def test_evaluation():
     f = StepFunction.indicator(units(CFG2))
     assert f.evaluate(FieldElement.one(CFG2)) == rat(CFG2, 1)
-    assert f.evaluate(FieldElement.prime_pow(CFG2, 1)).is_zero()
-    assert f.evaluate(FieldElement.prime_pow(CFG2, -4)).is_zero()
+    assert f.evaluate(FieldElement.monomial(CFG2, 1, 1)).is_zero()
+    assert f.evaluate(FieldElement.monomial(CFG2, 1, -4)).is_zero()
 
 
 def test_common_refinement_examples():
@@ -138,7 +138,7 @@ def test_scalar_mul_and_conj():
     z = CycloScalar.zeta_pow(3, 3, 1)
     f = StepFunction.indicator(units(CFG3), z)
     assert f.conj().evaluate(FieldElement.one(CFG3)) == z.conj()
-    g = f.scalar_mul(z)
+    g = StepFunction(CFG3, [(b, z * v) for b, v in f.cells])
     assert g.evaluate(FieldElement.one(CFG3)) == z * z
 
 
@@ -148,7 +148,7 @@ def test_periodized_weight_examples():
     assert w == StepFunction.indicator(integers(CFG2))
     # a proper sub-ball gives a 0/1 weight strictly below 1 somewhere
     w = periodized_weight(StepFunction.indicator(fractional_ideal(CFG2, 1)))
-    assert w.evaluate(FieldElement.prime_pow(CFG2, 1)) == rat(CFG2, 1)
+    assert w.evaluate(FieldElement.monomial(CFG2, 1, 1)) == rat(CFG2, 1)
     assert w.evaluate(FieldElement.one(CFG2)).is_zero()
     # two overlapping folds add up to 2 everywhere
     W = integers(CFG2).union(integers(CFG2).translate(coset_rep(CFG2, 1)))
@@ -174,6 +174,72 @@ def test_periodized_weight_is_integral_periodic():
             v = f.evaluate(x + coset_rep(CFG3, k)).abs_sq()
             total = total + v.reduce_grade()
         assert total == w.evaluate(x)
+
+
+def direct_periodization(cfg, cells, x, cosets):
+    """Sum of the values of the cells holding x + u(k), over k < cosets."""
+    total = CycloScalar.zero(cfg.p, cfg.q)
+    for k in range(cosets):
+        for ball, value in cells:
+            if ball.contains_point(x + coset_rep(cfg, k)):
+                total = total + value
+    return total
+
+
+def test_periodize_overlapping_cells_and_wide_balls():
+    # nested cells add up where they overlap
+    O, pO = integers(CFG3), fractional_ideal(CFG3, 1)
+    w = periodize(CFG3, [(O.balls[0], rat(CFG3, 1)), (pO.balls[0], rat(CFG3, 2))])
+    assert w == StepFunction(CFG3, [(b, rat(CFG3, 1)) for b in O.subtract(pO).balls]
+                             + [(pO.balls[0], rat(CFG3, 3))])
+    # p^-2 O spans the q^2 cosets u(0)..u(8): every one folds onto O
+    wide = Ball.integers(CFG3, -2)
+    assert periodize(CFG3, [(wide, rat(CFG3, 1))]) == StepFunction.indicator(O, rat(CFG3, 9))
+    # equal balls, a coarse ball over a fine one, and a ball in another coset
+    z = CycloScalar.zeta_pow(3, 3, 1)
+    u1 = Ball(CFG3, coset_rep(CFG3, 1), 1)
+    cells = [(u1, z), (u1, z), (Ball.integers(CFG3, -1), rat(CFG3, 1)),
+             (Ball(CFG3, coset_rep(CFG3, 5), 2), rat(CFG3, -1))]
+    w = periodize(CFG3, cells)
+    assert all(O.balls[0].contains_ball(b) for b, _ in w.cells)
+    rng = random.Random(33)
+    for _ in range(300):
+        x = FieldElement(CFG3, {e: rng.randrange(3) for e in range(4)})
+        assert w.evaluate(x) == direct_periodization(CFG3, cells, x, 9)
+
+
+def test_periodize_matches_direct_sums():
+    # seeded overlapping cells on shells -2..2 at q = 2..5, against the sum
+    # over the translates that can reach them
+    rng = random.Random(34)
+    for cfg in (CFG2, CFG3, FieldConfig(2, 2), FieldConfig(5, 1)):
+        for _ in range(20):
+            cells = []
+            for _ in range(rng.randrange(1, 5)):
+                scale = rng.randrange(-2, 3)
+                center = FieldElement(cfg, {e: rng.randrange(cfg.q)
+                                            for e in range(-2, scale)})
+                value = CycloScalar(cfg.p, cfg.q, [rng.randrange(-2, 3)
+                                                   for _ in range(cfg.p - 1)])
+                cells.append((Ball(cfg, center, scale), value))
+            w = periodize(cfg, cells)
+            assert all(Ball.integers(cfg).contains_ball(b) for b, _ in w.cells)
+            for _ in range(10):
+                x = FieldElement(cfg, {e: rng.randrange(cfg.q) for e in range(3)})
+                assert w.evaluate(x) == direct_periodization(cfg, cells, x, cfg.q ** 2)
+
+
+def test_periodized_weight_is_the_periodization_of_squares():
+    rng = random.Random(35)
+    for cfg in (CFG2, CFG3, FieldConfig(5, 1)):
+        for _ in range(30):
+            balls = ClopenSet(cfg, [Ball(cfg, FieldElement(cfg, {e: rng.randrange(cfg.q)
+                                                                 for e in range(-2, s)}), s)
+                                    for s in rng.sample(range(-1, 3), 2)]).balls
+            f = StepFunction(cfg, [(b, CycloScalar.zeta_pow(cfg.p, cfg.q, rng.randrange(cfg.p),
+                                                             rng.randrange(2)))
+                                   for b in balls])
+            assert periodized_weight(f) == periodize(cfg, [(b, v.abs_sq()) for b, v in f.cells])
 
 
 def test_weight_values_are_rational():

@@ -3,6 +3,7 @@ bound computations, cross-checked against direct pointwise counting oracles."""
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -85,7 +86,7 @@ def witness_points(cfg, w):
     for item in items:
         c = parse_element(cfg, item["center"])
         if not c:
-            c = FieldElement.prime_pow(cfg, item["scale"])
+            c = FieldElement.monomial(cfg, 1, item["scale"])
         out.append(c)
     return out
 
@@ -423,7 +424,7 @@ def test_correlation_witnesses_are_the_first_failing_cell():
     v = verify_super_functions([w])
     c = v.check("(iii)-joint-correlation")
     assert (c.ok, c.witness, c.note) == (
-        False, {"kind": "point", "point": "p"}, "j=1, sum = 1 (1)")
+        False, {"kind": "point", "point": "p"}, "j=1, sum = 1")
     assert v.bounds == {"j_max": 1, "k_max": 3}
 
     v = equivalent_superwavelets([a], [b])
@@ -437,6 +438,126 @@ def test_correlation_witnesses_are_the_first_failing_cell():
     assert (c.ok, c.witness, c.note) == (
         False, {"kind": "point", "point": "p"}, "first discrepancy at scale offset n=1")
     assert v.bounds == {"n_max": 1, "k_max": 3}
+
+
+def random_spectrum(cfg, rng, grade):
+    """Up to three disjoint balls on shells -2..2 with small cyclotomic
+    values of half-grade `grade` (None: each cell draws its own), or the
+    indicator of one shell."""
+    if rng.random() < 0.3:
+        return StepFunction.indicator(shell(cfg, rng.randrange(-2, 3)))
+    cells = []
+    for _ in range(rng.randrange(1, 4)):
+        s = rng.randrange(-2, 3)
+        scale = s + rng.randrange(1, 3)
+        digits = {s: rng.randrange(1, cfg.q)}
+        digits.update((e, rng.randrange(cfg.q)) for e in range(s + 1, scale))
+        ball = Ball(cfg, FieldElement(cfg, digits), scale)
+        if all(ball.is_disjoint(b) for b, _ in cells):
+            g = rng.randrange(2) if grade is None else grade
+            coeffs = [0] * (cfg.p - 1)
+            while not any(coeffs):
+                coeffs = [rng.randrange(-1, 2) for _ in coeffs]
+            cells.append((ball, CycloScalar(cfg.p, cfg.q, coeffs, g)))
+    return StepFunction(cfg, cells)
+
+
+def tiling_tuple(cfg, rng):
+    """Roots of unity on the atoms of O at scale 1 or 2, each moved by some
+    u(k), k < q^2, and dealt out to 1-3 spectra: P_0 is 1, so the later
+    offsets decide.  For q > 2 the atoms are at scale 1 and k < q, which
+    keeps the translation-correlation checks small."""
+    m = rng.randrange(1, 4)
+    cells = [[] for _ in range(m)]
+    r = 2 if cfg.q == 2 else 1
+    for atom in Ball.integers(cfg).split_to(rng.randrange(1, r + 1)):
+        k = rng.randrange(1 if atom.contains_zero() else 0, cfg.q ** r)
+        value = CycloScalar.zeta_pow(cfg.p, cfg.q, rng.randrange(cfg.p))
+        cells[rng.randrange(m)].append((atom.translate(coset_rep(cfg, k)), value))
+    return [StepFunction(cfg, c) for c in cells if c]
+
+
+def correlation_family(cfg, rng):
+    """(a, b): random spectra or a tiling tuple, with b = a about 30 % of
+    the time; otherwise a tiling tuple is paired with its own spectra times
+    roots of unity (equivalent) or with another tiling tuple."""
+    if rng.random() < 0.5:
+        grade = None if rng.random() < 0.15 else rng.randrange(2)
+        a, b = ([random_spectrum(cfg, rng, grade) for _ in range(rng.randrange(1, 4))]
+                for _ in range(2))
+    else:
+        a = tiling_tuple(cfg, rng)
+        b = rng.choice([[StepFunction(cfg, [(ball, v * z) for ball, v in f.cells])
+                         for f in a for z in [CycloScalar.zeta_pow(cfg.p, cfg.q, rng.randrange(cfg.p))]],
+                        tiling_tuple(cfg, rng)])
+    return a, (a if rng.random() < 0.3 else b)
+
+
+def correlation_at(fns, n, x):
+    """P_n of fns at x in O by direct evaluation: the sum over f in fns and
+    over the q**-smin cosets that reach the spectra of
+    f(p**-n * (x + u(k))) * conj f(x + u(k))."""
+    cfg = fns[0].config
+    smin = min((b.shell_index() for f in fns for b, _ in f.cells), default=0)
+    total = rat(cfg, 0)
+    for f in fns:
+        for k in range(cfg.q ** max(-smin, 0)):
+            y = x + coset_rep(cfg, k)
+            total = total + f.evaluate(y.scale_exponents(-n)) * f.evaluate(y).conj()
+    return total
+
+
+def test_correlation_witnesses_hold_by_direct_evaluation():
+    # every failing (iii) or correlations-agree witness is a point where the
+    # directly evaluated correlations miss the delta, or differ, at the
+    # reported offset; passing verdicts hold at sampled points of O
+    rng = random.Random(46)
+    seen = Counter()
+    for _ in range(500):
+        cfg = rng.choice([CFG2, CFG3, FieldConfig(2, 2), FieldConfig(5, 1)])
+        a, b = correlation_family(cfg, rng)
+        delta = [rat(cfg, 1)] + [rat(cfg, 0)] * 4  # offsets stay <= 4 on shells -2..2
+        sample = [FieldElement(cfg, {e: rng.randrange(cfg.q) for e in range(3)})
+                  for _ in range(2)]
+        v = verify_super_functions(a)
+        c = v.check("(iii)-joint-correlation")
+        if c.ok:
+            assert all(correlation_at(a, j, x) == delta[j]
+                       for j in range(v.bounds["j_max"] + 1) for x in sample)
+        else:
+            j = int(c.note.split(",")[0].removeprefix("j="))
+            total = correlation_at(a, j, parse_element(cfg, c.witness["point"]))
+            assert total != delta[j] and c.note == f"j={j}, sum = {total!r}"
+        seen["iii", c.ok, c.ok or j > 0] += 1
+
+        v = equivalent_superwavelets(a, b)
+        c = v.check("correlations-agree")
+        assert c.ok or b is not a
+        if c.ok:
+            assert all(correlation_at(a, n, x) == correlation_at(b, n, x)
+                       for n in range(v.bounds["n_max"] + 1) for x in sample)
+        else:
+            n = int(c.note.rsplit("=", 1)[1])
+            x = parse_element(cfg, c.witness["point"])
+            assert correlation_at(a, n, x) != correlation_at(b, n, x)
+        seen["eq", c.ok, c.ok or n > 0] += 1
+    # passes, failures at offset 0 and failures past it all occur
+    assert all(seen[kind, ok, later] >= 20 for kind in ("iii", "eq")
+               for ok, later in ((True, True), (False, False), (False, True))), seen
+
+
+def test_joint_correlation_reports_the_smallest_failing_offset():
+    # P_0 misses 1 on p^3 O, which no translate reaches, and P_2 is -1 at
+    # p^2: the witness is the j=0 failure, although finer meshes of the
+    # dilated spectra would put a j=2 cell first in sort order
+    def cell(x, scale, value):
+        return Ball(CFG2, parse_element(CFG2, x), scale), rat(CFG2, value)
+    fns = [StepFunction(CFG2, [cell("1", 2, 1), cell("p^2", 3, -1)]),
+           StepFunction(CFG2, [cell("p", 2, 1)]),
+           StepFunction(CFG2, [cell("1 + p", 2, -1)])]
+    c = verify_super_functions(fns).check("(iii)-joint-correlation")
+    assert (c.ok, c.witness, c.note) == (False, {"kind": "point", "point": "0"}, "j=0, sum = 0")
+    assert correlation_at(fns, 2, parse_element(CFG2, "p^2")) == rat(CFG2, -1)
 
 
 def test_multiwavelet_mode_is_checked():
