@@ -109,16 +109,14 @@ def shell_range(fns):
     return smin, smax, zero
 
 
-def common_refinement(config, fns, extras=()):
+def common_refinement(config, fns):
     """A pairwise-disjoint ball mesh on which every input function is constant
-    and which covers every input support and extra set.
+    and which covers every input support.
 
     Returns a list of (cell, values) sorted by cell, where values[i] is the
     value of fns[i] on the cell (zero off its support).
     """
     pool = [(b, i, v) for i, f in enumerate(fns) for b, v in f.cells]
-    for s in extras:
-        pool.extend((b, None, None) for b in s.balls)
     universe = ClopenSet(config, [b for b, _, _ in pool])
     zero = CycloScalar.zero(config.p, config.q)
 
@@ -126,8 +124,7 @@ def common_refinement(config, fns, extras=()):
         if all(b.contains_ball(ball) for b, _, _ in relevant):
             values = [zero] * len(fns)
             for _, i, v in relevant:
-                if i is not None:
-                    values[i] = v
+                values[i] = v
             yield ball, values
             return
         for child in ball.children():
@@ -143,14 +140,11 @@ def common_refinement(config, fns, extras=()):
     return mesh
 
 
-def periodize(config: FieldConfig, cells) -> StepFunction:
-    """The sum over all integral translates of (ball, value) cells, which
-    may overlap, as a step function on the ring of integers: each ball is
-    folded into O by fold_ball and the fragments are summed on one common
-    refinement.  The fold is finite because every ball is bounded; the
-    result is integral periodic by construction."""
-    pieces = [StepFunction(config, [(frag, value)], _canonical=True)
-              for ball, value in cells for frag, _ in fold_ball(ball)]
+def cell_sum(config: FieldConfig, cells) -> StepFunction:
+    """The sum of (ball, value) cells, which may overlap, as a step function:
+    the values are added on one common refinement of the balls, and cells
+    where they sum to zero are dropped."""
+    pieces = [StepFunction(config, [cell], _canonical=True) for cell in cells]
     zero = CycloScalar.zero(config.p, config.q)
     out = []
     for cell, values in common_refinement(config, pieces):
@@ -158,6 +152,16 @@ def periodize(config: FieldConfig, cells) -> StepFunction:
         if not total.is_zero():
             out.append((cell, total))
     return StepFunction(config, out, _canonical=True)
+
+
+def periodize(config: FieldConfig, cells) -> StepFunction:
+    """The sum over all integral translates of (ball, value) cells, which
+    may overlap, as a step function on the ring of integers: the cell_sum
+    of the fragments fold_ball cuts each ball into.  The fold is finite
+    because every ball is bounded; the result is integral periodic by
+    construction."""
+    return cell_sum(config, [(frag, value) for ball, value in cells
+                             for frag, _ in fold_ball(ball)])
 
 
 def periodized_weight(f: StepFunction) -> StepFunction:

@@ -12,9 +12,9 @@ from fractions import Fraction
 
 from .clopen import (INF, Ball, ClopenSet, FoldResult, integers, inv_norm_integral, joint_fold,
                      overlay, units)
-from .cyclo import CycloScalar
 from .lfield import FieldElement, coset_rep, format_element
-from .stepfn import StepFunction, common_refinement, periodize, periodized_weight, shell_range
+from .stepfn import (StepFunction, cell_sum, common_refinement, periodize, periodized_weight,
+                     shell_range)
 
 
 # ---------------------------------------------------------------------------
@@ -245,42 +245,32 @@ def verify_frame_pointwise(fns) -> Verdict:
 
     # dilation square sum == 1, checked on the unit shell (the sum is
     # invariant under scaling the argument by p); with no cells it is 0
-    target = units(cfg)
     dilations = range(-smax, -smin + 1) if smin < INF else ()
-    scaled = [f.precompose(j=j) for f in fns for j in dilations]
-    one = CycloScalar.rational(cfg.p, cfg.q, 1)
-    bad = None
-    for cell, values in common_refinement(cfg, scaled, extras=[target]):
-        if cell.shell_index() != 0:
-            continue
-        total = CycloScalar.zero(cfg.p, cfg.q)
-        for x in values:
-            total = total + x.abs_sq()
-        if total != one:
-            bad = (cell, total)
-            break
+    squares = cell_sum(cfg, [(b, x.abs_sq()) for f in fns for j in dilations
+                             for b, x in f.precompose(j).cells if b.shell_index() == 0])
+    bad = _first_discrepancy(cfg, 0, lambda _: (squares, StepFunction.indicator(units(cfg))))
     v.add("dilation-square-sum", bad is None,
-          None if bad is None else witness_point(bad[0].center),
-          note="" if bad is None else f"sum = {bad[1]!r}")
+          None if bad is None else witness_point(bad[1].center),
+          note="" if bad is None else f"sum = {bad[2]!r}")
 
     # translated correlations vanish
     j_max = max(-smin - 1, -1)
     s_max = cfg.q ** max(-smin, 0) - 1
     v.bounds["j_max"] = j_max
     v.bounds["s_max"] = s_max
-    nil = CycloScalar.zero(cfg.p, cfg.q)
     bad = None
     for s in range(1, s_max + 1):
         if s % cfg.q == 0:
             continue
         us = coset_rep(cfg, s)
-        pool = [g for f in fns for j in range(0, j_max + 1)
-                for g in (f.precompose(j=j), f.precompose(j=j, shift=us))]
-        # pool holds (f(p**-j * x), f(p**-j * (x + u(s)))) pairs
-        bad = next(((s, cell) for cell, values in common_refinement(cfg, pool)
-                    if not sum((values[i] * values[i + 1].conj()
-                                for i in range(0, len(pool), 2)), nil).is_zero()), None)
-        if bad:
+        products = [c for f in fns for j in range(j_max + 1)
+                    for c in _products(f.precompose(j), f.precompose(j, shift=us))]
+        # half-grades 0 and 1 are independent coordinates of a scalar
+        # (q**(1/2) is kept formal), so t_s vanishes where each grade sums to 0
+        cells = [b for g in (0, 1)
+                 for b, _ in cell_sum(cfg, [c for c in products if c[1].grade == g]).cells]
+        if cells:
+            bad = (s, min(cells, key=Ball.sort_key))
             break
     v.add("translation-correlation", bad is None,
           None if bad is None else witness_point(bad[1].center),
@@ -359,22 +349,26 @@ def verify_super_functions(fns) -> Verdict:
     return v
 
 
+def _products(g: StepFunction, h: StepFunction):
+    """The (cell, x * conj y) cells of g * conj h where both are nonzero."""
+    return [(cell, x * y.conj())
+            for cell, (x, y) in common_refinement(g.config, [g, h])
+            if not (x.is_zero() or y.is_zero())]
+
+
 def _correlation(fns, n):
     """P_n, the periodized cross-scale correlation at scale offset n: the
     periodization of the products f(p**-n * x) * conj f(x), f in fns."""
-    cfg = fns[0].config
-    return periodize(cfg, [(cell, x * y.conj()) for f in fns
-                           for cell, (x, y) in common_refinement(cfg, [f.precompose(n), f])
-                           if not (x.is_zero() or y.is_zero())])
+    return periodize(fns[0].config, [c for f in fns for c in _products(f.precompose(n), f)])
 
 
 def _first_discrepancy(cfg, n_max, pair):
     """(n, cell, x, y) at the smallest scale offset n <= n_max and the first
-    cell of the integers where the step functions pair(n) = (x, y) differ;
-    None when they agree at every offset."""
+    cell where the step functions pair(n) = (x, y) differ; None when they
+    agree at every offset."""
     for n in range(n_max + 1):
-        mesh = common_refinement(cfg, pair(n), extras=[integers(cfg)])
-        bad = next(((n, cell, x, y) for cell, (x, y) in mesh if x != y), None)
+        bad = next(((n, cell, x, y) for cell, (x, y) in common_refinement(cfg, pair(n))
+                    if x != y), None)
         if bad:
             return bad
     return None

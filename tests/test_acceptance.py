@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from lfwave.clopen import Ball, ClopenSet, fractional_ideal, integers, shell, units
+from lfwave.clopen import Ball, ClopenSet, fractional_ideal, units
 from lfwave.construct import (
     scaled_shannon_family,
     scaling_set,
@@ -37,7 +37,7 @@ from lfwave.framesim import (
     truncation_spot_check,
 )
 from lfwave.gfq import FieldConfig
-from lfwave.lfield import FieldElement, character, coset_rep, coset_index
+from lfwave.lfield import character, coset_rep, coset_index
 from lfwave.stepfn import StepFunction
 from lfwave.verify import (
     decomposability_bound,

@@ -649,29 +649,13 @@ def test_filter_subcommands_run_the_definitions_and_one_kind(tmp_path, capsys):
         assert report["field"] == golden["field"]
 
 
-def assert_report_pinned(spec, tmp_path, capsys):
+@pytest.mark.parametrize("spec", sorted(p.stem for p in SPECS.glob("*.lfw")))
+def test_report_is_pinned(spec, tmp_path, capsys):
+    # each spec's header comment says what its golden report pins
     out = tmp_path / "r.json"
     assert main(["check", str(SPECS / f"{spec}.lfw"), "--json", str(out)]) == 1
     capsys.readouterr()
     assert out.read_bytes() == (SPECS / f"{spec}.json").read_bytes()
-
-
-def test_every_directive_p5_report_is_pinned(tmp_path, capsys):
-    """Every directive kind at p=5 with zeta-valued spectra: the JSON report,
-    non-rational residual and note strings included, is pinned byte for byte."""
-    assert_report_pinned("every_directive_p5", tmp_path, capsys)
-
-
-def test_half_grades_p3_report_is_pinned(tmp_path, capsys):
-    """Values with half-grades 1, -1 and 2 at p=3 through every check kind
-    that reads values: an even grade is the rational q**k in every entry."""
-    assert_report_pinned("half_grades_p3", tmp_path, capsys)
-
-
-def test_every_directive_p2c2_report_is_pinned(tmp_path, capsys):
-    """Every directive kind at p=2, c=2 (q=4): the JSON report, GF(4) digit
-    literals included, is pinned byte for byte."""
-    assert_report_pinned("every_directive_p2c2", tmp_path, capsys)
 
 
 def test_inline_family_lists():

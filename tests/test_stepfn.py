@@ -1,5 +1,5 @@
 """Piecewise-constant spectra: evaluation, common refinement, refinement-
-stable equality, and the periodized weight."""
+stable equality, sums of overlapping cells, and the periodized weight."""
 
 import random
 from fractions import Fraction
@@ -10,7 +10,7 @@ from lfwave.clopen import Ball, ClopenSet, fractional_ideal, integers, units
 from lfwave.cyclo import CycloScalar
 from lfwave.gfq import FieldConfig
 from lfwave.lfield import FieldElement, coset_rep
-from lfwave.stepfn import StepFunction, common_refinement, periodize, periodized_weight
+from lfwave.stepfn import StepFunction, cell_sum, common_refinement, periodize, periodized_weight
 
 CFG2 = FieldConfig(2, 1)
 CFG3 = FieldConfig(3, 1)
@@ -58,7 +58,8 @@ def test_inputs_constant_on_refinement_cells():
             fns.append(StepFunction(CFG3, cells))
         extra = ClopenSet(CFG3, [Ball(CFG3, coset_rep(CFG3, rng.randrange(27)),
                                       rng.randrange(-2, 2))])
-        mesh = common_refinement(CFG3, fns, extras=[extra])
+        fns.append(StepFunction.indicator(extra))
+        mesh = common_refinement(CFG3, fns)
         cells = [cell for cell, _ in mesh]
         assert cells == sorted(cells, key=Ball.sort_key)
         assert ClopenSet(CFG3, cells).contains_set(extra)
@@ -192,6 +193,8 @@ def test_periodize_overlapping_cells_and_wide_balls():
     w = periodize(CFG3, [(O.balls[0], rat(CFG3, 1)), (pO.balls[0], rat(CFG3, 2))])
     assert w == StepFunction(CFG3, [(b, rat(CFG3, 1)) for b in O.subtract(pO).balls]
                              + [(pO.balls[0], rat(CFG3, 3))])
+    # cells that cancel leave no cell
+    assert cell_sum(CFG3, [(O.balls[0], rat(CFG3, 1)), (O.balls[0], rat(CFG3, -1))]).cells == ()
     # p^-2 O spans the q^2 cosets u(0)..u(8): every one folds onto O
     wide = Ball.integers(CFG3, -2)
     assert periodize(CFG3, [(wide, rat(CFG3, 1))]) == StepFunction.indicator(O, rat(CFG3, 9))
@@ -209,8 +212,9 @@ def test_periodize_overlapping_cells_and_wide_balls():
 
 
 def test_periodize_matches_direct_sums():
-    # seeded overlapping cells on shells -2..2 at q = 2..5, against the sum
-    # over the translates that can reach them
+    # seeded overlapping cells on shells -2..2 at q = 2..5: the periodization
+    # against the sum over the translates that can reach them, and cell_sum
+    # against the sum of the cells that hold the point
     rng = random.Random(34)
     for cfg in (CFG2, CFG3, FieldConfig(2, 2), FieldConfig(5, 1)):
         for _ in range(20):
@@ -227,6 +231,13 @@ def test_periodize_matches_direct_sums():
             for _ in range(10):
                 x = FieldElement(cfg, {e: rng.randrange(cfg.q) for e in range(3)})
                 assert w.evaluate(x) == direct_periodization(cfg, cells, x, cfg.q ** 2)
+            total = cell_sum(cfg, cells)
+            assert not any(v.is_zero() for _, v in total.cells)
+            points = [b.center for b, _ in cells] + [
+                FieldElement(cfg, {e: rng.randrange(cfg.q) for e in range(-2, 3)})
+                for _ in range(10)]
+            for x in points:
+                assert total.evaluate(x) == direct_periodization(cfg, cells, x, 1)
 
 
 def test_periodized_weight_is_the_periodization_of_squares():

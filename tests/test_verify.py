@@ -14,7 +14,7 @@ from lfwave.cyclo import CycloScalar
 from lfwave.framesim import gram_entry
 from lfwave.gfq import FieldConfig
 from lfwave.lfield import FieldElement, coset_rep, parse_element
-from lfwave.stepfn import StepFunction
+from lfwave.stepfn import StepFunction, shell_range
 from lfwave.verify import (
     check_dilation_tiling,
     check_translation,
@@ -206,6 +206,22 @@ def test_frame_pointwise_examples():
     g = StepFunction.indicator(integers(CFG2))
     v = verify_frame_pointwise([g])
     assert not v.passed and v.check("bounded-away-from-zero").witness is not None
+
+
+def test_translation_correlation_sums_each_half_grade():
+    # at p=3, t_1 on p^-1 + O is 1 from f and q^(1/2) from g: products of
+    # half-grades 0 and 1, which vanish together only when each grade sums
+    # to zero on its own (as with the negated copies), since q^(1/2) is not
+    # in Q(zeta_3)
+    def spectrum(b):
+        return StepFunction(CFG3, [(Ball(CFG3, parse_element(CFG3, "p^-1"), 0), rat(CFG3, 1)),
+                                   (Ball(CFG3, parse_element(CFG3, "2*p^-1"), 0), b)])
+    f, g = spectrum(rat(CFG3, 1)), spectrum(rat(CFG3, 1, grade=1))
+    c = verify_frame_pointwise([f, g]).check("translation-correlation")
+    assert (c.ok, c.witness["point"], c.note) == \
+        (False, "p^-1", "nonzero at translation index s=1")
+    negated = [spectrum(rat(CFG3, -1)), spectrum(rat(CFG3, -1, grade=1))]
+    assert verify_frame_pointwise([f, g] + negated).check("translation-correlation").ok
 
 
 def rand_disjoint_family(cfg, rng):
@@ -507,10 +523,44 @@ def correlation_at(fns, n, x):
     return total
 
 
+def square_sum_at(fns, x):
+    """The dilation square sum of fns at x by direct evaluation: the sum over
+    f in fns and over the dilations j = -smax..-smin that reach the spectra
+    of |f(p**-j * x)|**2."""
+    smin, smax, _ = shell_range(fns)
+    total = rat(fns[0].config, 0)
+    for f in fns:
+        for j in range(-smax, -smin + 1):
+            total = total + f.evaluate(x.scale_exponents(-j)).abs_sq()
+    return total
+
+
+def translation_correlation_vanishes(fns, j_max, s, x):
+    """Is t_s of fns zero at x, by direct evaluation of the sum over f in fns
+    and over j = 0..j_max of f(p**-j * x) * conj f(p**-j * (x + u(s)))?
+    Terms of half-grades 0 and 1 cannot cancel, so each grade is summed
+    apart."""
+    cfg = fns[0].config
+    y = x + coset_rep(cfg, s)
+    parts = [rat(cfg, 0), rat(cfg, 0)]
+    for f in fns:
+        for j in range(j_max + 1):
+            t = f.evaluate(x.scale_exponents(-j)) * f.evaluate(y.scale_exponents(-j)).conj()
+            parts[t.grade] = parts[t.grade] + t
+    return all(part.is_zero() for part in parts)
+
+
+def point_of_shell(cfg, rng, v):
+    """A random point of absolute value q**-v with four random digits."""
+    return FieldElement(cfg, {v: rng.randrange(1, cfg.q),
+                              **{e: rng.randrange(cfg.q) for e in range(v + 1, v + 4)}})
+
+
 def test_correlation_witnesses_hold_by_direct_evaluation():
-    # every failing (iii) or correlations-agree witness is a point where the
-    # directly evaluated correlations miss the delta, or differ, at the
-    # reported offset; passing verdicts hold at sampled points of O
+    # every failing witness of check frame's two sums, of (iii) or of
+    # correlations-agree is a point where the directly evaluated sums miss
+    # their target, or differ, at the reported index; passing verdicts hold
+    # at sampled points (of the unit shell, of shells -3..2, and of O)
     rng = random.Random(46)
     seen = Counter()
     for _ in range(500):
@@ -519,6 +569,27 @@ def test_correlation_witnesses_hold_by_direct_evaluation():
         delta = [rat(cfg, 1)] + [rat(cfg, 0)] * 4  # offsets stay <= 4 on shells -2..2
         sample = [FieldElement(cfg, {e: rng.randrange(cfg.q) for e in range(3)})
                   for _ in range(2)]
+        v = verify_frame_pointwise(a)
+        c = v.check("dilation-square-sum")
+        if c.ok:
+            assert all(square_sum_at(a, point_of_shell(cfg, rng, 0)) == rat(cfg, 1)
+                       for _ in range(2))
+        else:
+            total = square_sum_at(a, parse_element(cfg, c.witness["point"]))
+            assert total != rat(cfg, 1) and c.note == f"sum = {total!r}"
+        seen["i", c.ok] += 1
+        c = v.check("translation-correlation")
+        j_max = v.bounds["j_max"]
+        if c.ok:
+            points = [point_of_shell(cfg, rng, rng.randrange(-3, 3)) for _ in range(2)]
+            assert all(translation_correlation_vanishes(a, j_max, s, x)
+                       for s in range(1, v.bounds["s_max"] + 1) if s % cfg.q for x in points)
+        else:
+            s = int(c.note.rsplit("=", 1)[1])
+            x = parse_element(cfg, c.witness["point"])
+            assert not translation_correlation_vanishes(a, j_max, s, x)
+        seen["ii", c.ok] += 1
+
         v = verify_super_functions(a)
         c = v.check("(iii)-joint-correlation")
         if c.ok:
@@ -541,7 +612,9 @@ def test_correlation_witnesses_hold_by_direct_evaluation():
             x = parse_element(cfg, c.witness["point"])
             assert correlation_at(a, n, x) != correlation_at(b, n, x)
         seen["eq", c.ok, c.ok or n > 0] += 1
-    # passes, failures at offset 0 and failures past it all occur
+    # passes and failures of check frame's sums, and passes, failures at
+    # offset 0 and failures past it of the correlations, all occur
+    assert all(seen[kind, ok] >= 20 for kind in ("i", "ii") for ok in (True, False)), seen
     assert all(seen[kind, ok, later] >= 20 for kind in ("iii", "eq")
                for ok, later in ((True, True), (False, False), (False, True))), seen
 
