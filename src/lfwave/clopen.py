@@ -376,10 +376,6 @@ class ClopenSet:
         """Translate every ball back into the ring of integers; see joint_fold."""
         return joint_fold(self.config, [self])
 
-    def inv_norm_integral(self):
-        """Integral of 1/|xi| over the set; see inv_norm_integral."""
-        return inv_norm_integral((b, 1) for b in self.balls)
-
     def __repr__(self):
         if not self.balls:
             return "{}"

@@ -41,13 +41,13 @@ def _exact(x):
 class CycloScalar:
     __slots__ = ("p", "q", "nums", "den", "grade")
 
-    def __init__(self, p: int, q: int, coeffs, grade: int = 0):
+    def __init__(self, p: int, q: int, coeffs):
         coeffs = [_exact(c) for c in coeffs]
         if len(coeffs) != p - 1:
             raise ValueError(f"expected {p - 1} coefficients, got {len(coeffs)}")
         den = lcm(*(c.denominator for c in coeffs))
         r = CycloScalar._reduced(p, q, tuple(c.numerator * (den // c.denominator)
-                                             for c in coeffs), den, grade)
+                                             for c in coeffs), den, 0)
         self.p, self.q, self.nums, self.den, self.grade = p, q, r.nums, r.den, r.grade
 
     @classmethod
@@ -88,13 +88,11 @@ class CycloScalar:
         return cls._from_parts(p, q, (0,) * (p - 1), 1, 0)
 
     @classmethod
-    def rational(cls, p: int, q: int, value, grade: int = 0) -> "CycloScalar":
-        """value times q**(grade/2)."""
+    def rational(cls, p: int, q: int, value) -> "CycloScalar":
         value = _exact(value)
         if not value:
             return cls.zero(p, q)
-        return (cls._reduced if grade >> 1 else cls._from_parts)(
-            p, q, (value.numerator,) + (0,) * (p - 2), value.denominator, grade)
+        return cls._from_parts(p, q, (value.numerator,) + (0,) * (p - 2), value.denominator, 0)
 
     @classmethod
     def q_power(cls, p: int, q: int, e: int) -> "CycloScalar":
@@ -104,14 +102,14 @@ class CycloScalar:
         return cls._from_parts(p, q, (1,) + (0,) * (p - 2), q ** -e, 0)
 
     @classmethod
-    def zeta_pow(cls, p: int, q: int, t: int, grade: int = 0) -> "CycloScalar":
-        """zeta_p**t times q**(grade/2)."""
+    def zeta_pow(cls, p: int, q: int, t: int) -> "CycloScalar":
+        """zeta_p**t."""
         t %= p
         if t == p - 1:
             nums = (-1,) * (p - 1)
         else:
             nums = (0,) * t + (1,) + (0,) * (p - 2 - t)
-        return (cls._reduced if grade >> 1 else cls._from_parts)(p, q, nums, 1, grade)
+        return cls._from_parts(p, q, nums, 1, 0)
 
     # -- predicates --------------------------------------------------------
 

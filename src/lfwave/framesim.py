@@ -14,11 +14,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .clopen import INF, Ball, ClopenSet, fractional_ideal
+from .clopen import INF, Ball, fractional_ideal
 from .cyclo import CycloScalar
 from .gfq import FieldConfig
 from .lfield import FieldElement, character, coset_rep
-from .stepfn import StepFunction, common_refinement, shell_range
+from .stepfn import StepFunction, products, shell_range
 
 
 class WindowEscape(ValueError):
@@ -103,9 +103,9 @@ def _character_sum(cfg: FieldConfig, cells, y: FieldElement) -> CycloScalar:
     averages to zero over it."""
     vy = y.valuation()  # +inf for y = 0: the trivial character
     total = CycloScalar.zero(cfg.p, cfg.q)
-    for center, scale, t in cells:
-        if vy >= -scale:
-            total = total + t * character(y, center)
+    for cell, t in cells:
+        if vy >= -cell.scale:
+            total = total + t * character(y, cell.center)
     return total
 
 
@@ -118,7 +118,7 @@ def affine_coef(f: StepFunction, psi: StepFunction, j: int, k: int) -> CycloScal
     if k < 0:
         raise ValueError("translation index must be non-negative")
     y = coset_rep(cfg, k).scale_exponents(j)
-    cells = _coef_cells(f, psi.precompose(-j), -y.valuation())  # xi -> psi^(p^j xi)
+    cells = _coef_cells(f, psi.precompose(-j))  # xi -> psi^(p^j xi)
     return _character_sum(cfg, cells, y).q_half_shift(-j)
 
 
@@ -126,9 +126,10 @@ def _k_sum(config: FieldConfig, j: int, cells) -> CycloScalar:
     """Sum over all k >= 0 of |q**(j/2) * coef(j,k)|**2 where
     coef(j,k) = q**(-j/2) * sum over active cells of t * chi(u(k) p^j b).
 
-    k = 0 activates every cell; a cell (b, s, t) is active for representative
-    length L >= 1 (u(k) of absolute value q**L) iff L <= j + s.  Character
-    sums over all representatives of length < N collapse:
+    k = 0 activates every cell; a cell (b, t) of scale s is active for
+    representative length L >= 1 (u(k) of absolute value q**L) iff
+    L <= j + s.  Character sums over all representatives of length < N
+    collapse:
     sum_k chi(u(k) z) = q**N when z has no digits at exponents 0..N-1, else
     0.  The result is the exact full k-sum, not a truncation.
 
@@ -143,11 +144,11 @@ def _k_sum(config: FieldConfig, j: int, cells) -> CycloScalar:
     if not cells:
         return zero
     # grades 0 and 1 would pair into cross terms of grade 1
-    if len({t.grade for _, _, t in cells if not t.is_zero()}) > 1:
+    if len({t.grade for _, t in cells if not t.is_zero()}) > 1:
         raise ValueError("odd half-grade 1 cannot be reduced")
-    l_max = max(max(j + s for _, s, _ in cells), 0)
+    l_max = max(max(j + b.scale for b, _ in cells), 0)
     # the digit of p^j b at exponent n is the digit of b at exponent n - j
-    keys = [tuple(b.digit(e) for e in range(-j, l_max - j)) for b, _, _ in cells]
+    keys = [tuple(map(b.center.digit, range(-j, l_max - j))) for b, _ in cells]
     weights = {}
 
     def weigh(n, active, w):
@@ -160,31 +161,22 @@ def _k_sum(config: FieldConfig, j: int, cells) -> CycloScalar:
 
     weigh(0, range(len(cells)), 1)  # the k = 0 term
     for L in range(1, l_max + 1):
-        active = [i for i, (_, s, _) in enumerate(cells) if j + s >= L]
+        active = [i for i, (b, _) in enumerate(cells) if j + b.scale >= L]
         if active:
             weigh(L, active, q ** L)
             weigh(L - 1, active, -q ** (L - 1))
     total = zero
     for members, w in weights.items():
         if w:
-            total = total + _rat(config, w) * sum([cells[i][2] for i in members], zero).abs_sq()
+            total = total + _rat(config, w) * sum([cells[i][1] for i in members], zero).abs_sq()
     return total
 
 
-def _coef_cells(f: StepFunction, psi_j: StepFunction, min_scale=-INF):
-    """Refinement cells (center, scale, t) of scale >= min_scale entering the
-    coefficient sum, with t = f(b) * conj(psi_j(b)) * measure(cell) nonzero."""
+def _coef_cells(f: StepFunction, psi_j: StepFunction):
+    """The (cell, t) cells entering the coefficient sum, with t = f(b) *
+    conj(psi_j(b)) * measure(cell) nonzero."""
     cfg = f.config
-    return [(cell.center, cell.scale, av * bv.conj() * _q_pow(cfg, -cell.scale))
-            for cell, (av, bv) in common_refinement(cfg, [f, psi_j])
-            if cell.scale >= min_scale and not (av.is_zero() or bv.is_zero())]
-
-
-def _constant_side_cells(cfg: FieldConfig, v0: CycloScalar, cells):
-    """Coefficient cells (center, scale, v0 * conj(v) * measure) of the cells
-    (ball, v) of one side when the other side is the constant v0 on each of
-    them, so the product needs no refinement."""
-    return [(b.center, b.scale, v0 * v.conj() * _q_pow(cfg, -b.scale)) for b, v in cells]
+    return [(cell, t * _q_pow(cfg, -cell.scale)) for cell, t in products(f, psi_j)]
 
 
 def _total_energy(cfg: FieldConfig, pairs, bounds=None):
@@ -214,7 +206,9 @@ def _total_energy(cfg: FieldConfig, pairs, bounds=None):
         if zc is not None:
             s0, v0 = zc[0].scale, zc[1]
             pj = pa - s0
-            tail_cells.extend(_constant_side_cells(cfg, v0, psi.cells))
+            # f is the constant v0 on p^pa O, which holds every cell of psi
+            const = StepFunction(cfg, [(Ball.integers(cfg, pa), v0)], _canonical=True)
+            tail_cells.extend(_coef_cells(const, psi))
         else:
             s0, pj = INF, pa - fhi - 1
         j_tail, j_hi = min(j_tail, pj), max(j_hi, pb - min(flo, s0))
@@ -234,7 +228,7 @@ def _total_energy(cfg: FieldConfig, pairs, bounds=None):
         if not cells:
             continue
         if bounds is not None:
-            sigma = max(s for _, s, _ in cells)
+            sigma = max(b.scale for b, _ in cells)
             bounds[f"j={j}"] = f"k < q^{max(j + sigma, 0)}"
         total = total + _q_pow(cfg, -j) * _k_sum(cfg, j, cells)
     return total
@@ -294,7 +288,7 @@ def truncation_spot_check(model: FiniteModel, psis, f: StepFunction,
             cells = _coef_cells(f, psi.precompose(-j))
             if not cells:
                 continue
-            sigma = max(s for _, s, _ in cells)
+            sigma = max(b.scale for b, _ in cells)
             k0 = cfg.q ** max(j + sigma, 0)
             for k in range(k0, k0 + samples):
                 y = coset_rep(cfg, k).scale_exponents(j)
@@ -315,7 +309,7 @@ def gram_entry(etas, a: tuple[int, int], b: tuple[int, int]) -> CycloScalar:
     y = coset_rep(cfg, k2).scale_exponents(j2) - coset_rep(cfg, k1).scale_exponents(j1)
     total = CycloScalar.zero(cfg.p, cfg.q)
     for eta in etas:
-        cells = _coef_cells(eta.precompose(-j1), eta.precompose(-j2), -y.valuation())
+        cells = _coef_cells(eta.precompose(-j1), eta.precompose(-j2))
         total = total + _character_sum(cfg, cells, y)
     return total.q_half_shift(-j1 - j2)
 
@@ -323,11 +317,11 @@ def gram_entry(etas, a: tuple[int, int], b: tuple[int, int]) -> CycloScalar:
 def mesh_delta_residuals(model: FiniteModel, psis):
     """Residuals of all mesh deltas at once.
 
-    The k-sum of a single cell (b, s, t) at level j is q**max(j+s, 0) *
-    |t|**2: its level weights 1, q - 1, ..., q**L - q**(L-1) telescope, and
+    The k-sum of a single cell (b, t) of scale s at level j is
+    q**max(j+s, 0) * |t|**2: its level weights 1, q - 1, ..., q**L - q**(L-1) telescope, and
     it does not depend on b.  So a dilated cell (b, v) of layer (psi, j) of
     scale <= S, which is constant on every atom a under it, takes the energy
-    q**-j * k-sum of (a, S, conj(v) * q**-S) = q**(max(j+S, 0) - j - 2S) * |v|**2
+    q**-j * k-sum of (a, conj(v) * q**-S) = q**(max(j+S, 0) - j - 2S) * |v|**2
     from each such atom.  These energies are summed, over all layers, into
     one table per coarse scale s <= S keyed by the cell's sort key.  The
     cells finer than S are filed under the key of their scale-S host, with
@@ -341,9 +335,13 @@ def mesh_delta_residuals(model: FiniteModel, psis):
     """
     cfg = model.config
     S = model.S
-    one = _rat(cfg, 1)  # the value of a delta
+    one = _rat(cfg, 1)
+
+    def delta(a):  # the mesh delta of the atom a
+        return StepFunction(cfg, [(a, one)], _canonical=True)
+
     coarse = {}  # coarse scale -> {key: energy of the layers' cells with that key}
-    fine = {}  # scale-S key -> [(j, cells finer than S inside it), ...]
+    fine = {}  # scale-S key -> [(j, step function of the finer cells in it), ...]
     for psi in psis:
         model.check_analyzer(psi)
         _check_away_from_zero(psi)
@@ -362,20 +360,20 @@ def mesh_delta_residuals(model: FiniteModel, psis):
                 else:
                     hosted.setdefault(ball.ancestor_key(S), []).append((ball, v))
             for key, cells in hosted.items():
-                fine.setdefault(key, []).append((j, cells))
+                fine.setdefault(key, []).append((j, StepFunction(cfg, cells, _canonical=True)))
     norm = _q_pow(cfg, -S)  # ||delta||^2
     out = []
     for a in model.atoms():
         if a.contains_zero():
-            delta = StepFunction.indicator(ClopenSet.from_ball(a))
-            out.append((a, parseval_residual(model, psis, delta)[0]))
+            out.append((a, parseval_residual(model, psis, delta(a))[0]))
             continue
         r = norm
         for s, table in coarse.items():
             e = table.get(a.ancestor_key(s))
             if e is not None:
                 r = r - e
-        for j, cells in fine.get(a.sort_key(), ()):
-            r = r - _q_pow(cfg, -j) * _k_sum(cfg, j, _constant_side_cells(cfg, one, cells))
+        for j, psi_j in fine.get(a.sort_key(), ()):
+            # the delta is 1 on the atom, which holds psi_j's cells
+            r = r - _q_pow(cfg, -j) * _k_sum(cfg, j, _coef_cells(delta(a), psi_j))
         out.append((a, r))
     return out

@@ -85,9 +85,6 @@ class StepFunction:
             return NotImplemented
         return all(a == b for _, (a, b) in common_refinement(self.config, [self, other]))
 
-    def __hash__(self):
-        raise TypeError("step functions compare by refinement; not hashable")
-
     def __repr__(self):
         if not self.cells:
             return "step{}"
@@ -138,6 +135,14 @@ def common_refinement(config, fns):
         mesh.extend(cells(region, relevant))
     mesh.sort(key=lambda cv: cv[0].sort_key())
     return mesh
+
+
+def products(g: StepFunction, h: StepFunction):
+    """The (cell, x * conj y) cells of g * conj h where both are nonzero, in
+    cell order: the one product of two spectra."""
+    return [(cell, x * y.conj())
+            for cell, (x, y) in common_refinement(g.config, [g, h])
+            if not (x.is_zero() or y.is_zero())]
 
 
 def cell_sum(config: FieldConfig, cells) -> StepFunction:

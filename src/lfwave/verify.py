@@ -14,7 +14,7 @@ from .clopen import (INF, Ball, ClopenSet, FoldResult, integers, inv_norm_integr
                      overlay, units)
 from .lfield import FieldElement, coset_rep, format_element
 from .stepfn import (StepFunction, cell_sum, common_refinement, periodize, periodized_weight,
-                     shell_range)
+                     products, shell_range)
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +263,12 @@ def verify_frame_pointwise(fns) -> Verdict:
         if s % cfg.q == 0:
             continue
         us = coset_rep(cfg, s)
-        products = [c for f in fns for j in range(j_max + 1)
-                    for c in _products(f.precompose(j), f.precompose(j, shift=us))]
+        terms = [c for f in fns for j in range(j_max + 1)
+                 for c in products(f.precompose(j), f.precompose(j, shift=us))]
         # half-grades 0 and 1 are independent coordinates of a scalar
         # (q**(1/2) is kept formal), so t_s vanishes where each grade sums to 0
         cells = [b for g in (0, 1)
-                 for b, _ in cell_sum(cfg, [c for c in products if c[1].grade == g]).cells]
+                 for b, _ in cell_sum(cfg, [c for c in terms if c[1].grade == g]).cells]
         if cells:
             bad = (s, min(cells, key=Ball.sort_key))
             break
@@ -349,17 +349,10 @@ def verify_super_functions(fns) -> Verdict:
     return v
 
 
-def _products(g: StepFunction, h: StepFunction):
-    """The (cell, x * conj y) cells of g * conj h where both are nonzero."""
-    return [(cell, x * y.conj())
-            for cell, (x, y) in common_refinement(g.config, [g, h])
-            if not (x.is_zero() or y.is_zero())]
-
-
 def _correlation(fns, n):
     """P_n, the periodized cross-scale correlation at scale offset n: the
     periodization of the products f(p**-n * x) * conj f(x), f in fns."""
-    return periodize(fns[0].config, [c for f in fns for c in _products(f.precompose(n), f)])
+    return periodize(fns[0].config, [c for f in fns for c in products(f.precompose(n), f)])
 
 
 def _first_discrepancy(cfg, n_max, pair):

@@ -35,6 +35,8 @@ def test_parse_field_block():
         parse_spec("set W = O\n")
     with pytest.raises(SpecError, match="line 3"):
         parse_spec("field {p=2}\n# comment only\nfrobnicate W\n")
+    with pytest.raises(SpecError, match="line 1: field block needs p"):
+        parse_spec("field {c=2}\n")
 
 
 def test_set_expressions():
@@ -57,7 +59,7 @@ def test_scalar_literals():
     assert parse_value(CFG3, "zeta^1 + zeta^2", 1) == \
         CycloScalar.zeta_pow(3, 3, 1) + CycloScalar.zeta_pow(3, 3, 2)
     assert parse_value(CFG2, "1/2*qhalf^-2", 1) == \
-        CycloScalar.rational(2, 2, "1/2", -2)
+        CycloScalar.rational(2, 2, "1/2").q_half_shift(-2)
     with pytest.raises(SpecError, match="bad scalar"):
         parse_value(CFG2, "pi", 9)
 
@@ -74,6 +76,21 @@ def test_run_shannon_spec_passes():
     assert report["directives"][0]["size"] == 2
     verdict = report["directives"][1]["verdict"]
     assert verdict["passed"]
+
+
+def test_zero_charged_failures_name_the_ball_O():
+    # weight |1/2|^2 on O is not identically one; a spectrum charged at zero
+    # meets infinitely many dilates, so equivalence is not decided
+    report = run_text(
+        "field {p=2}\n"
+        "check translates indicator(O, 1/2) orthonormal\n"
+        "check equivalent [indicator(O)], [indicator(shell(1))]\n"
+    )
+    O = {"kind": "ball", "ball": {"center": "0", "scale": 0}}
+    translates, equivalent = (d["verdict"]["checks"] for d in report["directives"])
+    assert translates[0] == {"name": "weight-identically-one", "status": "fail",
+                             "witness": O, "note": "weight = 1/4"}
+    assert equivalent == [{"name": "bounded-away-from-zero", "status": "fail", "witness": O}]
 
 
 def test_scaling_set_of_a_two_shell_wavelet_set():

@@ -153,17 +153,17 @@ def test_fold_examples():
 
 
 def test_inv_norm_integral_examples():
-    assert ClopenSet(CFG3, []).inv_norm_integral() == 0
+    assert inv_norm_integral([]) == 0
     for cfg in (CFG2, CFG3):
-        got = units(cfg).inv_norm_integral()
+        got = inv_norm_integral((b, 1) for b in units(cfg).balls)
         assert got == Fraction(cfg.q - 1, cfg.q)
     for k in range(3):
-        assert fractional_ideal(CFG2, k).inv_norm_integral() == math.inf
+        assert inv_norm_integral((b, 1) for b in fractional_ideal(CFG2, k).balls) == math.inf
     # oracle: partial shell sums inside p^k O each contribute (1 - 1/q)
     for k in range(3):
         partial = Fraction(0)
         for m in range(k, k + 40):
-            partial += shell(CFG3, m).inv_norm_integral()
+            partial += inv_norm_integral((b, 1) for b in shell(CFG3, m).balls)
         assert partial == 40 * Fraction(2, 3)  # diverges linearly in depth
 
 
@@ -239,12 +239,11 @@ def test_randomized_property_suite():
                 total = sum((f.measure() for f, _ in res.fragments), Fraction(0))
                 assert total == A.measure()
             inside = A.intersect(integers(cfg))
-            got = inside.inv_norm_integral()
+            got = inv_norm_integral((b, 1) for b in inside.balls)
             if got != math.inf:
                 assert got >= inside.measure()  # 1/|xi| >= 1 on O
-            # weighted form: weight 1 is the method, and a zero-weight ball
-            # at zero (even one meeting the others) adds nothing
-            assert inv_norm_integral((b, 1) for b in inside.balls) == got
+            # a zero-weight ball at zero (even one meeting the others) adds
+            # nothing
             weighted = [(b, Fraction(k, 3)) for k, b in enumerate(inside.balls)]
             assert inv_norm_integral(weighted + [(Ball.integers(cfg, 2), 0)]) == \
                 inv_norm_integral(weighted)

@@ -166,6 +166,12 @@ def test_solver_degenerate_instance_is_sat_and_reverified():
     assert verify_superwavelet([res.complement], "orthonormal").passed
 
 
+def test_solver_refuses_max_scale_below_target_resolution():
+    # pO* leaves O* uncovered, whose canonical ball has scale 2 at q = 2
+    with pytest.raises(ValueError, match="max_scale 1 below target resolution 2"):
+        solve_complement([shell(CFG2, 1)], shells=(0, 2), max_scale=1)
+
+
 def test_solver_parity_certificate_for_odd_q():
     # odd q tower targets have an odd canonical ball count, so the double
     # cover is impossible at every resolution, no search needed

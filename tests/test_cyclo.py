@@ -14,10 +14,10 @@ from lfwave.cyclo import CycloScalar, GradeMismatch
 PQ = {2: 2, 3: 3, 5: 5}
 
 
-def rand_scalar(p, q, rng, grade=0):
+def rand_scalar(p, q, rng):
     coeffs = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
               for _ in range(p - 1)]
-    return CycloScalar(p, q, coeffs, grade)
+    return CycloScalar(p, q, coeffs)
 
 
 def shadow(x):
@@ -86,7 +86,7 @@ def test_abs_sq_examples():
     assert CycloScalar.zero(3, 3).abs_sq().is_zero()
     # |q^(-1/2) zeta_p|^2 = 1/q
     for p, q in PQ.items():
-        a = CycloScalar.zeta_pow(p, q, 1, grade=-1)
+        a = CycloScalar.zeta_pow(p, q, 1).q_half_shift(-1)
         got = a.abs_sq().reduce_grade()
         assert got.is_rational() and got.as_fraction() == Fraction(1, q)
     # |1 + zeta_3|^2 = (1 + zeta)(1 + zeta^2) = 2 + zeta + zeta^2 = 1
@@ -106,29 +106,30 @@ def test_abs_sq_is_real():
 
 
 def test_grade_tracks_q_half_powers():
-    a = CycloScalar.rational(3, 3, 2, grade=3)
+    a = CycloScalar.rational(3, 3, 2).q_half_shift(3)
     assert a.q_half_shift(-3) == CycloScalar.rational(3, 3, 2)
     doubled = a * a  # grade 6 = q^3
     assert doubled.reduce_grade() == CycloScalar.rational(3, 3, 4 * 27)
-    odd = CycloScalar.rational(3, 3, 1, grade=1)
+    odd = CycloScalar.rational(3, 3, 1).q_half_shift(1)
     with pytest.raises(ValueError):
         odd.reduce_grade()
 
 
 def test_mixed_grade_addition_rejected():
-    a = CycloScalar.rational(3, 3, 1, grade=1)
+    a = CycloScalar.rational(3, 3, 1).q_half_shift(1)
     b = CycloScalar.rational(3, 3, 1)
     with pytest.raises(GradeMismatch):
         a + b
     # zero is grade-exempt
     assert CycloScalar.zero(3, 3) + a == a
     # grade 2 is the rational q: no mismatch
-    assert CycloScalar.rational(3, 3, 1, grade=2) + b == CycloScalar.rational(3, 3, 4)
+    assert CycloScalar.rational(3, 3, 1).q_half_shift(2) + b == CycloScalar.rational(3, 3, 4)
 
 
 def test_even_grades_fold_on_every_constructor():
     """c * q**((2k + g)/2) is the scalar with coordinates c * q**k at grade
-    g, whichever constructor builds it: equal fields, equal hashes."""
+    g, whichever constructor and half shifts build it: equal fields, equal
+    hashes."""
     for p, q in AGREEMENT_PQ.items():
         rng = random.Random(3200 + p)
         for k in range(-3, 4):
@@ -138,18 +139,19 @@ def test_even_grades_fold_on_every_constructor():
                 t = rng.randrange(p)
                 z = CycloScalar.zeta_pow(p, q, t).coeffs
                 built = [
-                    (CycloScalar(p, q, c, e), c),
-                    (CycloScalar.rational(p, q, c[0], e), [c[0]] + [0] * (p - 2)),
-                    (CycloScalar.zeta_pow(p, q, t, e), z),
-                    (CycloScalar(p, q, c, g).q_half_shift(2 * k), c),
+                    (CycloScalar(p, q, c).q_half_shift(e), c),
+                    (CycloScalar.rational(p, q, c[0]).q_half_shift(e), [c[0]] + [0] * (p - 2)),
+                    (CycloScalar.zeta_pow(p, q, t).q_half_shift(e), z),
+                    (CycloScalar(p, q, c).q_half_shift(g).q_half_shift(2 * k), c),
                     # s * c * s**(e - 1): the product's grade reaches 2 at g = 0
-                    (CycloScalar(p, q, c, 1) * CycloScalar.rational(p, q, 1, e - 1), c),
+                    (CycloScalar(p, q, c).q_half_shift(1)
+                     * CycloScalar.rational(p, q, 1).q_half_shift(e - 1), c),
                 ]
                 for got, coeffs in built:
-                    want = CycloScalar(p, q, [x * Fraction(q) ** k for x in coeffs], g)
+                    want = CycloScalar(p, q, [x * Fraction(q) ** k for x in coeffs]).q_half_shift(g)
                     assert got.grade in (0, 1) and want.grade in (0, 1)
                     assert got == want and hash(got) == hash(want)
-    one, s = CycloScalar.rational(3, 3, 1), CycloScalar.rational(3, 3, 1, grade=1)
+    one, s = CycloScalar.rational(3, 3, 1), CycloScalar.rational(3, 3, 1).q_half_shift(1)
     assert one.reduce_grade() is one
     with pytest.raises(ValueError, match="odd half-grade 1 cannot be reduced"):
         s.reduce_grade()
@@ -166,7 +168,7 @@ def test_float_inputs_refused():
 
 
 def test_zero_normalization():
-    z = CycloScalar.rational(5, 5, 0, grade=4)
+    z = CycloScalar.rational(5, 5, 0).q_half_shift(4)
     assert z.is_zero()
     assert z == CycloScalar.zero(5, 5)
     assert z.grade == 0
@@ -360,7 +362,7 @@ def rand_pair(p, q, rng):
         if kind < 0.25:
             coeffs[1:] = [0] * (p - 2)
     grade = rng.randrange(-3, 4)
-    return CycloScalar(p, q, coeffs, grade), ReferenceScalar(p, q, coeffs, grade)
+    return CycloScalar(p, q, coeffs).q_half_shift(grade), ReferenceScalar(p, q, coeffs, grade)
 
 
 def outcome(fn):
@@ -401,7 +403,7 @@ def test_integer_form_agrees_with_fraction_reference():
                        lambda x, y: x.is_rational(), lambda x, y: repr(x)):
                 assert outcome(lambda: op(a, b)) == outcome(lambda: op(ra, rb))
             assert (a == b) == (ra == rb) and a == a + CycloScalar.zero(p, q)
-            assert hash(a) == hash(CycloScalar(p, q, ra.coeffs, ra.grade))
+            assert hash(a) == hash(CycloScalar(p, q, ra.coeffs).q_half_shift(ra.grade))
         # a scalar of another configuration, and a wrong coefficient count
         other = CycloScalar.zeta_pow(p, q + 1 if p > 2 else 2, 1)
         ref_other = ReferenceScalar.zeta_pow(p, q + 1 if p > 2 else 2, 1)
@@ -419,14 +421,14 @@ def test_canonical_form_invariant():
             b = b.q_half_shift(a.grade - b.grade)
             results = [a, b, -a, a.conj(), a * b, a.abs_sq(), a + b, a - b, a - a,
                        a.q_half_shift(1), CycloScalar.zero(p, q),
-                       CycloScalar.rational(p, q, Fraction(-6, 4), grade=2),
+                       CycloScalar.rational(p, q, Fraction(-6, 4)).q_half_shift(2),
                        CycloScalar.q_power(p, q, rng.randrange(-3, 4)),
-                       CycloScalar.zeta_pow(p, q, rng.randrange(p), grade=-1)]
+                       CycloScalar.zeta_pow(p, q, rng.randrange(p)).q_half_shift(-1)]
             if a.grade % 2 == 0:
                 results.append(a.reduce_grade())
             for x in results:
                 check_canonical(x)
-    zero = CycloScalar(5, 5, [Fraction(0, 7)] * 4, grade=3)
+    zero = CycloScalar(5, 5, [Fraction(0, 7)] * 4).q_half_shift(3)
     assert (zero.nums, zero.den, zero.grade) == ((0, 0, 0, 0), 1, 0)
     half = CycloScalar(3, 3, [Fraction(2, 4), Fraction(-3, 6)])
     assert (half.nums, half.den) == ((1, -1), 2)
@@ -437,8 +439,9 @@ def test_q_half_shift_matches_reduced_form():
     rng = random.Random(2300)
     for p, q in ((2, 2), (2, 4), (3, 3), (5, 5)):
         for g in (0, 1):
-            nonzero = CycloScalar(p, q, [rng.randrange(1, 9)] + [Fraction(rng.randrange(-4, 5), 3)
-                                                               for _ in range(p - 2)], g)
+            coeffs = [rng.randrange(1, 9)] + [Fraction(rng.randrange(-4, 5), 3)
+                                              for _ in range(p - 2)]
+            nonzero = CycloScalar(p, q, coeffs).q_half_shift(g)
             for x in (CycloScalar.zero(p, q), nonzero):
                 for e in range(-3, 4):
                     got = x.q_half_shift(e)

@@ -34,8 +34,8 @@ CFG4 = FieldConfig(2, 2)
 CFG5 = FieldConfig(5, 1)
 
 
-def rat(cfg, x, grade=0):
-    return CycloScalar.rational(cfg.p, cfg.q, x, grade)
+def rat(cfg, x):
+    return CycloScalar.rational(cfg.p, cfg.q, x)
 
 
 def ind(W, value=None):
@@ -191,6 +191,15 @@ def test_window_escape():
         parseval_residual(model, [ind(integers(CFG2))], ind(units(CFG2)))
 
 
+def test_window_and_translation_index_are_checked():
+    for R, S in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="window parameters must be non-negative"):
+            FiniteModel(CFG2, R, S)
+    psi = ind(units(CFG2))
+    with pytest.raises(ValueError, match="translation index must be non-negative"):
+        affine_coef(psi, psi, 0, -1)
+
+
 def test_gram_entries():
     etas = shannon_spectra(CFG2)
     for a in ((0, 0), (1, 0), (-1, 2), (0, 3)):
@@ -327,16 +336,16 @@ def pair_sum_k_sum(config, j, cells):
 
     def pair_sum(n, active):
         acc = zero
-        for b1, _, t1 in active:
-            for b2, _, t2 in active:
-                if vanishes_on((b1 - b2).scale_exponents(j), n):
+        for b1, t1 in active:
+            for b2, t2 in active:
+                if vanishes_on((b1.center - b2.center).scale_exponents(j), n):
                     acc = acc + (t1 * t2.conj()).reduce_grade()
         return acc
 
-    l_max = max(j + s for _, s, _ in cells)
+    l_max = max(j + b.scale for b, _ in cells)
     total = pair_sum(0, cells)
     for L in range(1, max(l_max, 0) + 1):
-        active = [c for c in cells if j + c[1] >= L]
+        active = [c for c in cells if j + c[0].scale >= L]
         if not active:
             continue
         hi = rat(config, Fraction(q) ** L) * pair_sum(L, active)
@@ -346,8 +355,8 @@ def pair_sum_k_sum(config, j, cells):
 
 
 def random_k_cells(cfg, rng, j, n, grades):
-    """n cells whose centers share a few digit prefixes at the exponents
-    that p^j moves to 0, 1, 2, with cyclotomic values (some zero)."""
+    """n (ball, value) cells whose centers share a few digit prefixes at the
+    exponents that p^j moves to 0, 1, 2, with cyclotomic values (some zero)."""
     prefixes = [{e: rng.randrange(cfg.q) for e in range(-j, -j + 3)} for _ in range(3)]
     cells = []
     for _ in range(n):
@@ -360,8 +369,8 @@ def random_k_cells(cfg, rng, j, n, grades):
             t = CycloScalar.zero(cfg.p, cfg.q)
         else:
             coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(cfg.p - 1)]
-            t = CycloScalar(cfg.p, cfg.q, coeffs, rng.choice(grades))
-        cells.append((b, rng.randint(-j - 1, -j + 5), t))
+            t = CycloScalar(cfg.p, cfg.q, coeffs).q_half_shift(rng.choice(grades))
+        cells.append((Ball(cfg, b, rng.randint(-j - 1, -j + 5)), t))
     return cells
 
 
@@ -375,10 +384,10 @@ def test_k_sum_matches_pair_sum():
                     assert _k_sum(cfg, j, cells) == pair_sum_k_sum(cfg, j, cells)
                     if n == 1:
                         # the level weights telescope: the mesh sweep's closed form
-                        (_, s, t), = cells
-                        q_l = rat(cfg, Fraction(cfg.q) ** max(j + s, 0))
+                        (b, t), = cells
+                        q_l = rat(cfg, Fraction(cfg.q) ** max(j + b.scale, 0))
                         assert _k_sum(cfg, j, cells) == q_l * t.abs_sq().reduce_grade()
-            cells = [c for c in random_k_cells(cfg, rng, j, 6, (1,)) if not c[2].is_zero()]
+            cells = [c for c in random_k_cells(cfg, rng, j, 6, (1,)) if not c[1].is_zero()]
             cells += random_k_cells(cfg, rng, j, 6, (2,))
             with pytest.raises(ValueError, match="odd half-grade"):
                 pair_sum_k_sum(cfg, j, cells)
@@ -446,8 +455,7 @@ def reference_mesh_delta_residuals(model, psis):
                 if ball.scale <= S:
                     coarse[ball.sort_key()] = v.conj()
                 else:
-                    fine.setdefault(ball.ancestor_key(S), []).append(
-                        (ball.center, ball.scale, v.conj()))
+                    fine.setdefault(ball.ancestor_key(S), []).append((ball, v.conj()))
             layers.append((j, coarse, sorted({s for s, _ in coarse}), fine))
     out = []
     for a in model.atoms():
@@ -460,13 +468,13 @@ def reference_mesh_delta_residuals(model, psis):
             for s in scales:
                 v = coarse.get(a.ancestor_key(s))
                 if v is not None:
-                    entries = [(a.center, S, v)]
+                    entries = [(a, v)]
                     break
             else:
                 entries = fine.get(a.sort_key())
                 if not entries:
                     continue
-            cells = [(c, s, v * rat(cfg, q ** (-s))) for c, s, v in entries]
+            cells = [(b, v * rat(cfg, q ** (-b.scale))) for b, v in entries]
             residual = residual - rat(cfg, q ** (-j)) * fs._k_sum(cfg, j, cells)
         out.append((a, residual))
     return out
@@ -488,7 +496,7 @@ def random_analyzer(cfg, rng, R, S, n):
         coeffs = [0] * (cfg.p - 1)
         while not any(coeffs):
             coeffs = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in coeffs]
-        cells.append((b, CycloScalar(cfg.p, cfg.q, coeffs, rng.choice((0, 0, 2)))))
+        cells.append((b, CycloScalar(cfg.p, cfg.q, coeffs).q_half_shift(rng.choice((0, 0, 2)))))
     return StepFunction(cfg, cells)
 
 

@@ -1,5 +1,6 @@
 """Piecewise-constant spectra: evaluation, common refinement, refinement-
-stable equality, sums of overlapping cells, and the periodized weight."""
+stable equality, products of two spectra, sums of overlapping cells, and the
+periodized weight."""
 
 import random
 from fractions import Fraction
@@ -9,15 +10,16 @@ import pytest
 from lfwave.clopen import Ball, ClopenSet, fractional_ideal, integers, units
 from lfwave.cyclo import CycloScalar
 from lfwave.gfq import FieldConfig
-from lfwave.lfield import FieldElement, coset_rep
-from lfwave.stepfn import StepFunction, cell_sum, common_refinement, periodize, periodized_weight
+from lfwave.lfield import FieldElement, coset_rep, parse_element
+from lfwave.stepfn import (StepFunction, cell_sum, common_refinement, periodize, periodized_weight,
+                           products)
 
 CFG2 = FieldConfig(2, 1)
 CFG3 = FieldConfig(3, 1)
 
 
-def rat(cfg, x, grade=0):
-    return CycloScalar.rational(cfg.p, cfg.q, x, grade)
+def rat(cfg, x):
+    return CycloScalar.rational(cfg.p, cfg.q, x)
 
 
 def test_evaluation():
@@ -86,8 +88,14 @@ def test_equality_is_refinement_stable():
     # the same value at two half-grades: q**(2/2) is the rational q
     for cfg in (CFG2, CFG3):
         O = integers(cfg)
-        assert StepFunction.indicator(O, rat(cfg, 1, grade=2)) == \
+        assert StepFunction.indicator(O, rat(cfg, 1).q_half_shift(2)) == \
             StepFunction.indicator(O, rat(cfg, cfg.q))
+
+
+def test_step_functions_are_unhashable():
+    # equality goes through a common refinement, so no hash can agree with it
+    with pytest.raises(TypeError):
+        hash(StepFunction.indicator(units(CFG2)))
 
 
 def test_precompose_dilation_and_shift():
@@ -141,6 +149,64 @@ def test_scalar_mul_and_conj():
     assert f.conj().evaluate(FieldElement.one(CFG3)) == z.conj()
     g = StepFunction(CFG3, [(b, z * v) for b, v in f.cells])
     assert g.evaluate(FieldElement.one(CFG3)) == z * z
+
+
+def random_point(cfg, rng, lo, hi):
+    return FieldElement(cfg, {e: rng.randrange(cfg.q) for e in range(lo, hi)})
+
+
+def random_cells_step(cfg, rng):
+    """A step function on 1-4 random balls of scales -2..2 inside p^-2 O,
+    made disjoint by normalization, with nonzero values of half-grade 0 or 1."""
+    balls = [Ball(cfg, random_point(cfg, rng, -2, s), s)
+             for s in (rng.randrange(-2, 3) for _ in range(rng.randrange(1, 5)))]
+    cells = []
+    for b in ClopenSet(cfg, balls).balls:
+        coeffs = [0] * (cfg.p - 1)
+        while not any(coeffs):
+            coeffs = [rng.randrange(-2, 3) for _ in coeffs]
+        cells.append((b, CycloScalar(cfg.p, cfg.q, coeffs).q_half_shift(rng.randrange(2))))
+    return StepFunction(cfg, cells)
+
+
+def test_products_match_pointwise_products():
+    # on seeded pairs at q = 2..5, each cell of g * conj h carries the
+    # pointwise product at its centre and at random points inside it, the
+    # cells are disjoint, nonzero and in sort-key order, and every nonzero
+    # product at a random point lies in a cell
+    rng = random.Random(36)
+    hits = 0
+    for cfg in (CFG2, CFG3, FieldConfig(2, 2), FieldConfig(5, 1)):
+        for _ in range(25):
+            g, h = random_cells_step(cfg, rng), random_cells_step(cfg, rng)
+            cells = products(g, h)
+            assert StepFunction(cfg, cells).cells == tuple(cells)
+            keys = [cell.sort_key() for cell, _ in cells]
+            assert keys == sorted(keys)
+            for cell, value in cells:
+                for x in [cell.center] + [cell.center + random_point(cfg, rng, cell.scale,
+                                                                     cell.scale + 3)
+                                          for _ in range(3)]:
+                    assert value == g.evaluate(x) * h.evaluate(x).conj()
+            for _ in range(10):
+                x = random_point(cfg, rng, -2, 4)
+                want = g.evaluate(x) * h.evaluate(x).conj()
+                if not want.is_zero():
+                    hits += 1
+                    assert [v for cell, v in cells if cell.contains_point(x)] == [want]
+    assert hits >= 50
+
+
+def test_products_keep_both_half_grades():
+    # a spectrum valued 1 and q^(1/2) on two cells: its products with the
+    # indicator of p^-1 O sit side by side at grades 0 and 1, and its
+    # product with itself is |v|^2 at grade 0
+    a = Ball(CFG3, parse_element(CFG3, "p^-1"), 0)
+    b = Ball(CFG3, parse_element(CFG3, "2*p^-1"), 0)
+    g = StepFunction(CFG3, [(a, rat(CFG3, 1)), (b, rat(CFG3, 1).q_half_shift(1))])
+    cells = products(g, StepFunction.indicator(fractional_ideal(CFG3, -1)))
+    assert [(cell, v.grade) for cell, v in cells] == [(a, 0), (b, 1)]
+    assert products(g, g) == [(a, rat(CFG3, 1)), (b, rat(CFG3, 3))]
 
 
 def test_periodized_weight_examples():
@@ -247,8 +313,8 @@ def test_periodized_weight_is_the_periodization_of_squares():
             balls = ClopenSet(cfg, [Ball(cfg, FieldElement(cfg, {e: rng.randrange(cfg.q)
                                                                  for e in range(-2, s)}), s)
                                     for s in rng.sample(range(-1, 3), 2)]).balls
-            f = StepFunction(cfg, [(b, CycloScalar.zeta_pow(cfg.p, cfg.q, rng.randrange(cfg.p),
-                                                             rng.randrange(2)))
+            f = StepFunction(cfg, [(b, CycloScalar.zeta_pow(cfg.p, cfg.q, rng.randrange(cfg.p))
+                                    .q_half_shift(rng.randrange(2)))
                                    for b in balls])
             assert periodized_weight(f) == periodize(cfg, [(b, v.abs_sq()) for b, v in f.cells])
 

@@ -33,8 +33,8 @@ CFG2 = FieldConfig(2, 1)
 CFG3 = FieldConfig(3, 1)
 
 
-def rat(cfg, x, grade=0):
-    return CycloScalar.rational(cfg.p, cfg.q, x, grade)
+def rat(cfg, x):
+    return CycloScalar.rational(cfg.p, cfg.q, x)
 
 
 def shannon(cfg):
@@ -199,7 +199,7 @@ def test_frame_pointwise_examples():
         fns = [StepFunction.indicator(W) for W in shannon(cfg)]
         assert verify_frame_pointwise(fns).passed
     # scaling by q^(-1/2) breaks the normalization: square sum becomes 1/q
-    f = StepFunction.indicator(units(CFG2), rat(CFG2, 1, grade=-1))
+    f = StepFunction.indicator(units(CFG2), rat(CFG2, 1).q_half_shift(-1))
     v = verify_frame_pointwise([f])
     assert not v.passed and not v.check("dilation-square-sum").ok
     # spectra charged at zero are rejected with the offending ball
@@ -216,11 +216,11 @@ def test_translation_correlation_sums_each_half_grade():
     def spectrum(b):
         return StepFunction(CFG3, [(Ball(CFG3, parse_element(CFG3, "p^-1"), 0), rat(CFG3, 1)),
                                    (Ball(CFG3, parse_element(CFG3, "2*p^-1"), 0), b)])
-    f, g = spectrum(rat(CFG3, 1)), spectrum(rat(CFG3, 1, grade=1))
+    f, g = spectrum(rat(CFG3, 1)), spectrum(rat(CFG3, 1).q_half_shift(1))
     c = verify_frame_pointwise([f, g]).check("translation-correlation")
     assert (c.ok, c.witness["point"], c.note) == \
         (False, "p^-1", "nonzero at translation index s=1")
-    negated = [spectrum(rat(CFG3, -1)), spectrum(rat(CFG3, -1, grade=1))]
+    negated = [spectrum(rat(CFG3, -1)), spectrum(rat(CFG3, -1).q_half_shift(1))]
     assert verify_frame_pointwise([f, g] + negated).check("translation-correlation").ok
 
 
@@ -474,7 +474,7 @@ def random_spectrum(cfg, rng, grade):
             coeffs = [0] * (cfg.p - 1)
             while not any(coeffs):
                 coeffs = [rng.randrange(-1, 2) for _ in coeffs]
-            cells.append((ball, CycloScalar(cfg.p, cfg.q, coeffs, g)))
+            cells.append((ball, CycloScalar(cfg.p, cfg.q, coeffs).q_half_shift(g)))
     return StepFunction(cfg, cells)
 
 
@@ -633,9 +633,15 @@ def test_joint_correlation_reports_the_smallest_failing_offset():
     assert correlation_at(fns, 2, parse_element(CFG2, "p^2")) == rat(CFG2, -1)
 
 
-def test_multiwavelet_mode_is_checked():
-    with pytest.raises(ValueError, match="unknown mode"):
-        verify_multiwavelet_set([units(CFG2)], mode="tiling")
+@pytest.mark.parametrize("entry, arg", [
+    pytest.param(verify_multiwavelet_set, [units(CFG2)], id="multiwavelet"),
+    pytest.param(check_translation, units(CFG2), id="translation"),
+    pytest.param(verify_superwavelet, [units(CFG2)], id="superwavelet"),
+    pytest.param(verify_translates, StepFunction.indicator(units(CFG2)), id="translates"),
+])
+def test_unknown_modes_are_refused(entry, arg):
+    with pytest.raises(ValueError, match="unknown mode 'frame'"):
+        entry(arg, "frame")
 
 
 UNIT_SPECTRUM = StepFunction.indicator(units(CFG2))
@@ -671,7 +677,7 @@ def failing_verdicts():
         verify_multiwavelet_set([units(CFG3)]),
         verify_superwavelet([shell(CFG2, i) for i in range(1, 4)], "orthonormal"),
         verify_superwavelet([units(CFG3), units(CFG3)], "parseval"),
-        verify_frame_pointwise([ind(units(CFG2), rat(CFG2, 1, grade=-1))]),
+        verify_frame_pointwise([ind(units(CFG2), rat(CFG2, 1).q_half_shift(-1))]),
         verify_frame_pointwise([ind(integers(CFG2))]),
         verify_translates(ind(fractional_ideal(CFG2, 1)), "orthonormal"),
         verify_translates(ind(double), "parseval"),
