@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from operator import itemgetter
 
 from .clopen import (Ball, ClopenSet, child_keys, fractional_ideal, integers, joint_fold,
                      parent_key, shell, translated_keys, units)
@@ -146,10 +147,17 @@ def _exact_cover(columns, rows, clash, node_cap):
     the mask of the rows sharing a column with row r (itself included); the
     caller builds all three tables.  Each node branches on the first
     uncovered column with the fewest live rows and tries its rows lowest id
-    first; choosing row r drops the rows of clash[r].  Returns (solution row
-    ids, nodes) or (None, nodes); raises _CapExceeded beyond node_cap."""
+    first; choosing row r drops the rows of clash[r].  Only the first column
+    of each distinct mask is ever uncovered: a later copy is covered with it
+    by every row, and loses every tie to it, so skipping the copies leaves
+    the chosen columns, the solution and the node count unchanged.  Returns
+    (solution row ids, nodes) or (None, nodes); raises _CapExceeded beyond
+    node_cap."""
     live = (1 << len(rows)) - 1
-    uncovered = (1 << len(columns)) - 1
+    first = {}
+    for c, mask in enumerate(columns):
+        first.setdefault(mask, c)
+    uncovered = sum(1 << c for c in first.values())
     stack = []  # (live, uncovered, untried) of every open node
     solution = []
     nodes = 0
@@ -191,28 +199,43 @@ class _CapExceeded(Exception):
     pass
 
 
-def _cell_levels(balls, t):
-    """The cell tree of the disjoint `balls` down to scale t (at least each
-    ball's scale): per scale, coarsest first, the sort keys of the sub-balls
-    at that scale in sort-key order.  Each level is the children of the
-    previous one plus the balls at its scale.  The last level holds the atoms."""
+def _cell_levels(balls, cells):
+    """The cell tree of the disjoint `balls`, grown only below the cells:
+    `cells` holds sort keys of sub-balls of `balls`, and a key has children
+    in the tree exactly when it holds a cell strictly inside it.  Returns
+    the levels (per scale, coarsest first, the keys at that scale in
+    sort-key order: the children of the previous level's ancestors of a
+    cell, plus the balls at its scale) and the leaves in digit order.  A
+    leaf is a key with nothing below it: a cell with no cell under it, or a
+    sub-ball that holds no cell.  At any finer scale, a leaf's first atom
+    (in sort-key order) has the leaf's digits, so the leaves are in the
+    order of their first atoms."""
     q = balls[0].config.q
+    top = min(b.scale for b in balls)
+    inner = set()  # the strict ancestors of the cells
+    for key in cells:
+        key = parent_key(key)
+        while key[0] >= top and key not in inner:
+            inner.add(key)
+            key = parent_key(key)
     levels, keys = [], []
-    for s in range(min(b.scale for b in balls), t + 1):
-        keys = sorted([k for key in keys for k in child_keys(key, q)]
+    for s in range(top, max([b.scale for b in balls] + [k[0] for k in cells]) + 1):
+        keys = sorted([k for key in keys if key in inner for k in child_keys(key, q)]
                       + [b.sort_key() for b in balls if b.scale == s])
         levels.append(keys)
-    return levels
+    leaves = sorted((k for keys in levels for k in keys if k not in inner), key=itemgetter(1))
+    return levels, leaves
 
 
-def _tree_masks(levels, first, rows_at):
+def _tree_masks(levels, leaves, first, rows_at):
     """Masks on a cell tree from _cell_levels, one pass per scale each way.
-    The atoms take bits first, first+1, ... in key order, and a key's atom
-    mask is the OR of its children's; `rows_at` maps a key to the mask of
-    the rows whose cell it is.  Returns per key the atoms under it and the
-    rows whose cell meets it, at, above or below it: two cells meet exactly
-    when one holds the other.  For an atom these are the rows covering it."""
-    under = {key: 1 << i for i, key in enumerate(levels[-1], first)}
+    The leaves take bits first, first+1, ... in their order, and a key's
+    leaf mask is the OR of its children's; `rows_at` maps a key to the mask
+    of the rows whose cell it is.  Returns per key the leaves under it and
+    the rows whose cell meets it, at, above or below it: two cells meet
+    exactly when one holds the other.  For a leaf these are the rows
+    covering it, and so every atom under it."""
+    under = {key: 1 << i for i, key in enumerate(leaves, first)}
     below, above = {}, {}
     for keys in reversed(levels):
         for key in keys:
@@ -227,18 +250,21 @@ def _tree_masks(levels, first, rows_at):
 
 
 def _candidates(config, target, shells, r):
-    """(fold atom count, unit atom count, row masks, cell keys, column masks,
-    clash masks) of the cells X + u(l) in `shells`, X a target sub-ball of
-    scale <= r, by coset l then X.  Columns: fold atoms, then unit atoms,
-    each in sort-key order; a row covers the fold atoms under X and the unit
-    atoms under the normalized cell.  A column's mask holds the rows at or
-    above its atom, and a row clashes with the rows at, above or below its
-    fold cell or its normalized cell: these are read off each universe's
-    cell tree, with no walk over the bits of a mask."""
+    """(fold leaves, unit leaves, row masks, cell keys, column masks, clash
+    masks) of the cells X + u(l) in `shells`, X a target sub-ball of scale
+    <= r, by coset l then X.  Each universe (the target, and the unit shell
+    for the normalized cells) has its cell tree grown only under its cells,
+    by _cell_levels.  Columns: fold leaves, then unit leaves, each in digit
+    order; every atom under a leaf is covered by the same rows, so a leaf
+    stands for its atoms.  A row covers the fold leaves under X and the
+    unit leaves under the normalized cell.  A column's mask holds the rows
+    at or above its leaf, and a row clashes with the rows at, above or below
+    its fold cell or its normalized cell: these are read off each cell tree,
+    with no walk over the bits of a mask."""
     lo, hi = shells
-    fold_levels = _cell_levels(target.balls, r)
-    unit_levels = _cell_levels(units(config).balls, max(r - lo, 1))
-    sub_keys = [k for keys in fold_levels for k in keys]
+    # every target sub-ball of scale < r holds an atom: the whole tree
+    atoms = [a.sort_key() for b in target.balls for a in b.split_to(r)]
+    sub_keys = [k for keys in _cell_levels(target.balls, atoms)[0] for k in keys]
 
     cells, row_keys = [], []  # (X, normalized key) and cell key per row
     l = 0
@@ -259,13 +285,22 @@ def _candidates(config, target, shells, r):
     for i, (X, norm) in enumerate(cells):
         fold_at[X] = fold_at.get(X, 0) | 1 << i
         unit_at[norm] = unit_at.get(norm, 0) | 1 << i
-    fold_atoms, unit_atoms = fold_levels[-1], unit_levels[-1]
-    f_under, f_meets = _tree_masks(fold_levels, 0, fold_at)
-    u_under, u_meets = _tree_masks(unit_levels, len(fold_atoms), unit_at)
+    fold_levels, fold_leaves = _cell_levels(target.balls, fold_at)
+    unit_levels, unit_leaves = _cell_levels(units(config).balls, unit_at)
+    f_under, f_meets = _tree_masks(fold_levels, fold_leaves, 0, fold_at)
+    u_under, u_meets = _tree_masks(unit_levels, unit_leaves, len(fold_leaves), unit_at)
     rows = [f_under[X] | u_under[norm] for X, norm in cells]
     clash = [f_meets[X] | u_meets[norm] for X, norm in cells]
-    columns = [f_meets[k] for k in fold_atoms] + [u_meets[k] for k in unit_atoms]
-    return len(fold_atoms), len(unit_atoms), rows, row_keys, columns, clash
+    columns = [f_meets[k] for k in fold_leaves] + [u_meets[k] for k in unit_leaves]
+    return fold_leaves, unit_leaves, rows, row_keys, columns, clash
+
+
+def _atom_counts(target, lo, r):
+    """(fold, unit) atom counts: the target's balls split to scale r, and the
+    unit shell's q - 1 balls of scale 1 split to scale max(r - lo, 1), the
+    finest scale of a normalized cell."""
+    q = target.config.q
+    return sum(q ** (r - b.scale) for b in target.balls), (q - 1) * q ** (max(r - lo, 1) - 1)
 
 
 def solve_complement(existing, shells: tuple[int, int], max_scale: int,
@@ -320,8 +355,7 @@ def solve_complement(existing, shells: tuple[int, int], max_scale: int,
     if r < t_min:
         raise ValueError(f"max_scale {r} below target resolution {t_min}")
 
-    fold_count, unit_count, rows, row_keys, columns, clash = \
-        _candidates(config, target, shells, r)
+    _, _, rows, row_keys, columns, clash = _candidates(config, target, shells, r)
     if not all(columns):
         return SolveResult(
             status="unsat",
@@ -335,8 +369,9 @@ def solve_complement(existing, shells: tuple[int, int], max_scale: int,
     except _CapExceeded:
         return SolveResult(status="cap",
                            stats={"candidates": len(rows), "node_cap": node_cap})
+    fold_atoms, unit_atoms = _atom_counts(target, lo, r)
     stats = {"candidates": len(rows), "nodes": nodes,
-             "unit_atoms": unit_count, "fold_atoms": fold_count}
+             "unit_atoms": unit_atoms, "fold_atoms": fold_atoms}
     if picked is None:
         return SolveResult(
             status="unsat",

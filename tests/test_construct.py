@@ -8,6 +8,7 @@ import pytest
 
 from lfwave.clopen import Ball, ClopenSet, fractional_ideal, integers, shell, units
 from lfwave.construct import (
+    _atom_counts,
     _candidates,
     _CapExceeded,
     _exact_cover,
@@ -249,9 +250,11 @@ def test_solver_search_order_is_pinned():
 
 
 def _reference_candidates(config, target, shells, r):
-    """The Ball-based candidate loop the key-based one replaced: every cell
-    is built as X.translate(u(l)) and normalized by scale_by(-s).  Kept as
-    the oracle for row masks, row order and cells."""
+    """The Ball-based candidate loop the key-based one replaced, on atoms:
+    every cell is built as X.translate(u(l)) and normalized by
+    scale_by(-s), and a row covers the fold and unit atoms under it.
+    Returns the fold atoms, the unit atoms, the row masks and the cells.
+    Kept as the oracle for row masks, row order and cells."""
     lo, hi = shells
     fold_atoms = sorted((a for b in target.balls for a in b.split_to(r)),
                         key=Ball.sort_key)
@@ -289,7 +292,39 @@ def _reference_candidates(config, target, shells, r):
             rows.append(unit_under[norm.sort_key()] | fold_under[X.sort_key()])
             row_cells.append(cell)
         l += 1
-    return len(fold_atoms), len(unit_atoms), rows, row_cells
+    return fold_atoms, unit_atoms, rows, row_cells
+
+
+def _leaf_projection(config, target, shells, r):
+    """The solver's leaf-column tables and the reference atom tables
+    projected onto the leaves: each leaf stands for its first atom, the
+    atom with the leaf's digits.  Asserts that the leaves of each universe
+    partition its atoms, in the order of their first atoms, and that every
+    atom under a leaf has the leaf's column mask.  Returns the solver's
+    (rows, columns, clash), the projected reference tables, the reference
+    atom counts and (solver cell keys, reference cells)."""
+    got = _candidates(config, target, shells, r)
+    fold_leaves, unit_leaves, rows, keys, columns, clash = got
+    fold_atoms, unit_atoms, ref_rows, cells = _reference_candidates(config, target, shells, r)
+    ref_columns, ref_clash = _transposed(ref_rows, len(fold_atoms) + len(unit_atoms))
+    firsts = []
+    for leaves, atoms, first_atom, first_leaf in (
+            (fold_leaves, fold_atoms, 0, 0),
+            (unit_leaves, unit_atoms, len(fold_atoms), len(fold_leaves))):
+        index = {a.sort_key(): i for i, a in enumerate(atoms, first_atom)}
+        firsts += [index[atoms[0].scale, digits] for _, digits in leaves]
+        where = {key: j for j, key in enumerate(leaves, first_leaf)}
+        for i, a in enumerate(atoms, first_atom):
+            hits = [where[k] for t in range(a.scale + 1) if (k := a.ancestor_key(t)) in where]
+            assert len(hits) == 1, (a, hits)
+            assert ref_columns[i] == columns[hits[0]], (config, shells, r, a)
+    assert firsts == sorted(firsts), "leaves out of first-atom order"
+    projected_columns = [ref_columns[i] for i in firsts]
+    # a projected row holds the leaves whose first atom the row covers
+    projected_rows = _transposed(projected_columns, len(ref_rows))[0]
+    projected = (projected_rows, projected_columns, ref_clash)
+    return (rows, columns, clash), projected, (len(fold_atoms), len(unit_atoms)), \
+        (keys, cells)
 
 
 def test_candidate_rows_match_ball_based_reference():
@@ -304,10 +339,10 @@ def test_candidate_rows_match_ball_based_reference():
             t_min = max(b.scale for b in target.balls)
             for shells in rng.sample(shell_ranges, 5):
                 r = rng.randint(t_min, max(t_min, top))
-                fold, unit, rows, keys, _, _ = _candidates(cfg, target, shells, r)
-                ref_fold, ref_unit, ref_rows, cells = \
-                    _reference_candidates(cfg, target, shells, r)
-                assert (fold, unit, rows) == (ref_fold, ref_unit, ref_rows), (cfg, shells, r)
+                tables, projected, counts, (keys, cells) = \
+                    _leaf_projection(cfg, target, shells, r)
+                assert tables[0] == projected[0], (cfg, shells, r)
+                assert _atom_counts(target, shells[0], r) == counts
                 got = [Ball.from_key(cfg, k) for k in keys]
                 assert got == cells
                 assert [b.sort_key() for b in got] == keys
@@ -335,8 +370,9 @@ def _transposed(rows, n_cols):
 def test_solver_masks_match_row_transposition():
     # the reference grid's fields and shell ranges, plus r - lo <= 1 (unit
     # atoms at scale 1, or no row at all) and targets with balls at up to
-    # three scales (the family [p^2 O*])
-    seen = {"r-lo<=1": 0, "no rows": 0, "multi-scale": 0}
+    # three scales (the family [p^2 O*]); "merged" counts the instances
+    # with fewer leaves than atoms
+    seen = {"r-lo<=1": 0, "no rows": 0, "multi-scale": 0, "merged": 0}
     shell_ranges = [(-3, -2), (-2, 0), (-2, 2), (-1, 1), (0, 0), (0, 2), (1, 3), (2, 3)]
     for cfg, top in ((CFG2, 4), (CFG3, 3), (CFG4, 2)):
         for family in ([], tower_components(cfg, 2), [shell(cfg, 1)], [shell(cfg, 2)]):
@@ -344,15 +380,13 @@ def test_solver_masks_match_row_transposition():
             t_min = max(b.scale for b in target.balls)
             for shells in shell_ranges:
                 for r in range(t_min, max(t_min, top) + 1):
-                    fold, unit, rows, _, columns, clash = _candidates(cfg, target, shells, r)
-                    ref_fold, ref_unit, ref_rows, _ = \
-                        _reference_candidates(cfg, target, shells, r)
-                    assert (fold, unit, rows) == (ref_fold, ref_unit, ref_rows)
-                    assert (columns, clash) == _transposed(ref_rows, fold + unit), \
-                        (cfg, family, shells, r)
+                    tables, projected, counts, _ = _leaf_projection(cfg, target, shells, r)
+                    assert tables == projected, (cfg, family, shells, r)
+                    assert _atom_counts(target, shells[0], r) == counts
                     seen["r-lo<=1"] += r - shells[0] <= 1
-                    seen["no rows"] += not rows
+                    seen["no rows"] += not tables[0]
                     seen["multi-scale"] += len({b.scale for b in target.balls}) > 2
+                    seen["merged"] += len(tables[1]) < sum(counts)
     assert min(seen.values()) >= 10, seen
 
 
@@ -444,20 +478,51 @@ def _as_masks(columns, rows):
     return col_masks, row_masks, clash
 
 
+def _with_extra_columns(rng, columns, rows):
+    """The instance plus 1-4 copies of random columns, each named to sort
+    just before or just after its original, and 0-2 columns whose rows are
+    a superset of a random column's, named to sort next to a random column.
+    Returns the new instance and the sides ("before", "after") on which
+    copies sort."""
+    names = sorted(columns)
+    columns = {c: set(rs) for c, rs in columns.items()}
+    sides = set()
+    for k in range(rng.randint(1, 4)):
+        kind, i = c = rng.choice(names)
+        offset = rng.choice((-0.5, 0.5))
+        sides.add("before" if offset < 0 else "after")
+        columns[kind, i + offset, k] = set(columns[c])
+    for k in range(rng.randint(0, 2)):
+        kind, i = rng.choice(names)
+        extra = rng.sample(sorted(rows), rng.randint(0, len(rows)))
+        columns[kind, i + rng.choice((-0.5, 0.5)), 4 + k] = \
+            columns[rng.choice(names)] | set(extra)
+    rows = {r: frozenset(c for c, rs in columns.items() if r in rs) for r in rows}
+    return columns, rows, sides
+
+
 def test_exact_cover_matches_set_based_reference():
+    # each instance also runs with copied and superset columns added: the
+    # reference branches on every column, the bitset search skips the later
+    # copies of a mask, and solutions, node counts and caps must agree
+    # whichever side of its original a copy sorts on
     def outcome(search, *args):
         try:
             return search(*args)
         except _CapExceeded:
             return "cap"
 
-    rng = random.Random(2024)
-    kinds = {"sat": 0, "unsat": 0, "cap": 0}
+    rng, extra_rng = random.Random(2024), random.Random(2025)
+    kinds = {"sat": 0, "unsat": 0, "cap": 0, "copy before": 0, "copy after": 0}
     for _ in range(2000):
         columns, rows = _random_cover_instance(rng)
         cap = rng.randint(1, 12) if rng.random() < 0.3 else 10 ** 6
-        expect = outcome(_reference_exact_cover, columns, rows, cap)
-        got = outcome(_exact_cover, *_as_masks(columns, rows), cap)
-        assert got == expect, (columns, rows, cap)
-        kinds["cap" if expect == "cap" else "unsat" if expect[0] is None else "sat"] += 1
+        *extended, sides = _with_extra_columns(extra_rng, columns, rows)
+        for columns, rows in ((columns, rows), extended):
+            expect = outcome(_reference_exact_cover, columns, rows, cap)
+            got = outcome(_exact_cover, *_as_masks(columns, rows), cap)
+            assert got == expect, (columns, rows, cap)
+            kinds["cap" if expect == "cap" else "unsat" if expect[0] is None else "sat"] += 1
+        kinds["copy before"] += "before" in sides
+        kinds["copy after"] += "after" in sides
     assert min(kinds.values()) >= 100, kinds
