@@ -137,11 +137,36 @@ def common_refinement(config, fns):
     return mesh
 
 
+def _shells(f: StepFunction):
+    """(shells, t): the shell indices of f's cells away from zero, and the
+    scale t of its cell at zero (INF when it has none), which holds every
+    shell from t up."""
+    shells, t = set(), INF
+    for ball, _ in f.cells:
+        s = ball.shell_index()
+        if s is None:
+            t = ball.scale
+        else:
+            shells.add(s)
+    return shells, t
+
+
 def products(g: StepFunction, h: StepFunction):
     """The (cell, x * conj y) cells of g * conj h where both are nonzero, in
-    cell order: the one product of two spectra."""
+    cell order: the one product of two spectra.
+
+    A ball away from zero lies in one shell, so two spectra with no shell in
+    common have no cell in common, and their product is empty without a
+    refinement."""
+    cfg = g.config
+    if any(ball.config != cfg for ball, _ in h.cells):
+        raise ConfigMismatch("ball from a different field configuration")
+    (gs, gt), (hs, ht) = _shells(g), _shells(h)
+    if (gs.isdisjoint(hs) and max(gt, ht) == INF
+            and max(hs, default=-INF) < gt and max(gs, default=-INF) < ht):
+        return []
     return [(cell, x * y.conj())
-            for cell, (x, y) in common_refinement(g.config, [g, h])
+            for cell, (x, y) in common_refinement(cfg, [g, h])
             if not (x.is_zero() or y.is_zero())]
 
 

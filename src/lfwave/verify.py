@@ -236,7 +236,7 @@ def verify_frame_pointwise(fns) -> Verdict:
     ValueError on an empty family."""
     v = Verdict()
     cfg = _config(fns)
-    smin, smax, zero = shell_range(fns)
+    smin, _, zero = shell_range(fns)
     if zero is not None:
         v.add("bounded-away-from-zero", False, witness_ball(zero[0]),
               note="a spectrum charged at zero meets infinitely many dilates")
@@ -244,14 +244,14 @@ def verify_frame_pointwise(fns) -> Verdict:
     v.add("bounded-away-from-zero", True)
 
     # dilation square sum == 1, checked on the unit shell (the sum is
-    # invariant under scaling the argument by p); with no cells it is 0
-    dilations = range(-smax, -smin + 1) if smin < INF else ()
-    squares = cell_sum(cfg, [(b, x.abs_sq()) for f in fns for j in dilations
-                             for b, x in f.precompose(j).cells if b.shell_index() == 0])
-    bad = _first_discrepancy(cfg, 0, lambda _: (squares, StepFunction.indicator(units(cfg))))
+    # invariant under scaling the argument by p); a cell of shell s lands
+    # there only under the dilation by p**-s.  With no cells the sum is 0
+    squares = cell_sum(cfg, [(b.scale_by(-b.shell_index()), x.abs_sq())
+                             for f in fns for b, x in f.cells])
+    bad = _first_discrepancy(cfg, 0, lambda _: ([squares], [StepFunction.indicator(units(cfg))]))
     v.add("dilation-square-sum", bad is None,
           None if bad is None else witness_point(bad[1].center),
-          note="" if bad is None else f"sum = {bad[2]!r}")
+          note="" if bad is None else f"sum = {bad[2]}")
 
     # translated correlations vanish
     j_max = max(-smin - 1, -1)
@@ -265,10 +265,8 @@ def verify_frame_pointwise(fns) -> Verdict:
         us = coset_rep(cfg, s)
         terms = [c for f in fns for j in range(j_max + 1)
                  for c in products(f.precompose(j), f.precompose(j, shift=us))]
-        # half-grades 0 and 1 are independent coordinates of a scalar
-        # (q**(1/2) is kept formal), so t_s vanishes where each grade sums to 0
-        cells = [b for g in (0, 1)
-                 for b, _ in cell_sum(cfg, [c for c in terms if c[1].grade == g]).cells]
+        # t_s vanishes where each half-grade sums to 0
+        cells = [b for part in _by_grade(terms) for b, _ in cell_sum(cfg, part).cells]
         if cells:
             bad = (s, min(cells, key=Ball.sort_key))
             break
@@ -340,30 +338,43 @@ def verify_super_functions(fns) -> Verdict:
     j_max = max(smax - smin, 0)
     v.bounds["j_max"] = j_max
     v.bounds["k_max"] = cfg.q ** max(-smin, 0) - 1
-    # P_0 must be one on the integers and every other P_j zero
-    delta = [StepFunction.indicator(integers(cfg))] + [StepFunction.zero(cfg)] * j_max
+    # P_0 must be one on the integers and every other P_j zero, in each grade
+    zero = StepFunction.zero(cfg)
+    delta = [[StepFunction.indicator(integers(cfg)), zero]] + [[zero, zero]] * j_max
     bad = _first_discrepancy(cfg, j_max, lambda j: (_correlation(fns, j), delta[j]))
     v.add("(iii)-joint-correlation", bad is None,
           None if bad is None else witness_point(bad[1].center),
-          note="" if bad is None else f"j={bad[0]}, sum = {bad[2]!r}")
+          note="" if bad is None else f"j={bad[0]}, sum = {bad[2]}")
     return v
+
+
+def _by_grade(terms):
+    """The (ball, value) terms of half-grade 0 and of half-grade 1, apart:
+    the grades are independent coordinates of a scalar (q**(1/2) is kept
+    formal), so a sum of terms is zero, or equal to another, exactly when
+    it is in each grade."""
+    return [[c for c in terms if c[1].grade == g] for g in (0, 1)]
 
 
 def _correlation(fns, n):
     """P_n, the periodized cross-scale correlation at scale offset n: the
-    periodization of the products f(p**-n * x) * conj f(x), f in fns."""
-    return periodize(fns[0].config, [c for f in fns for c in products(f.precompose(n), f)])
+    periodization of the products f(p**-n * x) * conj f(x), f in fns, as one
+    step function per half-grade."""
+    terms = [c for f in fns for c in products(f.precompose(n), f)]
+    return [periodize(fns[0].config, part) for part in _by_grade(terms)]
 
 
 def _first_discrepancy(cfg, n_max, pair):
-    """(n, cell, x, y) at the smallest scale offset n <= n_max and the first
-    cell where the step functions pair(n) = (x, y) differ; None when they
-    agree at every offset."""
+    """(n, cell, x) at the smallest scale offset n <= n_max and the first
+    cell where pair(n) = (xs, ys) differ, lists of step functions, one per
+    half-grade, refined together: x is the value of xs there, printed as
+    the sum of its nonzero grades.  None when they agree at every offset."""
     for n in range(n_max + 1):
-        bad = next(((n, cell, x, y) for cell, (x, y) in common_refinement(cfg, pair(n))
-                    if x != y), None)
-        if bad:
-            return bad
+        xs, ys = pair(n)
+        k = len(xs)
+        for cell, values in common_refinement(cfg, [*xs, *ys]):
+            if values[:k] != values[k:]:
+                return n, cell, " + ".join(repr(x) for x in values[:k] if not x.is_zero()) or "0"
     return None
 
 

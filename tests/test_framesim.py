@@ -53,18 +53,33 @@ def shell_bounds(f):
 
 
 def energy_by_enumeration(cfg, f, psis):
-    """Direct finite (j, k) enumeration; valid when f carries no cell at
-    zero, so only finitely many dilation levels meet the support of f."""
-    flo, fhi = shell_bounds(f)
-    total = CycloScalar.zero(cfg.p, cfg.q)
-    for psi in psis:
-        pa, pb = shell_bounds(psi)
+    """Direct finite (j, k) enumeration of the energy of f against each psi
+    in psis; valid when f carries no cell at zero."""
+    return sum((tuple_energy_by_enumeration(cfg, [f], [psi]) for psi in psis),
+               CycloScalar.zero(cfg.p, cfg.q))
+
+
+def tuple_energy_by_enumeration(cfg, fs, etas):
+    """The direct-sum energy by direct finite (j, k) enumeration: at each
+    (j, k) the slots' affine coefficients are summed, then squared.  Valid
+    when no f_i carries a cell at zero, so that each slot meets finitely
+    many dilation levels, and beyond its mesh's cutoff in k each slot's
+    coefficient vanishes."""
+    k_ends = {}
+    for f, eta in zip(fs, etas):
+        if not f.cells:
+            continue
+        flo, fhi = shell_bounds(f)
+        pa, pb = shell_bounds(eta)
         for j in range(pa - fhi, pb - flo + 1):
-            mesh = common_refinement(cfg, [f, psi.precompose(-j)])
-            sigma = max(b.scale for b, _ in mesh)
-            for k in range(cfg.q ** max(j + sigma, 0)):
-                c = affine_coef(f, psi, j, k)
-                total = total + c.abs_sq().reduce_grade()
+            sigma = max(b.scale for b, _ in common_refinement(cfg, [f, eta.precompose(-j)]))
+            k_ends[j] = max(k_ends.get(j, 0), cfg.q ** max(j + sigma, 0))
+    zero = CycloScalar.zero(cfg.p, cfg.q)
+    total = zero
+    for j, k_end in sorted(k_ends.items()):
+        for k in range(k_end):
+            c = sum((affine_coef(f, eta, j, k) for f, eta in zip(fs, etas)), zero)
+            total = total + c.abs_sq()
     return total
 
 
@@ -238,6 +253,32 @@ def test_super_parseval_residual():
     with pytest.raises(ValueError):
         super_parseval_residual(FiniteModel(CFG2, 1, 1),
                                 [ind(units(CFG2))], [])
+
+
+def test_tuple_residuals_match_enumeration():
+    # seeded tuples that are not Parseval: random analyzers, and 1-4 slots
+    # of window functions away from zero; the collapsed direct-sum residual
+    # equals the norms minus the enumerated energy, is mostly nonzero, and
+    # on some tuples differs from the sum of the slots' own energies
+    rng = random.Random(2025)
+    nonzero = cross = 0
+    for cfg in (CFG2, CFG3, CFG4):
+        model = FiniteModel(cfg, 1, 1)
+        for _ in range(4):
+            n = rng.randint(1, 4)
+            etas = [random_analyzer(cfg, rng, 1, 1, rng.randint(1, 3)) for _ in range(n)]
+            fs = [StepFunction(cfg, [(b, v) for b, v in model.random_step(rng, 3).cells
+                                     if not b.contains_zero()]) for _ in range(n)]
+            norm = CycloScalar.zero(cfg.p, cfg.q)
+            for f in fs:
+                for b, v in f.cells:
+                    norm = norm + v.abs_sq() * rat(cfg, b.measure())
+            res = super_parseval_residual(model, etas, fs)
+            assert res == norm - tuple_energy_by_enumeration(cfg, fs, etas)
+            nonzero += not res.is_zero()
+            cross += res != sum((super_parseval_residual(model, [eta], [f])
+                                 for f, eta in zip(fs, etas)), CycloScalar.zero(cfg.p, cfg.q))
+    assert nonzero >= 8 and cross >= 3, (nonzero, cross)
 
 
 def test_super_residual_matches_single_slot_case():

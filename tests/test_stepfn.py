@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from lfwave.clopen import Ball, ClopenSet, fractional_ideal, integers, units
+from lfwave.clopen import Ball, ClopenSet, fractional_ideal, integers, shell, units
 from lfwave.cyclo import CycloScalar
-from lfwave.gfq import FieldConfig
+from lfwave.gfq import ConfigMismatch, FieldConfig
 from lfwave.lfield import FieldElement, coset_rep, parse_element
 from lfwave.stepfn import (StepFunction, cell_sum, common_refinement, periodize, periodized_weight,
                            products)
@@ -160,13 +160,15 @@ def random_cells_step(cfg, rng):
     made disjoint by normalization, with nonzero values of half-grade 0 or 1."""
     balls = [Ball(cfg, random_point(cfg, rng, -2, s), s)
              for s in (rng.randrange(-2, 3) for _ in range(rng.randrange(1, 5)))]
-    cells = []
-    for b in ClopenSet(cfg, balls).balls:
-        coeffs = [0] * (cfg.p - 1)
-        while not any(coeffs):
-            coeffs = [rng.randrange(-2, 3) for _ in coeffs]
-        cells.append((b, CycloScalar(cfg.p, cfg.q, coeffs).q_half_shift(rng.randrange(2))))
-    return StepFunction(cfg, cells)
+    return StepFunction(cfg, [(b, random_value(cfg, rng)) for b in ClopenSet(cfg, balls).balls])
+
+
+def random_value(cfg, rng):
+    """A nonzero small cyclotomic value of half-grade 0 or 1."""
+    coeffs = [0] * (cfg.p - 1)
+    while not any(coeffs):
+        coeffs = [rng.randrange(-2, 3) for _ in coeffs]
+    return CycloScalar(cfg.p, cfg.q, coeffs).q_half_shift(rng.randrange(2))
 
 
 def test_products_match_pointwise_products():
@@ -195,6 +197,91 @@ def test_products_match_pointwise_products():
                     hits += 1
                     assert [v for cell, v in cells if cell.contains_point(x)] == [want]
     assert hits >= 50
+
+
+def refined_products(g, h):
+    """g * conj h on the common refinement, with no shell prune: the
+    reference for products."""
+    return [(cell, x * y.conj()) for cell, (x, y) in common_refinement(g.config, [g, h])
+            if not (x.is_zero() or y.is_zero())]
+
+
+def shell_step(cfg, rng, balls, zero=None):
+    """Random nonzero values on the given disjoint balls, plus the ball
+    p^zero O at zero when zero is given."""
+    if zero is not None:
+        balls = balls + [Ball.integers(cfg, zero)]
+    return StepFunction(cfg, [(b, random_value(cfg, rng)) for b in balls])
+
+
+def shell_balls(cfg, rng, shells):
+    """One or two random balls in each of the shells, one or two scales
+    finer than the shell."""
+    out = []
+    for s in shells:
+        pool = [b for big in shell(cfg, s).balls for b in big.split_to(s + rng.randrange(1, 3))]
+        out += rng.sample(pool, min(len(pool), rng.randrange(1, 3)))
+    return out
+
+
+def meet_by_shells(g, h):
+    """Can some cell of g meet some cell of h by its shells?  A ball away
+    from zero holds the one shell s, [s, s]; the ball p^t O at zero holds
+    the shells [t, inf)."""
+    def span(b):
+        s = b.shell_index()
+        return (b.scale, float("inf")) if s is None else (s, s)
+    return any(max(span(a)[0], span(b)[0]) <= min(span(a)[1], span(b)[1])
+               for a, _ in g.cells for b, _ in h.cells)
+
+
+def test_shell_pruned_products_match_the_refinement():
+    # pairs no refinement can pair up (no shell in common, shells with
+    # gaps) and pairs it must refine (a shared shell with disjoint balls, a
+    # ball at zero on one side holding shells of the other, or on both
+    # sides): products equals the unpruned refinement on all of them
+    rng = random.Random(25)
+    kinds = {  # kind: () -> (shells of g, shells of h, zero scale of g, of h)
+        "disjoint shells": lambda: (*([s] for s in rng.sample(range(-3, 4), 2)), None, None),
+        "shells with gaps": lambda: (*rng.choice([([-2, 0, 2], [-1, 1]), ([-2, 0, 2], [1, 3])]),
+                                     None, None),
+        "zero on one side": lambda: ([-3], [rng.randrange(-2, 4)], rng.randrange(-2, 4), None),
+        "zero on both sides": lambda: ([-3], [-2], rng.randrange(-1, 3), rng.randrange(-1, 3)),
+    }
+    counts = {True: 0, False: 0}
+    for cfg in (CFG2, CFG3, FieldConfig(2, 2), FieldConfig(5, 1)):
+        for kind, draw in kinds.items():
+            for _ in range(8):
+                sg, sh, zg, zh = draw()
+                # a ball at zero holds the shells from its scale up
+                g, h = (shell_step(cfg, rng, shell_balls(
+                    cfg, rng, [s for s in ss if t is None or s < t]), t)
+                    for ss, t in ((sg, zg), (sh, zh)))
+                assert products(g, h) == refined_products(g, h), kind
+                assert products(h, g) == refined_products(h, g), kind
+                counts[meet_by_shells(g, h)] += 1
+        for _ in range(6):
+            # a shared shell with disjoint balls: two disjoint draws from
+            # one pool of the shell's balls
+            s = rng.randrange(-3, 4)
+            pool = list(shell(cfg, s).balls[0].split_to(s + 2))
+            rng.shuffle(pool)
+            g = shell_step(cfg, rng, pool[:len(pool) // 2])
+            h = shell_step(cfg, rng, pool[len(pool) // 2:])
+            assert products(g, h) == refined_products(g, h) == []
+            counts[meet_by_shells(g, h)] += 1
+    assert counts[False] >= 50 and counts[True] >= 50, counts
+
+
+def test_products_of_two_fields_raise_with_disjoint_shells():
+    other = FieldConfig(2, 2)
+    g = StepFunction.indicator(shell(CFG2, 0))
+    for h in (StepFunction.indicator(shell(other, 1)),
+              StepFunction.indicator(fractional_ideal(other, 3))):
+        with pytest.raises(ConfigMismatch):
+            products(g, h)
+        with pytest.raises(ConfigMismatch):
+            products(h, g)
 
 
 def test_products_keep_both_half_grades():

@@ -510,17 +510,24 @@ def correlation_family(cfg, rng):
 
 
 def correlation_at(fns, n, x):
-    """P_n of fns at x in O by direct evaluation: the sum over f in fns and
-    over the q**-smin cosets that reach the spectra of
+    """P_n of fns at x in O by direct evaluation, as its parts of half-grade
+    0 and 1 (terms of different grades cannot cancel): the sum over f in fns
+    and over the q**-smin cosets that reach the spectra of
     f(p**-n * (x + u(k))) * conj f(x + u(k))."""
     cfg = fns[0].config
     smin = min((b.shell_index() for f in fns for b, _ in f.cells), default=0)
-    total = rat(cfg, 0)
+    parts = [rat(cfg, 0), rat(cfg, 0)]
     for f in fns:
         for k in range(cfg.q ** max(-smin, 0)):
             y = x + coset_rep(cfg, k)
-            total = total + f.evaluate(y.scale_exponents(-n)) * f.evaluate(y).conj()
-    return total
+            t = f.evaluate(y.scale_exponents(-n)) * f.evaluate(y).conj()
+            parts[t.grade] = parts[t.grade] + t
+    return parts
+
+
+def grade_sum(parts):
+    """A value given by its half-grade parts, as a verdict note prints it."""
+    return " + ".join(repr(t) for t in parts if not t.is_zero()) or "0"
 
 
 def square_sum_at(fns, x):
@@ -566,7 +573,8 @@ def test_correlation_witnesses_hold_by_direct_evaluation():
     for _ in range(500):
         cfg = rng.choice([CFG2, CFG3, FieldConfig(2, 2), FieldConfig(5, 1)])
         a, b = correlation_family(cfg, rng)
-        delta = [rat(cfg, 1)] + [rat(cfg, 0)] * 4  # offsets stay <= 4 on shells -2..2
+        # offsets stay <= 4 on shells -2..2
+        delta = [[rat(cfg, 1), rat(cfg, 0)]] + [[rat(cfg, 0)] * 2] * 4
         sample = [FieldElement(cfg, {e: rng.randrange(cfg.q) for e in range(3)})
                   for _ in range(2)]
         v = verify_frame_pointwise(a)
@@ -597,8 +605,8 @@ def test_correlation_witnesses_hold_by_direct_evaluation():
                        for j in range(v.bounds["j_max"] + 1) for x in sample)
         else:
             j = int(c.note.split(",")[0].removeprefix("j="))
-            total = correlation_at(a, j, parse_element(cfg, c.witness["point"]))
-            assert total != delta[j] and c.note == f"j={j}, sum = {total!r}"
+            parts = correlation_at(a, j, parse_element(cfg, c.witness["point"]))
+            assert parts != delta[j] and c.note == f"j={j}, sum = {grade_sum(parts)}"
         seen["iii", c.ok, c.ok or j > 0] += 1
 
         v = equivalent_superwavelets(a, b)
@@ -630,7 +638,45 @@ def test_joint_correlation_reports_the_smallest_failing_offset():
            StepFunction(CFG2, [cell("1 + p", 2, -1)])]
     c = verify_super_functions(fns).check("(iii)-joint-correlation")
     assert (c.ok, c.witness, c.note) == (False, {"kind": "point", "point": "0"}, "j=0, sum = 0")
-    assert correlation_at(fns, 2, parse_element(CFG2, "p^2")) == rat(CFG2, -1)
+    assert correlation_at(fns, 2, parse_element(CFG2, "p^2")) == [rat(CFG2, -1), rat(CFG2, 0)]
+
+
+def half(cfg, x):
+    return rat(cfg, x).q_half_shift(1)
+
+
+def test_correlations_of_mixed_half_grades_get_verdicts():
+    # family 146 of a seeded fuzz at p=2, where `check equivalent [f1, f2,
+    # f3], [f1, f2, f3]` reported a grade error: on ball(1, 2), P_2 is -1
+    # from f3 and -q^(1/2) from f1, which raised when summed.  Each grade of
+    # P_2 is nonzero there, and the family is now equivalent to itself
+    def cell(x, scale, value):
+        return Ball(CFG2, parse_element(CFG2, x), scale), value
+    f1 = StepFunction(CFG2, [cell("p^-2", -1, rat(CFG2, -1)), cell("1", 2, half(CFG2, 1))])
+    f2 = StepFunction(CFG2, [cell("p^-1 + 1", 1, rat(CFG2, 1)),
+                             cell("p^2 + p^3", 4, half(CFG2, 1))])
+    f3 = StepFunction(CFG2, [cell("p^-2", -1, rat(CFG2, 1)), cell("1", 2, rat(CFG2, -1))])
+    fam = [f1, f2, f3]
+    assert equivalent_superwavelets(fam, fam).check("correlations-agree").ok
+    assert correlation_at(fam, 2, FieldElement.one(CFG2)) == [rat(CFG2, -1), half(CFG2, -1)]
+    # P_0 is 1 on O, and ball(1, 2) is p times the cell ball(p^-1, 1) of f
+    # and g, so P_1 there is 1/3 * conj(q^(1/2)/2) from f plus
+    # 2/3*q^(1/2) * conj(q^(1/2)/2) = 2/3 from g: (iii) first fails at j=1,
+    # with both grades in its sum
+    f = StepFunction(CFG2, [cell("p^-1", 1, rat(CFG2, Fraction(1, 3))),
+                            cell("1", 2, half(CFG2, Fraction(1, 2)))])
+    g = StepFunction(CFG2, [cell("p^-1", 1, half(CFG2, Fraction(2, 3))),
+                            cell("1", 2, half(CFG2, Fraction(1, 2)))])
+    h = StepFunction(CFG2, [cell("1 + p", 2, rat(CFG2, 1))])
+    c = verify_super_functions([f, g, h]).check("(iii)-joint-correlation")
+    assert (c.ok, c.witness, c.note) == (
+        False, {"kind": "point", "point": "1"}, "j=1, sum = 2/3 + (1/6)*qh^1")
+    x = parse_element(CFG2, c.witness["point"])
+    assert correlation_at([f, g, h], 1, x) == [rat(CFG2, Fraction(2, 3)),
+                                               half(CFG2, Fraction(1, 6))]
+    # and P_0 is 1 on each cell of O at scale 2, so j=1 is the first failure
+    for y in ("0", "p", "1", "1 + p"):
+        assert correlation_at([f, g, h], 0, parse_element(CFG2, y)) == [rat(CFG2, 1), rat(CFG2, 0)]
 
 
 @pytest.mark.parametrize("entry, arg", [
