@@ -432,10 +432,12 @@ def _run_solve(cfg, env, line_no, rest, options, seed):
         raise SpecError(line_no, "expected shells=a..b with integers a, b")
     max_scale = _int_option(opts, "max-scale", None, line_no)
     node_cap = _int_option(opts, "node-cap", 2_000_000, line_no, minimum=1)
-    fam = _operand("sets", cfg, fam_expr, env, line_no)
+    # an empty family is completed to a single wavelet set
+    empty = re.fullmatch(r"\[\s*\]", fam_expr)
+    fam = [] if empty else _operand("sets", cfg, fam_expr, env, line_no)
     _refuse_stray(opt_text, line_no)
     shells = int(shells[1]), int(shells[2])
-    result = construct.solve_complement(fam, shells, max_scale, node_cap=node_cap)
+    result = construct.solve_complement(fam, shells, max_scale, node_cap=node_cap, config=cfg)
     if result.status == "sat":
         env[name] = result.complement
     return {"result": result.as_json()}, result.status == "sat"

@@ -9,7 +9,9 @@ point per refinement cell.
 
 from __future__ import annotations
 
-from .clopen import INF, ClopenSet, fold_ball, outer_balls
+from operator import itemgetter
+
+from .clopen import INF, Ball, ClopenSet, child_keys, fold_ball, outer_balls
 from .cyclo import CycloScalar
 from .gfq import ConfigMismatch, FieldConfig
 from .lfield import FieldElement
@@ -171,17 +173,46 @@ def products(g: StepFunction, h: StepFunction):
 
 
 def cell_sum(config: FieldConfig, cells) -> StepFunction:
-    """The sum of (ball, value) cells, which may overlap, as a step function:
-    the values are added on one common refinement of the balls, and cells
-    where they sum to zero are dropped."""
-    pieces = [StepFunction(config, [cell], _canonical=True) for cell in cells]
-    zero = CycloScalar.zero(config.p, config.q)
-    out = []
-    for cell, values in common_refinement(config, pieces):
-        total = sum(values, zero)
-        if not total.is_zero():
-            out.append((cell, total))
-    return StepFunction(config, out, _canonical=True)
+    """The sum of (ball, value) cells, which may overlap, as a step function,
+    found on sort keys: equal balls are added first, then each maximal ball
+    is walked down its child keys, carrying the sum of the input values on
+    the path.  A ball with no input strictly inside it is a cell of the
+    coarsest common refinement of the balls; cells where the values sum to
+    zero are dropped."""
+    totals = {}
+    for ball, value in cells:
+        if ball.config != config:
+            raise ConfigMismatch("ball from a different field configuration")
+        key = ball.sort_key()
+        totals[key] = totals[key] + value if key in totals else value
+    inner = {}  # maximal key -> the input balls strictly inside it, in key order
+    for outer, b in outer_balls(Ball._from_key(config, k) for k in sorted(totals)):
+        if outer is None:
+            inner[b.sort_key()] = []
+        else:
+            inner[outer.sort_key()].append(b)
+    q, out = config.q, []
+
+    def walk(key, value, balls):
+        if not balls:
+            if not value.is_zero():
+                out.append((key, value))
+            return
+        under: dict = {}
+        for b in balls:
+            under.setdefault(b.ancestor_key(key[0] + 1), []).append(b)
+        for child in child_keys(key, q):
+            below = under.get(child, ())
+            if below and below[0].sort_key() == child:  # an input equal to the child
+                walk(child, value + totals[child], below[1:])
+            else:
+                walk(child, value, below)
+
+    for key, balls in inner.items():
+        walk(key, totals[key], balls)
+    out.sort(key=itemgetter(0))
+    return StepFunction(config, [(Ball._from_key(config, k), v) for k, v in out],
+                        _canonical=True)
 
 
 def periodize(config: FieldConfig, cells) -> StepFunction:

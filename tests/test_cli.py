@@ -1,6 +1,8 @@
 """Spec-language parsing, directive execution, JSON reports, determinism,
 and the command-line entry points."""
 
+import hashlib
+import importlib.util
 import json
 import random
 import re
@@ -18,6 +20,7 @@ from lfwave.lfield import coset_rep
 CFG2 = FieldConfig(2, 1)
 CFG3 = FieldConfig(3, 1)
 SPECS = Path(__file__).parent / "specs"
+CORPUS = Path(__file__).parent.parent / "perfbench" / "corpus.py"
 
 
 def run_text(text, seed=0):
@@ -673,6 +676,49 @@ def test_report_is_pinned(spec, tmp_path, capsys):
     assert main(["check", str(SPECS / f"{spec}.lfw"), "--json", str(out)]) == 1
     capsys.readouterr()
     assert out.read_bytes() == (SPECS / f"{spec}.json").read_bytes()
+
+
+def test_spec_corpus_reports_are_pinned():
+    # the benchmark's spec corpus, drawn as its spec-verdicts workload draws
+    # it, seeds 0-9 and rounds 0-2: each report as indented sorted JSON, or
+    # the type and message of the exception, then NUL, in one digest
+    spec = importlib.util.spec_from_file_location("corpus", CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    digest, count = hashlib.sha256(), 0
+    for seed in range(10):
+        for r in range(3):
+            for doc in corpus.round_docs(random.Random(f"{seed}/spec-verdicts/{r}")):
+                try:
+                    out = json.dumps(run_text(doc["text"], doc["seed"]), indent=2,
+                                     sort_keys=True)
+                except Exception as exc:
+                    out = f"{type(exc).__name__}: {exc}"
+                digest.update(out.encode() + b"\0")
+                count += 1
+    assert count == 2070
+    assert digest.hexdigest() == \
+        "10e2fce23815f03e48ca53a139aedab2a7c8638958f6c95adaba489434cdaf03"
+
+
+def test_solve_completes_the_empty_family():
+    # from [] the solver looks for a single orthonormal wavelet set
+    report = run_text("field {p=2}\nsolve X from [] shells=-2..2 max-scale=3\n"
+                      "check superwavelet [X]\n")
+    result = report["directives"][0]["result"]
+    assert report["passed"] and result["status"] == "sat"
+    assert result["complement"] == [{"center": "p^-1", "scale": 0}]
+    result = run_text("field {p=3}\nsolve X from [ ] shells=-2..2 max-scale=3\n")
+    assert result["directives"][0]["result"]["certificate"]["kind"] == "parity"
+    result = run_text("field {p=2, c=2}\nsolve X from [] shells=-1..1 max-scale=2\n")
+    result = result["directives"][0]["result"]
+    assert (result["status"], result["certificate"]["kind"], result["stats"]["nodes"]) == \
+        ("unsat", "exhausted", 91)
+    # every other empty list is refused
+    for line in ("family F = []", "check superwavelet []", "check frame []",
+                 "simulate parseval [] window=1,1", "check equivalent [], []"):
+        with pytest.raises(SpecError, match="line 2: empty list"):
+            run_text("field {p=2}\n" + line + "\n")
 
 
 def test_inline_family_lists():

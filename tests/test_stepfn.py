@@ -163,12 +163,14 @@ def random_cells_step(cfg, rng):
     return StepFunction(cfg, [(b, random_value(cfg, rng)) for b in ClopenSet(cfg, balls).balls])
 
 
-def random_value(cfg, rng):
-    """A nonzero small cyclotomic value of half-grade 0 or 1."""
+def random_value(cfg, rng, grade=None):
+    """A nonzero small cyclotomic value of the given half-grade, or of a
+    random one of 0 and 1."""
     coeffs = [0] * (cfg.p - 1)
     while not any(coeffs):
         coeffs = [rng.randrange(-2, 3) for _ in coeffs]
-    return CycloScalar(cfg.p, cfg.q, coeffs).q_half_shift(rng.randrange(2))
+    return CycloScalar(cfg.p, cfg.q, coeffs).q_half_shift(
+        rng.randrange(2) if grade is None else grade)
 
 
 def test_products_match_pointwise_products():
@@ -294,6 +296,97 @@ def test_products_keep_both_half_grades():
     cells = products(g, StepFunction.indicator(fractional_ideal(CFG3, -1)))
     assert [(cell, v.grade) for cell, v in cells] == [(a, 0), (b, 1)]
     assert products(g, g) == [(a, rat(CFG3, 1)), (b, rat(CFG3, 3))]
+
+
+def refined_cell_sum(config, cells):
+    """The values added on the common refinement of one-cell pieces: the
+    reference for cell_sum."""
+    pieces = [StepFunction(config, [cell], _canonical=True) for cell in cells]
+    zero = CycloScalar.zero(config.p, config.q)
+    out = []
+    for cell, values in common_refinement(config, pieces):
+        total = sum(values, zero)
+        if not total.is_zero():
+            out.append((cell, total))
+    return StepFunction(config, out, _canonical=True)
+
+
+def below(cfg, rng, ball, depth):
+    """A random sub-ball `depth` scales finer than the ball."""
+    return ball.sub_ball(ball.scale + depth, rng.randrange(cfg.q ** depth))
+
+
+def overlapping_cells(cfg, rng, kind):
+    """Random (ball, value) cells inside one ball of scale -2..1, of a kind
+    cell_sum must get right."""
+    top = Ball(cfg, random_point(cfg, rng, -3, 0), rng.randrange(-2, 2))
+
+    def value(grade=0):
+        return random_value(cfg, rng, grade)
+
+    if kind == "duplicate keys":
+        balls = [top, below(cfg, rng, top, 1), below(cfg, rng, top, 2)]
+        cells = [(rng.choice(balls), value()) for _ in range(rng.randrange(4, 8))]
+    elif kind == "nested chain":
+        chain = [top]
+        for _ in range(rng.randrange(3, 6)):
+            chain.append(below(cfg, rng, chain[-1], rng.randrange(1, 3)))
+        cells = [(b, value()) for b in chain + [below(cfg, rng, top, 2)]]
+    elif kind == "all children":
+        # every child of top, and maybe a grandchild, but not top: the
+        # refinement's universe merges the children into top
+        kids = top.children()
+        extra = [below(cfg, rng, rng.choice(kids), 1)][:rng.randrange(2)]
+        cells = [(b, value()) for b in kids + extra]
+    elif kind == "cancelling":
+        inner = below(cfg, rng, top, rng.randrange(1, 3))
+        v, w = value(), value()
+        cells = [(top, v), (inner, -v), (inner, w), (below(cfg, rng, top, 1), value()),
+                 (inner, -w)]
+        rng.shuffle(cells)
+    elif kind == "zero value":
+        # a zero value still cuts its ball out of the mesh
+        cells = [(top, value()), (below(cfg, rng, top, 2), CycloScalar.zero(cfg.p, cfg.q))]
+    else:  # "half-grade 1": graded trees under two children of top
+        a, b = rng.sample(top.children(), 2)
+        cells = [(a, value(1)), (below(cfg, rng, a, 1), value(1)),
+                 (below(cfg, rng, a, 2), value(1)), (b, value()), (below(cfg, rng, b, 1), value())]
+    return cells
+
+
+def maximal_balls(balls):
+    """The distinct balls not inside another of the balls."""
+    return {b for b in balls if not any(a != b and a.contains_ball(b) for a in balls)}
+
+
+def test_cell_sum_matches_the_refinement():
+    # cell_sum's key walk gives the very cells and values of the sum on the
+    # common refinement of one-cell pieces, at q = 2, 3, 4, 5 and 9
+    rng = random.Random(26)
+    kinds = ("duplicate keys", "nested chain", "all children", "cancelling", "zero value",
+             "half-grade 1")
+    seen = {"merged": 0, "cancelled": 0, "grade 1": 0}
+    for cfg in (CFG2, CFG3, FieldConfig(2, 2), FieldConfig(5, 1), FieldConfig(3, 2)):
+        assert cell_sum(cfg, []).cells == refined_cell_sum(cfg, []).cells == ()
+        for kind in kinds:
+            for _ in range(12):
+                cells = overlapping_cells(cfg, rng, kind)
+                got = cell_sum(cfg, cells)
+                assert got.cells == refined_cell_sum(cfg, cells).cells, kind
+                balls = [b for b, _ in cells]
+                seen["merged"] += len(ClopenSet(cfg, balls).balls) < len(maximal_balls(balls))
+                seen["cancelled"] += len(got.cells) < len(refined_cell_sum(
+                    cfg, [(b, rat(cfg, 1)) for b in balls]).cells)
+                seen["grade 1"] += any(v.grade for _, v in got.cells)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_cell_sum_refuses_a_ball_from_another_field():
+    other = FieldConfig(2, 2)
+    for cells in ([(Ball.integers(other), rat(other, 1))],
+                  [(Ball.integers(CFG2), rat(CFG2, 1)), (Ball.integers(other, 1), rat(other, 1))]):
+        with pytest.raises(ConfigMismatch):
+            cell_sum(CFG2, cells)
 
 
 def test_periodized_weight_examples():

@@ -14,8 +14,9 @@ from lfwave.cyclo import CycloScalar
 from lfwave.framesim import gram_entry
 from lfwave.gfq import FieldConfig
 from lfwave.lfield import FieldElement, coset_rep, parse_element
-from lfwave.stepfn import StepFunction, shell_range
+from lfwave.stepfn import StepFunction, common_refinement, shell_range
 from lfwave.verify import (
+    _correlation,
     check_dilation_tiling,
     check_translation,
     decomposability_bound,
@@ -493,16 +494,47 @@ def tiling_tuple(cfg, rng):
     return [StepFunction(cfg, c) for c in cells if c]
 
 
+def split_tiling_tuple(cfg, rng):
+    """A tiling tuple at scale 1 whose cells C = pO + u(k), 0 < k < q, and
+    pC carry split values: one spectrum holds a and c on them, another
+    b*q^(1/2) and e, times roots of unity, with a^2 + q*b^2 = c^2 + e^2 = 1.
+    So P_0 is still 1, while P_1 on pC adds a*conj(c) from the one and
+    b*q^(1/2)*conj(e) from the other: both half-grades on one cell.  The
+    other atoms of O, with the one holding pC cut into its children, are
+    moved by some u(k), k < q, and dealt out to the two and 0-2 more."""
+    q = cfg.q
+    t = rng.choice([Fraction(1), Fraction(2), Fraction(1, 3)])
+    s = rng.choice([Fraction(2), Fraction(3), Fraction(1, 2)])
+    a, b = (1 - q * t * t) / (1 + q * t * t), 2 * t / (1 + q * t * t)
+    c, e = (1 - s * s) / (1 + s * s), 2 * s / (1 + s * s)
+    cell = Ball.integers(cfg, 1).translate(coset_rep(cfg, rng.randrange(1, q)))
+    inner = cell.scale_by(1)
+    z1, z2 = (CycloScalar.zeta_pow(cfg.p, q, rng.randrange(cfg.p)) for _ in range(2))
+    cells = [[(cell, rat(cfg, a) * z1), (inner, rat(cfg, c) * z2)],
+             [(cell, (rat(cfg, b) * z1).q_half_shift(1)), (inner, rat(cfg, e) * z2)]]
+    cells += [[] for _ in range(rng.randrange(3))]
+    host = Ball._from_key(cfg, inner.ancestor_key(1))
+    rest = [atom for atom in Ball.integers(cfg).split_to(1)
+            if not atom.contains_zero() and atom != host]
+    for atom in rest + [child for child in host.children() if child != inner]:
+        moved = atom.translate(coset_rep(cfg, rng.randrange(q)))
+        value = CycloScalar.zeta_pow(cfg.p, q, rng.randrange(cfg.p))
+        cells[rng.randrange(len(cells))].append((moved, value))
+    return [StepFunction(cfg, c) for c in cells if c]
+
+
 def correlation_family(cfg, rng):
-    """(a, b): random spectra or a tiling tuple, with b = a about 30 % of
-    the time; otherwise a tiling tuple is paired with its own spectra times
-    roots of unity (equivalent) or with another tiling tuple."""
-    if rng.random() < 0.5:
+    """(a, b): random spectra or a tiling tuple (split or not), with b = a
+    about 30 % of the time; otherwise a tiling tuple is paired with its own
+    spectra times roots of unity (equivalent) or with another tiling
+    tuple."""
+    r = rng.random()
+    if r < 0.5:
         grade = None if rng.random() < 0.15 else rng.randrange(2)
         a, b = ([random_spectrum(cfg, rng, grade) for _ in range(rng.randrange(1, 4))]
                 for _ in range(2))
     else:
-        a = tiling_tuple(cfg, rng)
+        a = tiling_tuple(cfg, rng) if r < 0.85 else split_tiling_tuple(cfg, rng)
         b = rng.choice([[StepFunction(cfg, [(ball, v * z) for ball, v in f.cells])
                          for f in a for z in [CycloScalar.zeta_pow(cfg.p, cfg.q, rng.randrange(cfg.p))]],
                         tiling_tuple(cfg, rng)])
@@ -608,6 +640,15 @@ def test_correlation_witnesses_hold_by_direct_evaluation():
             parts = correlation_at(a, j, parse_element(cfg, c.witness["point"]))
             assert parts != delta[j] and c.note == f"j={j}, sum = {grade_sum(parts)}"
         seen["iii", c.ok, c.ok or j > 0] += 1
+        # P_n as verify sums it, one periodization per half-grade: where both
+        # grades are nonzero on one cell, both match direct evaluation
+        mixed = False
+        for n in range(v.bounds.get("j_max", -1) + 1):
+            for cell, parts in common_refinement(cfg, _correlation(a, n)):
+                if not any(t.is_zero() for t in parts):
+                    assert correlation_at(a, n, cell.center) == parts
+                    mixed = True
+        seen["mixed"] += mixed
 
         v = equivalent_superwavelets(a, b)
         c = v.check("correlations-agree")
@@ -625,6 +666,8 @@ def test_correlation_witnesses_hold_by_direct_evaluation():
     assert all(seen[kind, ok] >= 20 for kind in ("i", "ii") for ok in (True, False)), seen
     assert all(seen[kind, ok, later] >= 20 for kind in ("iii", "eq")
                for ok, later in ((True, True), (False, False), (False, True))), seen
+    # and families whose P_n holds both half-grades on one cell
+    assert seen["mixed"] >= 20, seen
 
 
 def test_joint_correlation_reports_the_smallest_failing_offset():
