@@ -323,15 +323,18 @@ def mesh_delta_residuals(model: FiniteModel, psis):
     scale <= S, which is constant on every atom a under it, takes the energy
     q**-j * k-sum of (a, conj(v) * q**-S) = q**(max(j+S, 0) - j - 2S) * |v|**2
     from each such atom.  These energies are summed, over all layers, into
-    one table per coarse scale s <= S keyed by the cell's sort key.  The
-    cells finer than S are filed under the key of their scale-S host, with
-    their layer's j.  A layer's cells are disjoint, so an atom away from zero
-    meets a layer at most once, in the one coarse cell holding it or in its
-    fine cells: its residual is ||delta||**2 = q**-S minus one lookup of its
-    ancestor key per coarse scale, minus the k-sum of each fine group in it.
-    Every term is an exact scalar of grade 0 in canonical form, so the order
-    of the sums does not change a residual.  The zero atom goes through the
-    general path (it needs the geometric tail).
+    one table keyed by the cell's sort key.  The cells finer than S are
+    filed under the key of their scale-S host, with their layer's j.  A
+    layer's cells are disjoint, so an atom away from zero meets a layer at
+    most once, in the one coarse cell holding it or in its fine cells.  Its
+    residual is ||delta||**2 = q**-S minus the energies of every coarse key
+    holding it, minus the k-sum of each fine group in it.  The first part is
+    tabled per coarse key, coarsest first: q**-S, or the entry of the key's
+    nearest coarse ancestor, minus the key's energy.  An atom reads it at
+    its finest coarse hit, in one lookup per coarse scale until the first
+    hit.  Every term is an exact scalar of grade 0 in canonical form, so the
+    order of the sums does not change a residual.  The zero atom goes
+    through the general path (it needs the geometric tail).
     """
     cfg = model.config
     S = model.S
@@ -340,7 +343,7 @@ def mesh_delta_residuals(model: FiniteModel, psis):
     def delta(a):  # the mesh delta of the atom a
         return StepFunction(cfg, [(a, one)], _canonical=True)
 
-    coarse = {}  # coarse scale -> {key: energy of the layers' cells with that key}
+    coarse = {}  # key of scale <= S -> energy of the layers' cells with that key
     fine = {}  # scale-S key -> [(j, step function of the finer cells in it), ...]
     for psi in psis:
         model.check_analyzer(psi)
@@ -353,25 +356,35 @@ def mesh_delta_residuals(model: FiniteModel, psis):
             hosted = {}
             for ball, v in psi.precompose(-j).cells:
                 if ball.scale <= S:
-                    table = coarse.setdefault(ball.scale, {})
                     key = ball.sort_key()
                     e = weight * v.abs_sq()
-                    table[key] = table[key] + e if key in table else e
+                    coarse[key] = coarse[key] + e if key in coarse else e
                 else:
                     hosted.setdefault(ball.ancestor_key(S), []).append((ball, v))
             for key, cells in hosted.items():
                 fine.setdefault(key, []).append((j, StepFunction(cfg, cells, _canonical=True)))
     norm = _q_pow(cfg, -S)  # ||delta||^2
+    finest_first = sorted({key[0] for key in coarse}, reverse=True)
+    left = {}  # coarse key -> q**-S minus the energies of it and its coarse ancestors
+
+    def above(ball, t):
+        """The entry of the finest coarse key of scale <= t holding the
+        ball, or q**-S when there is none."""
+        for s in finest_first:
+            if s <= t:
+                r = left.get(ball.ancestor_key(s))
+                if r is not None:
+                    return r
+        return norm
+
+    for key in sorted(coarse):  # coarsest first, so every ancestor is tabled
+        left[key] = above(Ball._from_key(cfg, key), key[0] - 1) - coarse[key]
     out = []
     for a in model.atoms():
         if a.contains_zero():
             out.append((a, parseval_residual(model, psis, delta(a))[0]))
             continue
-        r = norm
-        for s, table in coarse.items():
-            e = table.get(a.ancestor_key(s))
-            if e is not None:
-                r = r - e
+        r = above(a, S)
         for j, psi_j in fine.get(a.sort_key(), ()):
             # the delta is 1 on the atom, which holds psi_j's cells
             r = r - _q_pow(cfg, -j) * _k_sum(cfg, j, _coef_cells(delta(a), psi_j))

@@ -114,9 +114,22 @@ def common_refinement(config, fns):
 
     Returns a list of (cell, values) sorted by cell, where values[i] is the
     value of fns[i] on the cell (zero off its support).
+
+    Each input ball lies in exactly one canonical ball of the union of the
+    supports, so it is filed under that region by one ancestor-key lookup
+    per region scale up to its own, in input order; each region is then
+    split down to where every ball filed under it covers the cell.
     """
     pool = [(b, i, v) for i, f in enumerate(fns) for b, v in f.cells]
     universe = ClopenSet(config, [b for b, _, _ in pool])
+    regions = {region.sort_key(): [] for region in universe.balls}
+    scales = sorted({key[0] for key in regions})
+    for c in pool:
+        for t in scales:
+            filed = regions.get(c[0].ancestor_key(t))
+            if filed is not None:
+                filed.append(c)
+                break
     zero = CycloScalar.zero(config.p, config.q)
 
     def cells(ball, relevant):
@@ -133,8 +146,7 @@ def common_refinement(config, fns):
 
     mesh = []
     for region in universe.balls:
-        relevant = [c for c in pool if not region.is_disjoint(c[0])]
-        mesh.extend(cells(region, relevant))
+        mesh.extend(cells(region, regions[region.sort_key()]))
     mesh.sort(key=lambda cv: cv[0].sort_key())
     return mesh
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from lfwave import stepfn, verify
 from lfwave.cli import _FORMS, SpecError, main, parse_set_expr, parse_spec, parse_value, run
 from lfwave.clopen import integers, shell, units
 from lfwave.cyclo import CycloScalar
@@ -699,6 +700,28 @@ def test_spec_corpus_reports_are_pinned():
     assert count == 2070
     assert digest.hexdigest() == \
         "10e2fce23815f03e48ca53a139aedab2a7c8638958f6c95adaba489434cdaf03"
+
+
+def test_nested_cell_sums_spec_sums_nested_balls(monkeypatch):
+    # the corpus above never hands cell_sum two nested distinct balls; each
+    # directive of this golden spec does, run with the spec's definitions
+    nested = []
+    real = stepfn.cell_sum
+
+    def recorded(config, cells):
+        balls = {b for b, _ in cells}
+        nested.append(any(a != b and a.contains_ball(b) for a in balls for b in balls))
+        return real(config, cells)
+
+    monkeypatch.setattr(stepfn, "cell_sum", recorded)
+    monkeypatch.setattr(verify, "cell_sum", recorded)
+    lines = [line for line in (SPECS / "nested_cell_sums_p3.lfw").read_text().splitlines()
+             if line and not line.startswith("#")]
+    head = [line for line in lines if line.startswith(("field", "fn "))]
+    for directive in lines[len(head):]:
+        nested.clear()
+        run_text("\n".join(head + [directive]) + "\n")
+        assert any(nested), directive
 
 
 def test_solve_completes_the_empty_family():

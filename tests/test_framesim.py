@@ -1,9 +1,12 @@
 """Finite frequency-window oracle: affine coefficients, exact Parseval
 residuals (cross-checked against direct coefficient enumeration), direct-sum
-residuals, Gram entries, and the batched mesh-delta path."""
+residuals, Gram entries, the batched mesh-delta path, and a pinned corpus
+of their outputs."""
 
+import hashlib
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +14,7 @@ import pytest
 import lfwave.framesim as fs
 
 from lfwave.clopen import Ball, ClopenSet, fractional_ideal, integers, shell, units
-from lfwave.construct import shannon_family, shell_tuple
+from lfwave.construct import scaled_shannon_family, shannon_family, shell_tuple, shell_wavelet
 from lfwave.cyclo import CycloScalar
 from lfwave.framesim import (
     FiniteModel,
@@ -565,8 +568,46 @@ def mesh_families(cfg, S, rng):
     return families
 
 
+def nested_chain(cfg, R, S, rng):
+    """Spectra on nested balls no finer than the mesh, from a random half of
+    the shell p^-R O* at its coarsest scale, each next one a random half of
+    the sub-balls one or two scales finer: their dilates hold an atom at
+    several coarse scales, some with a scale between them left empty."""
+    chain, balls = [], list(shell(cfg, -R).balls)
+    while balls[0].scale <= S:
+        balls = rng.sample(balls, (len(balls) + 1) // 2)
+        chain.append(StepFunction(cfg, [(b, CycloScalar.zeta_pow(
+            cfg.p, cfg.q, rng.randrange(cfg.p)) * rat(cfg, Fraction(1, rng.randint(1, 3))))
+            for b in balls]))
+        depth = rng.randint(1, 2)
+        balls = [c for b in balls for c in b.split_to(b.scale + depth)]
+    return chain
+
+
+def atom_hits(model, psis):
+    """Per atom away from zero: the scales of the coarse cells (of scale <=
+    S) of all layers that hold it, and whether finer cells lie in it."""
+    S = model.S
+    coarse, hosts = {}, set()
+    for psi in psis:
+        pa, pb, _ = shell_range([psi])
+        for j in range(pa - (model.R + S), pb + model.R + 1):
+            for b, _ in psi.precompose(-j).cells:
+                if b.scale <= S:
+                    coarse.setdefault(b.scale, set()).add(b.sort_key())
+                else:
+                    hosts.add(b.ancestor_key(S))
+    return [([s for s in sorted(coarse) if a.ancestor_key(s) in coarse[s]],
+             a.sort_key() in hosts) for a in model.atoms() if not a.contains_zero()]
+
+
 def test_mesh_sweep_matches_per_atom_reference():
+    # an atom's coarse residual is one table entry holding the energies of
+    # its whole chain of coarse hits: atoms with hits at three or more
+    # scales, with a scale skipped in the chain, with coarse and fine hits,
+    # and with no hit at all must all match the per-atom loop
     rng = random.Random(20151124)
+    seen = Counter()
     for cfg in (CFG2, CFG3, CFG4, CFG5):
         for R, S in ((1, 1), (2, 1), (1, 2)):
             if cfg.q ** (R + S) > 125:
@@ -574,9 +615,16 @@ def test_mesh_sweep_matches_per_atom_reference():
             model = FiniteModel(cfg, R, S)
             # the shell p^-R O*: at R >= 2 a layer j < -S has cells no finer
             # than the mesh, whose closed-form energy takes q**max(j+S, 0) = 1
-            for psis in mesh_families(cfg, S, rng) + [[ind(shell(cfg, -R))]]:
+            for psis in mesh_families(cfg, S, rng) + [[ind(shell(cfg, -R))]] + [
+                    nested_chain(cfg, R, S, rng) for _ in range(3)]:
                 want = reference_mesh_delta_residuals(model, psis)
                 assert repr(mesh_delta_residuals(model, psis)) == repr(want)
+                for hit, fine in atom_hits(model, psis):
+                    seen["three scales"] += len(hit) >= 3
+                    seen["skipped scale"] += any(t - s > 1 for s, t in zip(hit, hit[1:]))
+                    seen["coarse and fine"] += bool(hit) and fine
+                    seen["no hit"] += not (hit or fine)
+    assert min(seen.values()) >= 40 and len(seen) == 4, seen
 
 
 class AtomSlice(FiniteModel):
@@ -655,3 +703,58 @@ def test_mesh_atoms_are_key_only_balls():
     assert len(atoms) == 5 ** 6
     assert all(a._center is None for a in atoms)
     assert used / len(atoms) < 300
+
+
+# ---------------------------------------------------------------------------
+# A pinned framesim corpus
+# ---------------------------------------------------------------------------
+
+
+def stock_spectra(cfg):
+    """The stock families as spectra: Shannon, the shells p^m O* and the
+    contracted Shannon families, m = 1, 2."""
+    return [shannon_spectra(cfg)] + [
+        [ind(W) for W in fam] for m in (1, 2)
+        for fam in ([shell_wavelet(cfg, m)], scaled_shannon_family(cfg, m))]
+
+
+def framesim_corpus():
+    """Seeded framesim outputs as (kind, output): mesh-delta residuals over
+    full R = S = 2 windows of the stock and mesh-test families, Parseval
+    residuals with their bounds and truncation spot checks on random window
+    functions, direct-sum residuals of shell tuples against random slots,
+    and a grid of Gram entries, at q = 2, 3, 4, 5."""
+    rng = random.Random(2027)
+    for cfg in (CFG2, CFG3, CFG4, CFG5):
+        model = FiniteModel(cfg, 2, 2)
+        families = stock_spectra(cfg) + mesh_families(cfg, 2, rng)
+        for psis in families:
+            yield "mesh", mesh_delta_residuals(model, psis)
+            for _ in range(3):
+                f = model.random_step(rng, rng.randint(1, 4))
+                yield "parseval", parseval_residual(model, psis, f)
+                yield "spot check", truncation_spot_check(model, psis, f, 2)
+        # the shell tuples are Parseval; the random analyzers are not
+        for etas in [[ind(W) for W in shell_tuple(cfg, n)] for n in (1, 2, 3)] + families[-2:]:
+            slots = [model.random_step(rng, rng.randint(0, 3)) for _ in etas]
+            yield "super", super_parseval_residual(model, etas, slots)
+        grid = [(j, k) for j in (-1, 0, 1, 2) for k in range(cfg.q + 1)]
+        for etas in (shannon_spectra(cfg), [ind(W) for W in shell_tuple(cfg, 2)]):
+            yield "gram", [gram_entry(etas, a, b) for a in grid for b in grid]
+
+
+def test_framesim_corpus_is_pinned():
+    # exact residuals, bounds and Gram entries that must not change with a
+    # faster code path: one sha256 over every output's repr, NUL-separated
+    digest, count, nonzero = hashlib.sha256(), Counter(), Counter()
+    for kind, out in framesim_corpus():
+        digest.update(repr(out).encode() + b"\0")
+        count[kind] += 1
+        if kind == "mesh":
+            nonzero[kind] += sum(not r.is_zero() for _, r in out)
+        elif kind in ("parseval", "super"):
+            nonzero[kind] += not (out[0] if kind == "parseval" else out).is_zero()
+    assert count == {"mesh": 60, "parseval": 180, "spot check": 180, "super": 20, "gram": 8}
+    assert nonzero["mesh"] >= 5000 and nonzero["parseval"] >= 50 and nonzero["super"] >= 5
+    assert digest.hexdigest() == \
+        "379f94d3283d6f5a50764d0370af66d83e1104941999d1dfcd705598aec5a6d4"

@@ -3,6 +3,7 @@ stable equality, products of two spectra, sums of overlapping cells, and the
 periodized weight."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,94 @@ def test_inputs_constant_on_refinement_cells():
                 for child in cell.children():
                     assert f.evaluate(child.center) == v
     assert zero_seen
+
+
+def pairwise_refinement(config, fns):
+    """common_refinement with each region's balls found by a disjointness
+    test against every input ball: the reference for filing them by key."""
+    pool = [(b, i, v) for i, f in enumerate(fns) for b, v in f.cells]
+    universe = ClopenSet(config, [b for b, _, _ in pool])
+    zero = CycloScalar.zero(config.p, config.q)
+
+    def cells(ball, relevant):
+        if all(b.contains_ball(ball) for b, _, _ in relevant):
+            values = [zero] * len(fns)
+            for _, i, v in relevant:
+                values[i] = v
+            yield ball, values
+            return
+        for child in ball.children():
+            sub = [c for c in relevant if not child.is_disjoint(c[0])]
+            if sub:
+                yield from cells(child, sub)
+
+    mesh = []
+    for region in universe.balls:
+        relevant = [c for c in pool if not region.is_disjoint(c[0])]
+        mesh.extend(cells(region, relevant))
+    mesh.sort(key=lambda cv: cv[0].sort_key())
+    return mesh
+
+
+def refinement_pool(cfg, rng):
+    """1-4 step functions on disjoint balls drawn from one shared list: a
+    random ball, sub-balls of it, and a ball at zero with a sub-ball.  In
+    half the pools of two or more functions, the q children of one sub-ball
+    are first dealt out among the functions, and the balls holding them are
+    left out of the list."""
+    top = Ball(cfg, random_point(cfg, rng, -3, 0), rng.randrange(-2, 2))
+    subs = [below(cfg, rng, top, depth) for depth in (1, 1, 2)]
+    at_zero = Ball.integers(cfg, rng.randrange(-1, 2))
+    shared = [top, *subs, at_zero, below(cfg, rng, at_zero, 1)]
+    n = rng.randint(1, 4)
+    dealt = [[] for _ in range(n)]
+    if n > 1 and rng.randrange(2):
+        parent = rng.choice(subs)
+        kids = parent.children()
+        rng.shuffle(kids)
+        for k, kid in enumerate(kids):
+            dealt[k % n].append(kid)
+        shared = [b for b in shared if not b.contains_ball(parent)]
+    fns = []
+    for balls in dealt:
+        balls = ClopenSet(cfg, balls + rng.sample(shared, min(len(shared), rng.randrange(4)))).balls
+        fns.append(StepFunction(cfg, [(b, random_value(cfg, rng)) for b in balls]))
+    return fns
+
+
+def test_refinement_files_regions_by_key():
+    # filing each input ball under its region by key gives the very cells,
+    # order and values of the pairwise disjointness scan, at q = 2, 3, 4, 5
+    # and 9, on pools with balls nested across functions, equal balls in two
+    # functions, sibling balls of several functions that the union merges
+    # into a region that is no input ball, balls at zero and empty functions
+    rng = random.Random(27)
+    seen = Counter()
+    for cfg in (CFG2, CFG3, FieldConfig(2, 2), FieldConfig(5, 1), FieldConfig(3, 2)):
+        assert common_refinement(cfg, []) == pairwise_refinement(cfg, []) == []
+        for _ in range(60):
+            fns = refinement_pool(cfg, rng)
+            got = [(cell.sort_key(), values) for cell, values in common_refinement(cfg, fns)]
+            assert got == [(cell.sort_key(), values)
+                           for cell, values in pairwise_refinement(cfg, fns)]
+            owned = [(b, i) for i, f in enumerate(fns) for b, _ in f.cells]
+            pairs = [(a, b) for a, i in owned for b, j in owned if i != j]
+            seen["nested"] += any(a != b and a.contains_ball(b) for a, b in pairs)
+            seen["equal"] += any(a == b for a, b in pairs)
+            seen["merged"] += not set(ClopenSet(cfg, [b for b, _ in owned]).balls) <= {
+                b for b, _ in owned}
+            seen["at zero"] += any(b.contains_zero() for b, _ in owned)
+            seen["empty"] += any(not f.cells for f in fns)
+    assert min(seen.values()) >= 40 and len(seen) == 5, seen
+
+
+def test_refinement_refuses_a_ball_from_another_field():
+    other = FieldConfig(2, 2)
+    f = StepFunction.indicator(units(CFG2))
+    for fns in ([StepFunction.indicator(units(other))],
+                [f, StepFunction.indicator(fractional_ideal(other, 1))]):
+        with pytest.raises(ConfigMismatch, match="^ball from a different field configuration$"):
+            common_refinement(CFG2, fns)
 
 
 def test_equality_is_refinement_stable():
