@@ -11,7 +11,7 @@ from operator import itemgetter
 
 from .clopen import (Ball, ClopenSet, child_keys, fractional_ideal, integers, joint_fold,
                      parent_key, shell, translated_keys, units)
-from .gfq import FieldConfig
+from .gfq import ConfigMismatch, FieldConfig
 from .lfield import coset_rep
 from .verify import Verdict, check_dilation_tiling, verify_superwavelet
 
@@ -316,12 +316,15 @@ def solve_complement(existing, shells: tuple[int, int], max_scale: int,
     at most `max_scale`.  Feasibility is a double exact cover: normalized
     cells must partition the unit shell, folds must partition the uncovered
     region.  UNSAT is relative to this resolution unless a certificate says
-    otherwise.
+    otherwise.  A `config` other than the family's field raises
+    ConfigMismatch.
     """
     lo, hi = shells
     if lo > hi:
         raise ValueError("empty shell range")
     if existing:
+        if config not in (None, existing[0].config):
+            raise ConfigMismatch("config differs from the family's field configuration")
         config = existing[0].config
     elif config is None:
         raise ValueError("empty family needs an explicit field configuration")

@@ -18,7 +18,7 @@ from .clopen import INF, Ball, fractional_ideal
 from .cyclo import CycloScalar
 from .gfq import FieldConfig
 from .lfield import FieldElement, character, coset_rep
-from .stepfn import StepFunction, products, shell_range
+from .stepfn import StepFunction, cell_sum, products, shell_range
 
 
 class WindowEscape(ValueError):
@@ -322,19 +322,18 @@ def mesh_delta_residuals(model: FiniteModel, psis):
     it does not depend on b.  So a dilated cell (b, v) of layer (psi, j) of
     scale <= S, which is constant on every atom a under it, takes the energy
     q**-j * k-sum of (a, conj(v) * q**-S) = q**(max(j+S, 0) - j - 2S) * |v|**2
-    from each such atom.  These energies are summed, over all layers, into
-    one table keyed by the cell's sort key.  The cells finer than S are
-    filed under the key of their scale-S host, with their layer's j.  A
-    layer's cells are disjoint, so an atom away from zero meets a layer at
-    most once, in the one coarse cell holding it or in its fine cells.  Its
-    residual is ||delta||**2 = q**-S minus the energies of every coarse key
-    holding it, minus the k-sum of each fine group in it.  The first part is
-    tabled per coarse key, coarsest first: q**-S, or the entry of the key's
-    nearest coarse ancestor, minus the key's energy.  An atom reads it at
-    its finest coarse hit, in one lookup per coarse scale until the first
-    hit.  Every term is an exact scalar of grade 0 in canonical form, so the
-    order of the sums does not change a residual.  The zero atom goes
-    through the general path (it needs the geometric tail).
+    from each such atom.  These cells, over all layers, go through one
+    cell_sum, whose disjoint cells of scale <= S carry the energy of every
+    layer cell holding them.  The cells finer than S are filed under the key
+    of their scale-S host, with their layer's j.  A layer's cells are
+    disjoint, so an atom away from zero meets a layer at most once, in the
+    one coarse cell holding it or in its fine cells.  Its residual is
+    ||delta||**2 = q**-S minus the energy of the one cell_sum cell holding
+    it (tabled per cell, read by one ancestor-key lookup per cell scale),
+    minus the k-sum of each fine group in it.  Every term is an exact scalar
+    of grade 0 in canonical form, so the order of the sums does not change
+    a residual.  The zero atom goes through the general path (it needs the
+    geometric tail).
     """
     cfg = model.config
     S = model.S
@@ -343,7 +342,7 @@ def mesh_delta_residuals(model: FiniteModel, psis):
     def delta(a):  # the mesh delta of the atom a
         return StepFunction(cfg, [(a, one)], _canonical=True)
 
-    coarse = {}  # key of scale <= S -> energy of the layers' cells with that key
+    coarse = []  # (cell, energy) for the layers' cells of scale <= S
     fine = {}  # scale-S key -> [(j, step function of the finer cells in it), ...]
     for psi in psis:
         model.check_analyzer(psi)
@@ -356,35 +355,21 @@ def mesh_delta_residuals(model: FiniteModel, psis):
             hosted = {}
             for ball, v in psi.precompose(-j).cells:
                 if ball.scale <= S:
-                    key = ball.sort_key()
-                    e = weight * v.abs_sq()
-                    coarse[key] = coarse[key] + e if key in coarse else e
+                    coarse.append((ball, weight * v.abs_sq()))
                 else:
                     hosted.setdefault(ball.ancestor_key(S), []).append((ball, v))
             for key, cells in hosted.items():
                 fine.setdefault(key, []).append((j, StepFunction(cfg, cells, _canonical=True)))
     norm = _q_pow(cfg, -S)  # ||delta||^2
-    finest_first = sorted({key[0] for key in coarse}, reverse=True)
-    left = {}  # coarse key -> q**-S minus the energies of it and its coarse ancestors
-
-    def above(ball, t):
-        """The entry of the finest coarse key of scale <= t holding the
-        ball, or q**-S when there is none."""
-        for s in finest_first:
-            if s <= t:
-                r = left.get(ball.ancestor_key(s))
-                if r is not None:
-                    return r
-        return norm
-
-    for key in sorted(coarse):  # coarsest first, so every ancestor is tabled
-        left[key] = above(Ball._from_key(cfg, key), key[0] - 1) - coarse[key]
+    summed = cell_sum(cfg, coarse)  # disjoint cells of scale <= S
+    remainder = {cell.sort_key(): norm - e for cell, e in summed.cells}
+    scales = sorted({cell.scale for cell, _ in summed.cells})
     out = []
     for a in model.atoms():
         if a.contains_zero():
             out.append((a, parseval_residual(model, psis, delta(a))[0]))
             continue
-        r = above(a, S)
+        r = next((remainder[k] for k in map(a.ancestor_key, scales) if k in remainder), norm)
         for j, psi_j in fine.get(a.sort_key(), ()):
             # the delta is 1 on the atom, which holds psi_j's cells
             r = r - _q_pow(cfg, -j) * _k_sum(cfg, j, _coef_cells(delta(a), psi_j))

@@ -93,19 +93,22 @@ class StepFunction:
         return "step{" + ", ".join(f"({b!r}, {v!r})" for b, v in self.cells) + "}"
 
 
+def _shells(f: StepFunction):
+    """(shells, zero cell): the shell indices of f's cells away from zero,
+    and its (ball, value) cell that contains zero, or None."""
+    shells = {cell[0].shell_index(): cell for cell in f.cells}
+    zero = shells.pop(None, None)  # the one cell without a shell index
+    return shells.keys(), zero
+
+
 def shell_range(fns):
     """(smin, smax, zero cell): the lowest and highest shell index over the
     cells of all fns that do not contain zero (inf and -inf when there are
     none), and the first (ball, value) cell that contains zero, or None."""
-    smin, smax, zero = INF, -INF, None
-    for f in fns:
-        for cell in f.cells:
-            s = cell[0].shell_index()
-            if s is None:
-                zero = zero or cell
-            else:
-                smin, smax = min(smin, s), max(smax, s)
-    return smin, smax, zero
+    scans = [_shells(f) for f in fns]
+    shells = set().union(*(s for s, _ in scans))
+    zero = next((z for _, z in scans if z), None)
+    return min(shells, default=INF), max(shells, default=-INF), zero
 
 
 def common_refinement(config, fns):
@@ -115,21 +118,18 @@ def common_refinement(config, fns):
     Returns a list of (cell, values) sorted by cell, where values[i] is the
     value of fns[i] on the cell (zero off its support).
 
-    Each input ball lies in exactly one canonical ball of the union of the
-    supports, so it is filed under that region by one ancestor-key lookup
-    per region scale up to its own, in input order; each region is then
-    split down to where every ball filed under it covers the cell.
+    One outer_balls pass over the input balls in sort-key order yields the
+    regions, the maximal input balls, and files every input ball under the
+    region holding it; each region is then split down to where every ball
+    filed under it covers the cell.
     """
-    pool = [(b, i, v) for i, f in enumerate(fns) for b, v in f.cells]
-    universe = ClopenSet(config, [b for b, _, _ in pool])
-    regions = {region.sort_key(): [] for region in universe.balls}
-    scales = sorted({key[0] for key in regions})
-    for c in pool:
-        for t in scales:
-            filed = regions.get(c[0].ancestor_key(t))
-            if filed is not None:
-                filed.append(c)
-                break
+    pool = sorted(((b, i, v) for i, f in enumerate(fns) for b, v in f.cells),
+                  key=lambda c: c[0].sort_key())
+    if any(b.config != config for b, _, _ in pool):
+        raise ConfigMismatch("ball from a different field configuration")
+    regions = {}  # maximal input ball -> the input cells inside it
+    for c, (outer, b) in zip(pool, outer_balls(c[0] for c in pool)):
+        regions.setdefault(b if outer is None else outer, []).append(c)
     zero = CycloScalar.zero(config.p, config.q)
 
     def cells(ball, relevant):
@@ -144,25 +144,10 @@ def common_refinement(config, fns):
             if sub:
                 yield from cells(child, sub)
 
-    mesh = []
-    for region in universe.balls:
-        mesh.extend(cells(region, regions[region.sort_key()]))
+    # finest ball first: the likeliest to fail the containment test
+    mesh = [cell for region, filed in regions.items() for cell in cells(region, filed[::-1])]
     mesh.sort(key=lambda cv: cv[0].sort_key())
     return mesh
-
-
-def _shells(f: StepFunction):
-    """(shells, t): the shell indices of f's cells away from zero, and the
-    scale t of its cell at zero (INF when it has none), which holds every
-    shell from t up."""
-    shells, t = set(), INF
-    for ball, _ in f.cells:
-        s = ball.shell_index()
-        if s is None:
-            t = ball.scale
-        else:
-            shells.add(s)
-    return shells, t
 
 
 def products(g: StepFunction, h: StepFunction):
@@ -175,7 +160,9 @@ def products(g: StepFunction, h: StepFunction):
     cfg = g.config
     if any(ball.config != cfg for ball, _ in h.cells):
         raise ConfigMismatch("ball from a different field configuration")
-    (gs, gt), (hs, ht) = _shells(g), _shells(h)
+    (gs, gz), (hs, hz) = _shells(g), _shells(h)
+    # the scale of the zero cell, which holds every shell from it up
+    gt, ht = (INF if z is None else z[0].scale for z in (gz, hz))
     if (gs.isdisjoint(hs) and max(gt, ht) == INF
             and max(hs, default=-INF) < gt and max(gs, default=-INF) < ht):
         return []

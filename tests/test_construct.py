@@ -24,7 +24,7 @@ from lfwave.construct import (
     tower_corrected_target,
     tower_printed_target,
 )
-from lfwave.gfq import FieldConfig
+from lfwave.gfq import ConfigMismatch, FieldConfig
 from lfwave.lfield import FieldElement, coset_rep
 from lfwave.verify import (
     mra_scaling_check,
@@ -211,6 +211,15 @@ def test_solver_preconditions():
     # full multiwavelet set leaves no complement to solve for
     with pytest.raises(ValueError):
         solve_complement(shannon_family(CFG2), shells=(-1, 1), max_scale=2)
+
+
+def test_solver_refuses_a_config_other_than_the_familys():
+    # a config naming the family's own field is accepted
+    assert solve_complement([units(CFG2)], (0, 1), 3, config=CFG2).status == \
+        solve_complement([units(CFG2)], (0, 1), 3).status
+    for other in (CFG3, CFG4):
+        with pytest.raises(ConfigMismatch, match="^config differs from the family's field"):
+            solve_complement([units(CFG2)], (0, 1), 3, config=other)
 
 
 def test_solver_result_serialization():

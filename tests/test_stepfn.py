@@ -78,8 +78,9 @@ def test_inputs_constant_on_refinement_cells():
 
 
 def pairwise_refinement(config, fns):
-    """common_refinement with each region's balls found by a disjointness
-    test against every input ball: the reference for filing them by key."""
+    """common_refinement on the canonical balls of the union of the supports,
+    with each region's balls found by a disjointness test against every
+    input ball: the reference for filing them under the maximal balls."""
     pool = [(b, i, v) for i, f in enumerate(fns) for b, v in f.cells]
     universe = ClopenSet(config, [b for b, _, _ in pool])
     zero = CycloScalar.zero(config.p, config.q)
@@ -131,11 +132,13 @@ def refinement_pool(cfg, rng):
 
 
 def test_refinement_files_regions_by_key():
-    # filing each input ball under its region by key gives the very cells,
-    # order and values of the pairwise disjointness scan, at q = 2, 3, 4, 5
-    # and 9, on pools with balls nested across functions, equal balls in two
+    # the maximal input balls as regions, each input ball filed under the
+    # one holding it, give the very cells, order and values of the pairwise
+    # disjointness scan over the canonical union, at q = 2, 3, 4, 5 and 9,
+    # on pools with balls nested across functions, equal balls in two
     # functions, sibling balls of several functions that the union merges
-    # into a region that is no input ball, balls at zero and empty functions
+    # into a ball that is no input ball (and so no region here), balls at
+    # zero and empty functions
     rng = random.Random(27)
     seen = Counter()
     for cfg in (CFG2, CFG3, FieldConfig(2, 2), FieldConfig(5, 1), FieldConfig(3, 2)):
