@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import itemgetter
 
 from .clopen import (Ball, ClopenSet, child_keys, fractional_ideal, integers, joint_fold,
                      parent_key, shell, translated_keys, units)
@@ -199,74 +198,77 @@ class _CapExceeded(Exception):
     pass
 
 
-def _cell_levels(balls, cells):
-    """The cell tree of the disjoint `balls`, grown only below the cells:
-    `cells` holds sort keys of sub-balls of `balls`, and a key has children
-    in the tree exactly when it holds a cell strictly inside it.  Returns
-    the levels (per scale, coarsest first, the keys at that scale in
-    sort-key order: the children of the previous level's ancestors of a
-    cell, plus the balls at its scale) and the leaves in digit order.  A
-    leaf is a key with nothing below it: a cell with no cell under it, or a
-    sub-ball that holds no cell.  At any finer scale, a leaf's first atom
-    (in sort-key order) has the leaf's digits, so the leaves are in the
-    order of their first atoms."""
-    q = balls[0].config.q
-    top = min(b.scale for b in balls)
+def _cell_tree(roots, cells, first):
+    """The cell tree of the disjoint `roots`, grown breadth first only below
+    `cells`, the sort key of each row's cell (a sub-ball of `roots`): a key
+    has children exactly when it holds a cell strictly inside it.  The tree
+    is two parallel lists, sort keys and parent indices (parents first);
+    each of its keys is looked up once in the set of inner keys and entered
+    once in a key -> index dict.  A leaf (a cell with no cell under it, or
+    a sub-ball that holds no cell) takes bit first + its rank in digit
+    order, the order of the leaves' first atoms: at any finer scale, a
+    leaf's first atom in sort-key order has the leaf's digits.  A backward
+    pass ORs the leaf bits and the rows of the cells at or below each key
+    into its parent, a forward pass the rows of the cells at or above each
+    key into its children; two cells meet exactly when one holds the other.
+    Returns the leaves, per row the leaves under its cell and the rows whose
+    cell meets it, and per leaf the rows covering each atom under it."""
+    q = roots[0].config.q
+    top = min(b.scale for b in roots)
     inner = set()  # the strict ancestors of the cells
-    for key in cells:
+    for key in set(cells):
         key = parent_key(key)
         while key[0] >= top and key not in inner:
             inner.add(key)
             key = parent_key(key)
-    levels, keys = [], []
-    for s in range(top, max([b.scale for b in balls] + [k[0] for k in cells]) + 1):
-        keys = sorted([k for key in keys if key in inner for k in child_keys(key, q)]
-                      + [b.sort_key() for b in balls if b.scale == s])
-        levels.append(keys)
-    leaves = sorted((k for keys in levels for k in keys if k not in inner), key=itemgetter(1))
-    return levels, leaves
-
-
-def _tree_masks(levels, leaves, first, rows_at):
-    """Masks on a cell tree from _cell_levels, one pass per scale each way.
-    The leaves take bits first, first+1, ... in their order, and a key's
-    leaf mask is the OR of its children's; `rows_at` maps a key to the mask
-    of the rows whose cell it is.  Returns per key the leaves under it and
-    the rows whose cell meets it, at, above or below it: two cells meet
-    exactly when one holds the other.  For a leaf these are the rows
-    covering it, and so every atom under it."""
-    under = {key: 1 << i for i, key in enumerate(leaves, first)}
-    below, above = {}, {}
-    for keys in reversed(levels):
-        for key in keys:
-            mask = below[key] = below.get(key, 0) | rows_at.get(key, 0)
-            up = parent_key(key)
-            under[up] = under.get(up, 0) | under[key]
-            below[up] = below.get(up, 0) | mask
-    for keys in levels:
-        for key in keys:
-            above[key] = above.get(parent_key(key), 0) | rows_at.get(key, 0)
-    return under, {key: above[key] | below[key] for key in above}
+    keys = [b.sort_key() for b in roots]
+    parents, leaves = [-1] * len(keys), []
+    for i, key in enumerate(keys):  # the lists grow while they are read
+        if key in inner:
+            keys += child_keys(key, q)
+            parents += [i] * q
+        else:
+            leaves.append(i)
+    leaves.sort(key=lambda i: keys[i][1])
+    index = {key: i for i, key in enumerate(keys)}
+    at = [index[key] for key in cells]
+    under, below = [0] * len(keys), [0] * len(keys)
+    for bit, i in enumerate(leaves, first):
+        under[i] = 1 << bit
+    for row, i in enumerate(at):
+        below[i] |= 1 << row
+    above = below[:]
+    for i in range(len(keys) - 1, len(roots) - 1, -1):
+        under[parents[i]] |= under[i]
+        below[parents[i]] |= below[i]
+    for i in range(len(roots), len(keys)):
+        above[i] |= above[parents[i]]
+    meets = [a | b for a, b in zip(above, below)]
+    return ([keys[i] for i in leaves], [under[i] for i in at], [meets[i] for i in at],
+            [meets[i] for i in leaves])
 
 
 def _candidates(config, target, shells, r):
     """(fold leaves, unit leaves, row masks, cell keys, column masks, clash
     masks) of the cells X + u(l) in `shells`, X a target sub-ball of scale
-    <= r, by coset l then X.  Each universe (the target, and the unit shell
-    for the normalized cells) has its cell tree grown only under its cells,
-    by _cell_levels.  Columns: fold leaves, then unit leaves, each in digit
-    order; every atom under a leaf is covered by the same rows, so a leaf
-    stands for its atoms.  A row covers the fold leaves under X and the
-    unit leaves under the normalized cell.  A column's mask holds the rows
-    at or above its leaf, and a row clashes with the rows at, above or below
-    its fold cell or its normalized cell: these are read off each cell tree,
-    with no walk over the bits of a mask."""
+    <= r, by coset l then X in sort-key order (per scale, coarsest first).
+    Each universe (the target, and the unit shell for the normalized cells)
+    has its cell tree grown only under its cells, by _cell_tree.  Columns:
+    fold leaves, then unit leaves, each in digit order; every atom under a
+    leaf is covered by the same rows, so a leaf stands for its atoms.  A row
+    covers the fold leaves under X and the unit leaves under the normalized
+    cell.  A column's mask holds the rows at or above its leaf, and a row
+    clashes with the rows at, above or below its fold cell or its
+    normalized cell: these are read off each cell tree, with no walk over
+    the bits of a mask."""
     lo, hi = shells
-    # every target sub-ball of scale < r holds an atom: the whole tree
-    atoms = [a.sort_key() for b in target.balls for a in b.split_to(r)]
-    sub_keys = [k for keys in _cell_levels(target.balls, atoms)[0] for k in keys]
+    sub_keys = [b.sort_key() for b in target.balls]  # every target sub-ball of scale <= r
+    for key in sub_keys:  # the list grows while it is read
+        if key[0] < r:
+            sub_keys += child_keys(key, config.q)
+    sub_keys.sort()
 
-    cells, row_keys = [], []  # (X, normalized key) and cell key per row
+    folds, norms, row_keys = [], [], []  # X, normalized key and cell key per row
     l = 0
     while True:
         ul = coset_rep(config, l)
@@ -277,22 +279,17 @@ def _candidates(config, target, shells, r):
             for X, (cell, s, norm) in zip(sub_keys, translated_keys(ul, sub_keys)):
                 if not l and (s is None or not lo <= s <= hi):
                     continue
-                cells.append((X, norm))
+                folds.append(X)
+                norms.append(norm)
                 row_keys.append(cell)
         l += 1
 
-    fold_at, unit_at = {}, {}
-    for i, (X, norm) in enumerate(cells):
-        fold_at[X] = fold_at.get(X, 0) | 1 << i
-        unit_at[norm] = unit_at.get(norm, 0) | 1 << i
-    fold_levels, fold_leaves = _cell_levels(target.balls, fold_at)
-    unit_levels, unit_leaves = _cell_levels(units(config).balls, unit_at)
-    f_under, f_meets = _tree_masks(fold_levels, fold_leaves, 0, fold_at)
-    u_under, u_meets = _tree_masks(unit_levels, unit_leaves, len(fold_leaves), unit_at)
-    rows = [f_under[X] | u_under[norm] for X, norm in cells]
-    clash = [f_meets[X] | u_meets[norm] for X, norm in cells]
-    columns = [f_meets[k] for k in fold_leaves] + [u_meets[k] for k in unit_leaves]
-    return fold_leaves, unit_leaves, rows, row_keys, columns, clash
+    fold_leaves, f_under, f_meets, f_columns = _cell_tree(target.balls, folds, 0)
+    unit_leaves, u_under, u_meets, u_columns = _cell_tree(units(config).balls, norms,
+                                                          len(fold_leaves))
+    rows = [a | b for a, b in zip(f_under, u_under)]
+    clash = [a | b for a, b in zip(f_meets, u_meets)]
+    return fold_leaves, unit_leaves, rows, row_keys, f_columns + u_columns, clash
 
 
 def _atom_counts(target, lo, r):
@@ -330,7 +327,8 @@ def solve_complement(existing, shells: tuple[int, int], max_scale: int,
         raise ValueError("empty family needs an explicit field configuration")
     pre, target = _solver_preconditions(existing, config)
     if not pre.passed:
-        raise ValueError(f"solver preconditions failed: {pre.as_json()}")
+        failed = ", ".join(c.name for c in pre.checks if c.binding and not c.ok)
+        raise ValueError(f"solver preconditions failed: {failed}")
     q = config.q
 
     # Parity certificate: both universes are partitioned by the same cells.

@@ -153,6 +153,14 @@ def test_run_solve_directive():
     assert report["directives"][1]["result"]["status"] == "cap"
 
 
+def test_solve_precondition_failures_are_named_in_the_report():
+    # O tiles no dilation (it holds 0) and leaves no complement: the entry
+    # names those checks in check order, and none that passed
+    report = run_text("field {p=2}\nsolve T from [O] shells=-2..2 max-scale=3\n")
+    assert report["directives"][0]["error"] == \
+        "solver preconditions failed: existing-1-dilation-tiling, complement-nonempty"
+
+
 def test_check_modes_default_when_omitted():
     # the trailing mode word is optional; without it each check takes its
     # default, also when the expression itself contains spaces

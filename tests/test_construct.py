@@ -1,6 +1,7 @@
 """Builders, scaling sets in closed form, tower-family audits, and the
 double-exact-cover complement solver."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -230,8 +231,10 @@ def test_solver_result_serialization():
 
 
 def test_solver_rejects_family_whose_joint_translates_collide():
+    # the message names the failing checks, and only those, in check order
     for cfg in (CFG2, CFG3):
-        with pytest.raises(ValueError, match="'existing-joint-packing', 'status': 'fail'"):
+        with pytest.raises(ValueError,
+                           match="^solver preconditions failed: existing-joint-packing$"):
             solve_complement([units(cfg), units(cfg)], (0, 1), 2)
 
 
@@ -376,27 +379,63 @@ def _transposed(rows, n_cols):
     return columns, clash
 
 
+def _solver_grid(families):
+    """(config, target, shells, r) over the solver grid: each field, each of
+    its families (`families(config)`), each shell range (lo < 0, lo = 0,
+    lo > 0, and hi < -1) and every r from the target's resolution up to
+    the field's top."""
+    shell_ranges = [(-3, -2), (-2, 0), (-2, 2), (-1, 1), (0, 0), (0, 2), (1, 3), (2, 3)]
+    for cfg, top in ((CFG2, 4), (CFG3, 3), (CFG4, 2)):
+        for family in families(cfg):
+            target = _solver_preconditions(family, cfg)[1]
+            t_min = max(b.scale for b in target.balls)
+            for shells in shell_ranges:
+                for r in range(t_min, max(t_min, top) + 1):
+                    yield cfg, target, shells, r
+
+
 def test_solver_masks_match_row_transposition():
     # the reference grid's fields and shell ranges, plus r - lo <= 1 (unit
     # atoms at scale 1, or no row at all) and targets with balls at up to
     # three scales (the family [p^2 O*]); "merged" counts the instances
     # with fewer leaves than atoms
     seen = {"r-lo<=1": 0, "no rows": 0, "multi-scale": 0, "merged": 0}
-    shell_ranges = [(-3, -2), (-2, 0), (-2, 2), (-1, 1), (0, 0), (0, 2), (1, 3), (2, 3)]
-    for cfg, top in ((CFG2, 4), (CFG3, 3), (CFG4, 2)):
-        for family in ([], tower_components(cfg, 2), [shell(cfg, 1)], [shell(cfg, 2)]):
-            target = _solver_preconditions(family, cfg)[1]
-            t_min = max(b.scale for b in target.balls)
-            for shells in shell_ranges:
-                for r in range(t_min, max(t_min, top) + 1):
-                    tables, projected, counts, _ = _leaf_projection(cfg, target, shells, r)
-                    assert tables == projected, (cfg, family, shells, r)
-                    assert _atom_counts(target, shells[0], r) == counts
-                    seen["r-lo<=1"] += r - shells[0] <= 1
-                    seen["no rows"] += not tables[0]
-                    seen["multi-scale"] += len({b.scale for b in target.balls}) > 2
-                    seen["merged"] += len(tables[1]) < sum(counts)
+    grid = _solver_grid(lambda cfg: ([], tower_components(cfg, 2), [shell(cfg, 1)],
+                                     [shell(cfg, 2)]))
+    for cfg, target, shells, r in grid:
+        tables, projected, counts, _ = _leaf_projection(cfg, target, shells, r)
+        assert tables == projected, (cfg, target, shells, r)
+        assert _atom_counts(target, shells[0], r) == counts
+        seen["r-lo<=1"] += r - shells[0] <= 1
+        seen["no rows"] += not tables[0]
+        seen["multi-scale"] += len({b.scale for b in target.balls}) > 2
+        seen["merged"] += len(tables[1]) < sum(counts)
     assert min(seen.values()) >= 10, seen
+
+
+def test_candidate_tables_are_pinned():
+    # all six candidate tables over the solver grid with the tower of
+    # length 3 added, and two larger instances, digested at the commit
+    # before the parent-indexed cell tree: cell keys as repr, masks as hex
+    digest, seen = hashlib.sha256(), {"no rows": 0, "partial fold tree": 0, "merged": 0}
+    grid = list(_solver_grid(lambda cfg: ([], tower_components(cfg, 2),
+                                          tower_components(cfg, 3), [shell(cfg, 1)],
+                                          [shell(cfg, 2)])))
+    for cfg, shells, r in ((CFG2, (-5, 5), 6), (CFG4, (-2, 2), 4)):
+        grid.append((cfg, _solver_preconditions(tower_components(cfg, 2), cfg)[1], shells, r))
+    for cfg, target, shells, r in grid:
+        fold_leaves, unit_leaves, rows, keys, columns, clash = \
+            _candidates(cfg, target, shells, r)
+        digest.update(repr((fold_leaves, unit_leaves, keys)).encode())
+        for masks in (rows, columns, clash):
+            digest.update(" ".join(map(hex, masks)).encode())
+        fold_atoms, unit_atoms = _atom_counts(target, shells[0], r)
+        seen["no rows"] += not rows
+        seen["partial fold tree"] += shells[0] >= 0 and len(fold_leaves) < fold_atoms
+        seen["merged"] += len(fold_leaves) + len(unit_leaves) < fold_atoms + unit_atoms
+    assert len(grid) == 298 and min(seen.values()) >= 10, seen
+    assert digest.hexdigest() == \
+        "bbd220f35216740b221bead6374a1f46cb4d9d8069b97f01dd9a2b11992aacdb"
 
 
 def test_exact_cover_is_not_recursive():
