@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .clopen import INF, Ball, fractional_ideal
 from .cyclo import CycloScalar
-from .gfq import FieldConfig
+from .gfq import ConfigMismatch, FieldConfig
 from .lfield import FieldElement, character, coset_rep
 from .stepfn import StepFunction, cell_sum, products, shell_range
 
@@ -45,9 +45,16 @@ class FiniteModel:
 
     def check_analyzer(self, psi: StepFunction) -> StepFunction:
         """Analyzing spectra only need bounded support inside the window;
-        the energy sums are exact at any cell fineness."""
-        if not self.window.contains_set(psi.support()):
-            raise WindowEscape(f"support escapes p^-{self.R} O")
+        the energy sums are exact at any cell fineness.  The support lies in
+        p**-R * O when each cell does, and a cell's key decides that: its
+        scale is at least -R and no digit of its centre sits below -R."""
+        if psi.config != self.config:
+            raise ConfigMismatch("sets from different field configurations")
+        low = -self.R
+        for b, _ in psi.cells:
+            scale, digits = b.sort_key()
+            if scale < low or (digits and digits[0][0] < low):
+                raise WindowEscape(f"support escapes p^-{self.R} O")
         return psi
 
     def atoms(self):

@@ -97,7 +97,19 @@ class FieldElement:
         return FieldElement(self.config, {e: neg(d) for e, d in self.digits.items()}, True)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return self + (-other)
+        self._check(other)
+        add, neg = self.config.add, self.config.neg
+        out = dict(self.digits)
+        get = out.get
+        for e, d in other.digits.items():
+            a = get(e)
+            if a is None:
+                out[e] = neg(d)
+            elif a == d:
+                del out[e]
+            else:
+                out[e] = add(a, neg(d))
+        return FieldElement(self.config, out, True)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
@@ -166,12 +178,21 @@ def split_integral(x: FieldElement):
 def character(y: FieldElement, x: FieldElement) -> CycloScalar:
     """The canonical additive character at y*x: zeta_p**Tr(digit_{-1}(y*x)).
 
-    Trivial on the ring of integers, nontrivial one level up, and additive
-    in each argument.
+    Only the digit at exponent -1 of the product is read, so it is summed
+    alone: d = sum over y's digits y_e of y_e * x_{-1-e} in GF(q), without
+    building y*x.  Trivial on the ring of integers, nontrivial one level up,
+    and additive in each argument.
     """
     y._check(x)
     cfg = y.config
-    return CycloScalar.zeta_pow(cfg.p, cfg.q, cfg.trace((y * x).digit(-1)))
+    add, mul = cfg.add, cfg.mul
+    get = x.digits.get
+    d = 0
+    for e, a in y.digits.items():
+        b = get(-1 - e)
+        if b:
+            d = add(d, mul(a, b))
+    return CycloScalar.zeta_pow(cfg.p, cfg.q, cfg.trace(d))
 
 
 # ---------------------------------------------------------------------------

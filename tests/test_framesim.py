@@ -27,7 +27,7 @@ from lfwave.framesim import (
     super_parseval_residual,
     truncation_spot_check,
 )
-from lfwave.gfq import FieldConfig
+from lfwave.gfq import ConfigMismatch, FieldConfig
 from lfwave.lfield import FieldElement, character, coset_rep, parse_element
 from lfwave.stepfn import StepFunction, common_refinement, shell_range
 
@@ -207,6 +207,48 @@ def test_window_escape():
     assert res.is_zero()
     with pytest.raises(ValueError):
         parseval_residual(model, [ind(integers(CFG2))], ind(units(CFG2)))
+
+
+def window_entry_points(model, psi, good):
+    """Each framesim entry point that checks psi against the model window,
+    as a thunk: psi as the test function or as the analyzer, next to the
+    fitting spectrum good."""
+    return [
+        lambda: model.check(psi),
+        lambda: model.check_analyzer(psi),
+        lambda: parseval_residual(model, [psi], good),
+        lambda: parseval_residual(model, [good], psi),
+        lambda: super_parseval_residual(model, [psi], [good]),
+        lambda: super_parseval_residual(model, [good], [psi]),
+        lambda: mesh_delta_residuals(model, [psi]),
+    ]
+
+
+def test_window_escape_by_a_centre_digit():
+    # ball(d p^-2, 3) has a fine scale but a centre digit below -R = -1,
+    # so its support leaves p^-1 O although its scale does not
+    for cfg in (CFG2, CFG3, CFG4):
+        model = FiniteModel(cfg, 1, 3)
+        good = ind(units(cfg))
+        for d in range(1, cfg.q):
+            bad = ind(ClopenSet.from_ball(Ball(cfg, FieldElement.monomial(cfg, d, -2), 3)))
+            for call in window_entry_points(model, bad, good):
+                with pytest.raises(WindowEscape, match=r"^support escapes p\^-1 O$"):
+                    call()
+            # a digit at -R itself stays inside
+            edge = ind(ClopenSet.from_ball(Ball(cfg, FieldElement.monomial(cfg, d, -1), 3)))
+            assert model.check(edge) is edge and model.check_analyzer(edge) is edge
+
+
+def test_spectrum_over_another_field_is_refused():
+    # GF(9) under two moduli: same q, another configuration
+    gf9, gf9b = FieldConfig(3, 2), FieldConfig(3, 2, (2, 1, 1))
+    for cfg, other in ((CFG2, CFG3), (CFG3, CFG2), (CFG4, CFG2), (gf9, gf9b)):
+        model = FiniteModel(cfg, 1, 3)
+        foreign = ind(units(other))
+        for call in window_entry_points(model, foreign, ind(units(cfg))):
+            with pytest.raises(ConfigMismatch, match="^sets from different field configurations$"):
+                call()
 
 
 def test_window_and_translation_index_are_checked():

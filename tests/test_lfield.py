@@ -1,12 +1,13 @@
 """Laurent-series field elements, the coset representative map, and the
 canonical character, checked against digitwise oracles."""
 
+import operator
 import random
 
 import pytest
 
 from lfwave.cyclo import CycloScalar
-from lfwave.gfq import FieldConfig
+from lfwave.gfq import ConfigMismatch, FieldConfig
 from lfwave.lfield import (
     ElementSyntaxError,
     FieldElement,
@@ -22,6 +23,8 @@ CFG2 = FieldConfig(2, 1)
 CFG3 = FieldConfig(3, 1)
 CFG4 = FieldConfig(2, 2)
 CFG9 = FieldConfig(3, 2)
+# the kernels' reference fields: q = 2, 3, 4, 5, 8, 9
+KERNEL_FIELDS = (CFG2, CFG3, CFG4, FieldConfig(5, 1), FieldConfig(2, 3), CFG9)
 
 
 def rand_element(cfg, rng, lo=-5, hi=5, max_terms=4):
@@ -202,6 +205,49 @@ def test_character_multiplicative_in_argument():
         x1 = rand_element(CFG3, rng)
         x2 = rand_element(CFG3, rng)
         assert character(y, x1 + x2) == character(y, x1) * character(y, x2)
+
+
+def test_subtraction_adds_the_negative():
+    rng = random.Random(30)
+    for cfg in KERNEL_FIELDS:
+        zero = FieldElement.zero(cfg)
+        for _ in range(200):
+            x = rand_element(cfg, rng)
+            y = rand_element(cfg, rng)
+            # x with y's digits written over it: equal digits cancel
+            z = FieldElement(cfg, {**x.digits, **y.digits})
+            for a, b in ((x, y), (y, x), (x, z), (z, x), (x, zero), (zero, x)):
+                assert a - b == a + (-b)
+            assert x - x == zero
+            assert x - x.truncate_below(0) == x.truncate_at_least(0)
+
+
+def test_subtraction_and_character_refuse_mixed_fields():
+    # each field against the next, and GF(9) under two moduli: same q,
+    # another configuration
+    pairs = list(zip(KERNEL_FIELDS, KERNEL_FIELDS[1:] + KERNEL_FIELDS[:1]))
+    pairs.append((CFG9, FieldConfig(3, 2, (2, 1, 1))))
+    for cfg, other in pairs:
+        x, y = FieldElement.one(cfg), FieldElement.monomial(other, 1, -1)
+        for op in (operator.sub, character):
+            for a, b in ((x, y), (y, x)):
+                with pytest.raises(ConfigMismatch, match="^elements from different field configurations$"):
+                    op(a, b)
+
+
+def test_character_matches_the_digit_of_the_product():
+    rng = random.Random(31)
+    for cfg in KERNEL_FIELDS:
+        unit = CycloScalar.rational(cfg.p, cfg.q, 1)
+        nontrivial = 0
+        for _ in range(300):
+            y = rand_element(cfg, rng, lo=-5, hi=4, max_terms=5)
+            x = rand_element(cfg, rng, lo=-5, hi=4, max_terms=5)
+            # the reference: build y * x and read its digit at exponent -1
+            ref = CycloScalar.zeta_pow(cfg.p, cfg.q, cfg.trace((y * x).digit(-1)))
+            assert character(y, x) == ref
+            nontrivial += ref != unit
+        assert nontrivial >= 50
 
 
 def test_parse_format_round_trip():
