@@ -8,7 +8,9 @@ rationals.  The set algebra decides nesting on sort keys: balls in sort-key
 order meet the balls kept so far by one ancestor-key lookup per kept scale
 (outer_balls), and intersection, difference, overlay and the fold's
 collisions all come from that pass.  Only the pointwise oracle `member`
-subtracts centres here.
+subtracts centres here.  intersect, subtract and translate are canonical by
+construction (see each), so they only sort, and shells() cuts key-ordered
+slices; a fold builds its coverage and overlap on first read.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .gfq import ConfigMismatch, FieldConfig
+from .gfq import ConfigMismatch, FieldConfig, check_ints
 from .lfield import FieldElement, coset_rep
 
 INF = math.inf
@@ -33,6 +36,7 @@ class Ball:
     __slots__ = ("config", "scale", "_key", "_center")
 
     def __init__(self, config: FieldConfig, center: FieldElement, scale: int):
+        check_ints("scale", scale)
         self.config = config
         self._center = center = center.truncate_below(scale)
         self.scale = scale
@@ -304,21 +308,27 @@ class ClopenSet:
         return ClopenSet(self.config, self.balls + other.balls)
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
-        # each set is disjoint, so a ball inside another lies in both sets
+        # each set is disjoint, so a ball inside another lies in both sets,
+        # and a complete sibling group of such balls would lie in one set
         self._check(other)
-        return ClopenSet(self.config, _nested(self.balls + other.balls))
+        return ClopenSet(self.config, _nested(self.balls + other.balls), _canonical=True)
 
     def subtract(self, other: "ClopenSet") -> "ClopenSet":
-        """Each ball of self carved around the balls of self.intersect(other)
-        inside it: one nesting pass over both puts each such hole under the
-        key of the one ball of self holding it."""
-        holes: dict = {}
-        pieces = sorted(self.balls + self.intersect(other).balls, key=Ball.sort_key)
-        for outer, b in outer_balls(pieces):
-            if outer is not None:
+        """Each ball of self carved around the balls of other inside it: one
+        nesting pass over both, self's ball first among equal keys, files the
+        holes and drops self's balls inside (or equal to) other's.  No parent
+        keeps all q children, so the sorted pieces are canonical."""
+        self._check(other)
+        own = {b._key for b in self.balls}
+        kept, holes = [], {}
+        for outer, b in outer_balls(sorted(self.balls + other.balls, key=Ball.sort_key)):
+            if outer is None:
+                if b._key in own:
+                    kept.append(b)
+            elif outer._key in own:
                 holes.setdefault(outer._key, []).append(b)
-        return ClopenSet(self.config, [
-            piece for a in self.balls for piece in _carve(a, holes.get(a._key))])
+        pieces = [piece for a in kept for piece in _carve(a, holes.get(a._key))]
+        return ClopenSet(self.config, sorted(pieces, key=Ball.sort_key), _canonical=True)
 
     def contains_set(self, other: "ClopenSet") -> bool:
         return self.intersect(other) == other
@@ -348,7 +358,9 @@ class ClopenSet:
         )
 
     def translate(self, t: FieldElement) -> "ClopenSet":
-        return ClopenSet(self.config, [b.translate(t) for b in self.balls])
+        # an isometric image of a canonical set: canonical once sorted
+        return ClopenSet(self.config, sorted((b.translate(t) for b in self.balls),
+                                             key=Ball.sort_key), _canonical=True)
 
     # -- structure -------------------------------------------------------------
 
@@ -357,7 +369,7 @@ class ClopenSet:
 
         Returns (pieces, residual) where pieces is a sorted list of
         (shell index, ClopenSet) and residual is the zero-containing ball,
-        if any.
+        if any.  Each piece is a key-ordered slice, so canonical.
         """
         by_shell: dict[int, list[Ball]] = {}
         residual = None
@@ -368,7 +380,7 @@ class ClopenSet:
             else:
                 by_shell.setdefault(s, []).append(b)
         pieces = [
-            (s, ClopenSet(self.config, bs)) for s, bs in sorted(by_shell.items())
+            (s, ClopenSet(self.config, bs, _canonical=True)) for s, bs in sorted(by_shell.items())
         ]
         return pieces, residual
 
@@ -402,9 +414,19 @@ def inv_norm_integral(cells):
 
 @dataclass
 class FoldResult:
+    """The fragments of a joint fold; their union (coverage) and the points
+    in two or more (overlap) are built on first read."""
+
+    config: FieldConfig
     fragments: list  # (Ball inside O, source coset index)
-    coverage: ClopenSet
-    overlap: ClopenSet
+
+    @cached_property
+    def coverage(self) -> ClopenSet:
+        return ClopenSet(self.config, [frag for frag, _ in self.fragments])
+
+    @cached_property
+    def overlap(self) -> ClopenSet:
+        return ClopenSet(self.config, _nested([frag for frag, _ in self.fragments]))
 
     def measure(self) -> Fraction:
         """Total fragment measure: the coverage counted with multiplicity."""
@@ -440,8 +462,7 @@ def joint_fold(config: FieldConfig, sets) -> FoldResult:
     """
     fragments = [fr for s in sets for b in s.balls for fr in fold_ball(b)]
     fragments.sort(key=lambda fr: (fr[1], fr[0].sort_key()))
-    balls = [frag for frag, _ in fragments]
-    return FoldResult(fragments, ClopenSet(config, balls), ClopenSet(config, _nested(balls)))
+    return FoldResult(config, fragments)
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +477,13 @@ def integers(config: FieldConfig) -> ClopenSet:
 
 def fractional_ideal(config: FieldConfig, k: int) -> ClopenSet:
     """p**k * O."""
+    check_ints("k", k)
     return ClopenSet.from_ball(Ball.integers(config, k))
 
 
 def shell(config: FieldConfig, s: int) -> ClopenSet:
     """p**s * O* : all elements of absolute value exactly q**-s."""
+    check_ints("s", s)
     # q-1 of the q siblings under p**s * O, in sort-key order: canonical
     return ClopenSet(config, [Ball._from_key(config, (s + 1, ((s, i),)))
                               for i in range(1, config.q)], _canonical=True)

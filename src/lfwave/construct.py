@@ -10,7 +10,7 @@ from functools import reduce
 
 from .clopen import (Ball, ClopenSet, child_keys, fractional_ideal, integers, joint_fold,
                      parent_key, shell, translated_keys, units)
-from .gfq import ConfigMismatch, FieldConfig
+from .gfq import ConfigMismatch, FieldConfig, check_ints
 from .lfield import coset_rep
 from .verify import Verdict, check_dilation_tiling, verify_superwavelet
 
@@ -317,6 +317,9 @@ def solve_complement(existing, shells: tuple[int, int], max_scale: int,
     ConfigMismatch.
     """
     lo, hi = shells
+    check_ints("shells", lo, hi)
+    check_ints("max_scale", max_scale)
+    check_ints("node_cap", node_cap)
     if lo > hi:
         raise ValueError("empty shell range")
     if existing:

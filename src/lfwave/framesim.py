@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .clopen import INF, Ball, fractional_ideal
 from .cyclo import CycloScalar
-from .gfq import ConfigMismatch, FieldConfig
+from .gfq import ConfigMismatch, FieldConfig, check_ints
 from .lfield import FieldElement, character, coset_rep
 from .stepfn import StepFunction, cell_sum, products, shell_range
 
@@ -30,6 +30,8 @@ class FiniteModel:
     scale S; the mesh of the q**(R+S) scale-S balls spans the model."""
 
     def __init__(self, config: FieldConfig, R: int, S: int):
+        check_ints("R", R)
+        check_ints("S", S)
         if R < 0 or S < 0:
             raise ValueError("window parameters must be non-negative")
         self.config = config

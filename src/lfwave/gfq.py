@@ -20,6 +20,14 @@ class ConfigMismatch(ValueError):
     """Raised when operands belong to different field configurations."""
 
 
+def check_ints(name: str, *values):
+    """Raise ValueError naming the parameter unless every value is an int
+    (a bool or a float is refused)."""
+    for n in values:
+        if type(n) is not int:
+            raise ValueError(f"{name} takes only ints, got {n!r}")
+
+
 def _poly_trim(a):
     while a and a[-1] == 0:
         a = a[:-1]
@@ -105,6 +113,8 @@ class FieldConfig:
     __slots__ = ("p", "c", "q", "modulus", "zero", "one") + _TABLES
 
     def __init__(self, p: int, c: int = 1, modulus=None):
+        check_ints("p", p)
+        check_ints("c", c)
         if p not in (2, 3, 5, 7, 11, 13):
             raise ValueError(f"p must be a prime <= 13, got {p}")
         if not 1 <= c <= 4:

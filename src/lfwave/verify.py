@@ -86,7 +86,7 @@ class Verdict:
         first failing sub-check."""
         for i, W in enumerate(sets, 1):
             self.add(dilation.format(i), *check_dilation_tiling(W).outcome())
-            self.add(packing.format(i), *check_translation(W, "packing").outcome())
+            self.add_fold(W.config, [W], packing.format(i))
 
     def check(self, name):
         for c in self.checks:
@@ -196,12 +196,11 @@ def verify_multiwavelet_set(components, mode: str = "orthonormal") -> Verdict:
     union, bad = overlay(_config(components), components)
     if not v.add_set("components-disjoint", bad):
         return v
-    translation = "tiling" if mode == "orthonormal" else "packing"
-    subs = [("union-dilation", check_dilation_tiling(union))]
-    subs += [(f"component-{i}", check_translation(W, translation))
-             for i, W in enumerate(components, 1)]
-    for prefix, sub in subs:
-        v.checks += [replace(c, name=f"{prefix}:{c.name}") for c in sub.checks]
+    v.checks += [replace(c, name=f"union-dilation:{c.name}")
+                 for c in check_dilation_tiling(union).checks]
+    for i, W in enumerate(components, 1):
+        v.add_fold(W.config, [W], f"component-{i}:translates-disjoint",
+                   f"component-{i}:translates-cover" if mode == "orthonormal" else None)
     v.bounds["order"] = len(components)
     return v
 
@@ -453,11 +452,11 @@ def mra_scaling_check(W: ClopenSet, S: ClopenSet) -> Verdict:
     v.add_set("wavelet-is-dilation-layer", layer.subtract(W).union(W.subtract(layer)))
     ok = S.measure() * (q - 1) == W.measure()
     v.add("measure-law", ok, None if ok else witness_measure(S.measure()))
-    tr = check_translation(S, "tiling")
-    packing = tr.check("translates-disjoint").ok
-    tiling = packing and tr.check("translates-cover").ok
-    v.add("translates-pack", packing,
-          None if packing else tr.check("translates-disjoint").witness)
+    tr = Verdict()
+    tr.add_fold(cfg, [S], "translates-disjoint", "translates-cover")
+    packing, witness = tr.outcome("translates-disjoint")
+    tiling = tr.passed
+    v.add("translates-pack", packing, witness)
     v.add("translates-tile", tiling, binding=False,
           note="multiresolution analysis" if tiling else "Parseval frame multiresolution analysis")
     v.bounds["mra_kind"] = "orthonormal" if tiling else "parseval"

@@ -11,7 +11,6 @@ import pytest
 from lfwave.clopen import (
     Ball,
     ClopenSet,
-    FoldResult,
     child_keys,
     fold_ball,
     fractional_ideal,
@@ -523,7 +522,7 @@ def ref_joint_fold(config, sets):
     fragments.sort(key=lambda fr: (fr[1], fr[0].sort_key()))
     coverage, overlap = ref_overlay(
         config, (ClopenSet.from_ball(frag) for frag, _ in fragments))
-    return FoldResult(fragments, coverage, overlap)
+    return fragments, coverage, overlap
 
 
 def overlapping_set(cfg, rng, roots, max_balls=8):
@@ -560,7 +559,10 @@ def forced_families(cfg, rng, A):
 
 
 def test_key_set_algebra_agrees_with_pairwise_reference():
-    rng = random.Random(1414)
+    """Each operation agrees with the pairwise reference, and every result
+    that skips normalization (intersect, subtract, translate, the shells()
+    pieces, a fold's coverage and overlap) is already in canonical form."""
+    rng, shifts = random.Random(1414), random.Random(1415)
     for cfg in (CFG2, CFG3, CFG4, CFG5, FieldConfig(3, 2)):
         for _ in range(30):
             # roots at scales -3..3, descendants down to scale 5
@@ -568,13 +570,20 @@ def test_key_set_algebra_agrees_with_pairwise_reference():
             sets = [overlapping_set(cfg, rng, roots) for _ in range(rng.randrange(2, 5))]
             families = [sets, *forced_families(cfg, rng, sets[0])]
             for fam in families:
+                results = []
                 for A in fam:
                     for B in fam:
-                        assert A.intersect(B) == ref_intersect(A, B)
-                        assert A.subtract(B) == ref_subtract(A, B)
+                        meet, rest = A.intersect(B), A.subtract(B)
+                        assert meet == ref_intersect(A, B)
+                        assert rest == ref_subtract(A, B)
                         assert A.contains_set(B) == ref_subtract(B, A).is_empty()
+                        results += [meet, rest]
+                    results.append(A.translate(rand_point(cfg, shifts)))
+                    results += [piece for _, piece in A.shells()[0]]
                 assert fam[0].subtract(fam[0]).is_empty()
                 assert overlay(cfg, fam) == ref_overlay(cfg, fam)
-                got, want = joint_fold(cfg, fam), ref_joint_fold(cfg, fam)
-                assert got.fragments == want.fragments
-                assert (got.coverage, got.overlap) == (want.coverage, want.overlap)
+                got = joint_fold(cfg, fam)
+                assert (got.fragments, got.coverage, got.overlap) == ref_joint_fold(cfg, fam)
+                results += [got.coverage, got.overlap]
+                for R in results:
+                    assert ClopenSet(cfg, R.balls).balls == R.balls

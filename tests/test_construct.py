@@ -25,6 +25,7 @@ from lfwave.construct import (
     tower_corrected_target,
     tower_printed_target,
 )
+from lfwave.framesim import FiniteModel
 from lfwave.gfq import ConfigMismatch, FieldConfig
 from lfwave.lfield import FieldElement, coset_rep
 from lfwave.verify import (
@@ -228,6 +229,31 @@ def test_solver_result_serialization():
     js = res.as_json()
     assert js["status"] == "sat"
     assert js["complement"] == [{"center": "p^-1", "scale": 0}]
+
+
+# the probes of non-int parameters, named by the parameter each one feeds
+INT_PROBES = [
+    # a float exponent gave the float measure 0.19245...
+    ("k", lambda: fractional_ideal(CFG3, 1.5)),
+    # a float scale built children with digits at exponent 1.5
+    ("scale", lambda: Ball(CFG3, FieldElement.one(CFG3), 1.5)),
+    ("s", lambda: shell(CFG2, True)),
+    # a float max_scale answered sat
+    ("max_scale", lambda: solve_complement([], (-1, 1), 2.5, config=CFG2)),
+    ("shells", lambda: solve_complement([], (-1.0, 1), 2, config=CFG2)),
+    ("node_cap", lambda: solve_complement([], (-1, 1), 2, node_cap=1e6, config=CFG2)),
+    # these constructed, and shell() or atoms() then raised a stray TypeError
+    ("p", lambda: shell(FieldConfig(2.0, 1), 0)),
+    ("c", lambda: shell(FieldConfig(3, 1.0), 0)),
+    ("R", lambda: list(FiniteModel(CFG2, 1.5, 1).atoms())),
+    ("S", lambda: list(FiniteModel(CFG2, 1, False).atoms())),
+]
+
+
+@pytest.mark.parametrize("name, call", INT_PROBES, ids=[name for name, _ in INT_PROBES])
+def test_integer_parameters_are_refused_unless_int(name, call):
+    with pytest.raises(ValueError, match=f"^{name} takes only ints, got "):
+        call()
 
 
 def test_solver_rejects_family_whose_joint_translates_collide():
