@@ -45,6 +45,7 @@ class Ball:
     @classmethod
     def integers(cls, config: FieldConfig, scale: int = 0) -> "Ball":
         """The fractional ideal p**scale * O."""
+        check_ints("scale", scale)
         return cls._from_key(config, (scale, ()))
 
     @classmethod

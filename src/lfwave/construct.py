@@ -139,6 +139,10 @@ def _solver_preconditions(existing, config) -> tuple[Verdict, ClopenSet]:
     return v, target
 
 
+# the set bits of each byte value, lowest first
+_BYTE_BITS = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(256))
+
+
 def _exact_cover(columns, rows, clash, node_cap):
     """Deterministic Algorithm X (Knuth, "Dancing Links", arXiv cs/0011047)
     over integer bitsets: `columns[c]` is the mask of the rows covering
@@ -149,14 +153,20 @@ def _exact_cover(columns, rows, clash, node_cap):
     first; choosing row r drops the rows of clash[r].  Only the first column
     of each distinct mask is ever uncovered: a later copy is covered with it
     by every row, and loses every tie to it, so skipping the copies leaves
-    the chosen columns, the solution and the node count unchanged.  Returns
-    (solution row ids, nodes) or (None, nodes); raises _CapExceeded beyond
-    node_cap."""
+    the chosen columns, the solution and the node count unchanged.  The
+    scan reads `uncovered` a byte at a time, little-endian, against the
+    column masks grouped eight per byte, and expands each nonzero byte
+    through `_BYTE_BITS`, so a scanned column costs one `&` and one
+    `bit_count`; bytes and then bits in ascending order, the strict `<` and
+    the stop at a column with no live row choose the column a bit-by-bit
+    scan would, so the node count is unchanged too.  Returns (solution row
+    ids, nodes) or (None, nodes); raises _CapExceeded beyond node_cap."""
     live = (1 << len(rows)) - 1
     first = {}
     for c, mask in enumerate(columns):
         first.setdefault(mask, c)
     uncovered = sum(1 << c for c in first.values())
+    chunks = [columns[c:c + 8] for c in range(0, len(columns), 8)]
     stack = []  # (live, uncovered, untried) of every open node
     solution = []
     nodes = 0
@@ -167,17 +177,17 @@ def _exact_cover(columns, rows, clash, node_cap):
         if not uncovered:
             return solution, nodes
         fewest = len(rows) + 1
-        scan = uncovered
-        while scan:
-            low = scan & -scan
-            c = low.bit_length() - 1
-            n = (columns[c] & live).bit_count()
-            if n < fewest:
-                fewest, col = n, c
-                if not n:
+        for byte, chunk in zip(uncovered.to_bytes(len(chunks), "little"), chunks):
+            if byte:
+                for i in _BYTE_BITS[byte]:
+                    n = (chunk[i] & live).bit_count()
+                    if n < fewest:
+                        fewest, best = n, chunk[i]
+                        if not n:
+                            break
+                if not fewest:
                     break
-            scan ^= low
-        stack.append((live, uncovered, columns[col] & live))
+        stack.append((live, uncovered, best & live))
         while True:
             live, uncovered, untried = stack[-1]
             if untried:

@@ -23,7 +23,7 @@ import math
 import re
 
 from .cyclo import CycloScalar
-from .gfq import ConfigMismatch, FieldConfig
+from .gfq import ConfigMismatch, FieldConfig, check_ints
 
 INFINITY = math.inf
 
@@ -149,6 +149,7 @@ class FieldElement:
 def coset_rep(config: FieldConfig, n: int) -> FieldElement:
     """The n-th canonical representative: base-q digit b_k of n is placed at
     exponent -(k+1) as the GF(q) element of index b_k."""
+    check_ints("n", n)
     if n < 0:
         raise ValueError("index must be non-negative")
     digits = {}

@@ -88,12 +88,6 @@ class Verdict:
             self.add(dilation.format(i), *check_dilation_tiling(W).outcome())
             self.add_fold(W.config, [W], packing.format(i))
 
-    def check(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def outcome(self, *names):
         """(ok, witness) of the named checks taken together (of all checks
         when none are named): ok unless one of them fails bindingly, and

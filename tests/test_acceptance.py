@@ -47,6 +47,8 @@ from lfwave.verify import (
     verify_superwavelet,
 )
 
+from verdict_checks import named_check
+
 CONFIGS = {
     2: FieldConfig(2, 1),
     3: FieldConfig(3, 1),
@@ -79,7 +81,7 @@ def test_acceptance_1_translated_coset_families():
         assert S.measure() == 1
         v = mra_scaling_check(W, S)
         assert v.passed and v.bounds["mra_kind"] == "orthonormal"
-        assert v.check("translates-tile").ok
+        assert named_check(v, "translates-tile").ok
         assert time.monotonic() - start < 1.0
 
 
@@ -91,14 +93,14 @@ def test_acceptance_2_shell_families():
             assert verify_multiwavelet_set([W], mode="parseval").passed
             v = verify_multiwavelet_set([W])
             assert not v.passed
-            gap = v.check("component-1:translates-cover")
+            gap = named_check(v, "component-1:translates-cover")
             assert not gap.ok and gap.witness is not None
             S = scaling_set(W)
             assert S == fractional_ideal(cfg, m + 1)
             assert S.measure() == Fraction(q) ** -(m + 1)
             mra = mra_scaling_check(W, S)
             assert mra.passed and mra.bounds["mra_kind"] == "parseval"
-            assert mra.check("translates-pack").ok
+            assert named_check(mra, "translates-pack").ok
 
 
 def test_acceptance_3_contracted_coset_families():

@@ -34,6 +34,8 @@ from lfwave.verify import (
     verify_superwavelet,
 )
 
+from verdict_checks import named_check
+
 CFG2 = FieldConfig(2, 1)
 CFG3 = FieldConfig(3, 1)
 CFG4 = FieldConfig(2, 2)
@@ -144,7 +146,7 @@ def test_scaling_set_matches_the_dilate_union_shell_by_shell():
             assert S.intersect(shell(cfg, s)) == dilates.intersect(shell(cfg, s)), (case, s)
         mra = mra_scaling_check(W, S)
         for name in ("dilation-stable", "wavelet-is-dilation-layer", "measure-law"):
-            assert mra.check(name).ok, (case, name)
+            assert named_check(mra, name).ok, (case, name)
 
 
 def test_tower_audit_measures():
@@ -247,10 +249,30 @@ INT_PROBES = [
     ("c", lambda: shell(FieldConfig(3, 1.0), 0)),
     ("R", lambda: list(FiniteModel(CFG2, 1.5, 1).atoms())),
     ("S", lambda: list(FiniteModel(CFG2, 1, False).atoms())),
+    # a float scale gave the float measure 0.19245...
+    ("scale", lambda: Ball.integers(CFG3, 1.5)),
+    ("scale", lambda: Ball.integers(CFG3, True)),
+    # a float index gave an element with a digit index of 1.5, and sub_ball
+    # a ball built from it
+    ("n", lambda: coset_rep(CFG3, 1.5)),
+    ("n", lambda: coset_rep(CFG3, True)),
+    ("n", lambda: Ball.integers(CFG3).sub_ball(2, 1.5)),
 ]
 
 
-@pytest.mark.parametrize("name, call", INT_PROBES, ids=[name for name, _ in INT_PROBES])
+def _probe_ids(names):
+    """Each probe's parameter name; a repeat of a name gets the suffix -k
+    (k = 1, 2, ...), so the first probe of each name keeps its bare id."""
+    seen = {}
+    ids = []
+    for name in names:
+        ids.append(f"{name}-{seen[name]}" if name in seen else name)
+        seen[name] = seen.get(name, 0) + 1
+    return ids
+
+
+@pytest.mark.parametrize("name, call", INT_PROBES,
+                         ids=_probe_ids(name for name, _ in INT_PROBES))
 def test_integer_parameters_are_refused_unless_int(name, call):
     with pytest.raises(ValueError, match=f"^{name} takes only ints, got "):
         call()
@@ -599,4 +621,72 @@ def test_exact_cover_matches_set_based_reference():
             kinds["cap" if expect == "cap" else "unsat" if expect[0] is None else "sat"] += 1
         kinds["copy before"] += "before" in sides
         kinds["copy after"] += "after" in sides
+    assert min(kinds.values()) >= 100, kinds
+
+
+def _byte_crossing_instance(rng):
+    """9-40 columns named 0..n-1, each carrying one element; an element on
+    several columns makes those columns copies of one mask, scattered over
+    the column order.  0-30 rows of 1-4 elements; half the instances hide a
+    cover."""
+    ncols = rng.randint(9, 40)
+    nelems = rng.randint(ncols // 2, ncols)
+    carries = list(range(nelems)) + [rng.randrange(nelems) for _ in range(ncols - nelems)]
+    rng.shuffle(carries)
+    elems = []
+    if rng.random() < 0.5:
+        shuffled = rng.sample(range(nelems), nelems)
+        while shuffled:
+            k = rng.randint(1, min(4, len(shuffled)))
+            elems.append(set(shuffled[:k]))
+            shuffled = shuffled[k:]
+    while len(elems) < 30 and rng.random() < 0.95:
+        elems.append(set(rng.sample(range(nelems), rng.randint(1, min(4, nelems)))))
+    rng.shuffle(elems)
+    rows = {r: frozenset(c for c in range(ncols) if carries[c] in e) for r, e in enumerate(elems)}
+    columns = {c: {r for r in rows if c in rows[r]} for c in range(ncols)}
+    return columns, rows, carries
+
+
+def _zero_after_one(columns, rows, chosen):
+    """Whether, once the rows `chosen` are taken, the first scanned column
+    (uncovered, and the first of its mask) with no live row lies in a later
+    byte than a scanned column with one."""
+    taken = set().union(*(rows[r] for r in chosen))
+    live = {r for r in rows if not rows[r] & taken}
+    firsts = {}
+    for c in sorted(columns):
+        firsts.setdefault(frozenset(columns[c]), c)
+    counts = {c: len(columns[c] & live) for c in sorted(firsts.values()) if c not in taken}
+    zero = next((c for c, n in counts.items() if n == 0), None)
+    return zero is not None and any(n == 1 and c // 8 < zero // 8 for c, n in counts.items())
+
+
+def test_exact_cover_scan_matches_reference_across_bytes():
+    # the column scan reads the uncovered columns a byte at a time: column
+    # counts off a multiple of 8, copies of a mask in another byte than
+    # their original, and a node whose first dead column lies a byte after
+    # a one-row column must leave solutions, node counts and caps as the
+    # reference search has them
+    def outcome(search, *args):
+        try:
+            return search(*args)
+        except _CapExceeded:
+            return "cap"
+
+    rng = random.Random(3208)
+    kinds = dict.fromkeys(("sat", "unsat", "cap", "ragged", "copy in another byte",
+                           "zero a byte after a one"), 0)
+    for _ in range(2000):
+        columns, rows, carries = _byte_crossing_instance(rng)
+        cap = rng.randint(1, 12) if rng.random() < 0.3 else 10 ** 6
+        expect = outcome(_reference_exact_cover, columns, rows, cap)
+        assert outcome(_exact_cover, *_as_masks(columns, rows), cap) == expect, (columns, rows, cap)
+        kinds["cap" if expect == "cap" else "unsat" if expect[0] is None else "sat"] += 1
+        kinds["ragged"] += len(columns) % 8 != 0
+        kinds["copy in another byte"] += any(
+            len({c // 8 for c in columns if carries[c] == e}) > 1 for e in set(carries))
+        root = min(columns, key=lambda c: (len(columns[c]), c))
+        kinds["zero a byte after a one"] += _zero_after_one(columns, rows, ()) or any(
+            _zero_after_one(columns, rows, (r,)) for r in columns[root])
     assert min(kinds.values()) >= 100, kinds

@@ -30,6 +30,8 @@ from lfwave.verify import (
     verify_translates,
 )
 
+from verdict_checks import named_check
+
 CFG2 = FieldConfig(2, 1)
 CFG3 = FieldConfig(3, 1)
 
@@ -64,7 +66,7 @@ def test_dilation_tiling_examples():
         assert check_dilation_tiling(shell(CFG2, m)).passed
     v = check_dilation_tiling(integers(CFG2))
     assert not v.passed
-    assert v.check("no-ball-at-zero").witness is not None
+    assert named_check(v, "no-ball-at-zero").witness is not None
     assert not check_dilation_tiling(ClopenSet.empty(CFG2)).passed
 
 
@@ -131,7 +133,7 @@ def test_translation_examples():
         assert check_translation(shell(CFG2, m), "packing").passed
         v = check_translation(shell(CFG2, m), "tiling")
         assert not v.passed
-        gap = v.check("translates-cover").witness
+        gap = named_check(v, "translates-cover").witness
         assert gap is not None
         # the gap reaches inside p^(m+1) O
         ideal = fractional_ideal(CFG2, m + 1)
@@ -139,7 +141,7 @@ def test_translation_examples():
     W = integers(CFG2).union(integers(CFG2).translate(coset_rep(CFG2, 1)))
     v = check_translation(W, "packing")
     assert not v.passed
-    assert v.check("translates-disjoint").witness == {
+    assert named_check(v, "translates-disjoint").witness == {
         "kind": "set", "balls": integers(CFG2).as_json()}
     # four translates of pO all fold onto pO: multiplicity measure 2, while
     # the bound adds coverage and overlap (1/2 + 1/2)
@@ -162,7 +164,7 @@ def test_parseval_multiwavelet_set():
     assert not verify_multiwavelet_set([integers(CFG2)], mode="parseval").passed
     # overlapping components are rejected up front
     v = verify_multiwavelet_set([units(CFG2), units(CFG2)], mode="parseval")
-    assert not v.passed and v.check("components-disjoint").witness is not None
+    assert not v.passed and named_check(v, "components-disjoint").witness is not None
 
 
 def test_multiwavelet_set():
@@ -182,7 +184,7 @@ def test_superwavelet_set_criterion():
         assert verify_superwavelet(tup, "parseval").passed
         v = verify_superwavelet(tup, "orthonormal")
         assert not v.passed
-        gap = v.check("(c)-joint-translates-cover").witness
+        gap = named_check(v, "(c)-joint-translates-cover").witness
         ideal = fractional_ideal(cfg, 4)
         assert any(ideal.member(x) for x in witness_points(cfg, gap))
         q = cfg.q
@@ -202,11 +204,11 @@ def test_frame_pointwise_examples():
     # scaling by q^(-1/2) breaks the normalization: square sum becomes 1/q
     f = StepFunction.indicator(units(CFG2), rat(CFG2, 1).q_half_shift(-1))
     v = verify_frame_pointwise([f])
-    assert not v.passed and not v.check("dilation-square-sum").ok
+    assert not v.passed and not named_check(v, "dilation-square-sum").ok
     # spectra charged at zero are rejected with the offending ball
     g = StepFunction.indicator(integers(CFG2))
     v = verify_frame_pointwise([g])
-    assert not v.passed and v.check("bounded-away-from-zero").witness is not None
+    assert not v.passed and named_check(v, "bounded-away-from-zero").witness is not None
 
 
 def test_translation_correlation_sums_each_half_grade():
@@ -218,11 +220,11 @@ def test_translation_correlation_sums_each_half_grade():
         return StepFunction(CFG3, [(Ball(CFG3, parse_element(CFG3, "p^-1"), 0), rat(CFG3, 1)),
                                    (Ball(CFG3, parse_element(CFG3, "2*p^-1"), 0), b)])
     f, g = spectrum(rat(CFG3, 1)), spectrum(rat(CFG3, 1).q_half_shift(1))
-    c = verify_frame_pointwise([f, g]).check("translation-correlation")
+    c = named_check(verify_frame_pointwise([f, g]), "translation-correlation")
     assert (c.ok, c.witness["point"], c.note) == \
         (False, "p^-1", "nonzero at translation index s=1")
     negated = [spectrum(rat(CFG3, -1)), spectrum(rat(CFG3, -1).q_half_shift(1))]
-    assert verify_frame_pointwise([f, g] + negated).check("translation-correlation").ok
+    assert named_check(verify_frame_pointwise([f, g] + negated), "translation-correlation").ok
 
 
 def rand_disjoint_family(cfg, rng):
@@ -273,7 +275,7 @@ def test_translates_examples():
     half = StepFunction.indicator(integers(CFG2), rat(CFG2, Fraction(1, 2)))
     v = verify_translates(half, "parseval")
     assert v.passed
-    flag = v.check("weight-is-indicator")
+    flag = named_check(v, "weight-is-indicator")
     assert not flag.ok and not flag.binding  # w = 1/4, outside {0, 1}
 
 
@@ -287,21 +289,21 @@ def test_super_functions_criterion():
     for c in v.checks:
         ok_expected = not c.name.startswith("(iii)")
         assert c.ok == ok_expected, c.name
-    assert "j=0" in v.check("(iii)-joint-correlation").note
+    assert "j=0" in named_check(v, "(iii)-joint-correlation").note
     # a single multiwavelet set of order one is an orthonormal tuple
     v = verify_super_functions([StepFunction.indicator(shannon(CFG2)[0])])
     assert v.passed
     # each per-component check carries its own witness, none on a pass;
     # here (i) fails (square sum 4) and (ii) passes
     v = verify_super_functions([StepFunction.indicator(units(CFG3), rat(CFG3, 2))])
-    assert v.check("(i)-component-1-dilation-square-sum").as_json() == {
+    assert named_check(v, "(i)-component-1-dilation-square-sum").as_json() == {
         "name": "(i)-component-1-dilation-square-sum", "status": "fail",
         "witness": {"kind": "point", "point": "1"}}
-    assert v.check("(ii)-component-1-translation-correlation").as_json() == {
+    assert named_check(v, "(ii)-component-1-translation-correlation").as_json() == {
         "name": "(ii)-component-1-translation-correlation", "status": "pass"}
     # (i) passes, (ii) fails at its own witness
     v = verify_super_functions([StepFunction.indicator(shell(CFG3, -1))])
-    i, ii = (v.check(f"({n})-component-1-{name}") for n, name in (
+    i, ii = (named_check(v, f"({n})-component-1-{name}") for n, name in (
         ("i", "dilation-square-sum"), ("ii", "translation-correlation")))
     assert (i.ok, i.witness) == (True, None)
     assert (ii.ok, ii.witness) == (False, {"kind": "point", "point": "p^-1"})
@@ -332,7 +334,7 @@ def test_equivalence_criterion():
     b = [StepFunction.indicator(shell(CFG2, 2))]
     v = equivalent_superwavelets(a, b)
     assert not v.passed
-    assert "n=0" in v.check("correlations-agree").note
+    assert "n=0" in named_check(v, "correlations-agree").note
 
 
 # -- decomposability / extendability bounds -----------------------------------
@@ -422,16 +424,16 @@ def test_superwavelet_joint_fold_overlap_across_components():
         v = verify_superwavelet([units(cfg), units(cfg)], "parseval")
         assert not v.passed
         # each component packs on its own; only the joint translates collide
-        assert v.check("(b)-component-1-translation-packing").ok
-        assert v.check("(b)-component-2-translation-packing").ok
-        c = v.check("(c)-joint-translates-disjoint")
+        assert named_check(v, "(b)-component-1-translation-packing").ok
+        assert named_check(v, "(b)-component-2-translation-packing").ok
+        c = named_check(v, "(c)-joint-translates-disjoint")
         assert not c.ok
         assert c.witness == {"kind": "set", "balls": units(cfg).as_json()}
 
 
 def test_correlation_witnesses_are_the_first_failing_cell():
     a, b = (StepFunction.indicator(shell(CFG2, m)) for m in (1, 2))
-    c = verify_super_functions([a, b]).check("(iii)-joint-correlation")
+    c = named_check(verify_super_functions([a, b]), "(iii)-joint-correlation")
     assert (c.ok, c.witness, c.note) == (
         False, {"kind": "point", "point": "1"}, "j=0, sum = 0")
     # translates tile, so every j = 0 sum is 1; the first failure is at j = 1
@@ -439,19 +441,19 @@ def test_correlation_witnesses_are_the_first_failing_cell():
                          for x in ("p^-1", "p^-2 + 1")])
     w = StepFunction.indicator(W)
     v = verify_super_functions([w])
-    c = v.check("(iii)-joint-correlation")
+    c = named_check(v, "(iii)-joint-correlation")
     assert (c.ok, c.witness, c.note) == (
         False, {"kind": "point", "point": "p"}, "j=1, sum = 1")
     assert v.bounds == {"j_max": 1, "k_max": 3}
 
     v = equivalent_superwavelets([a], [b])
-    c = v.check("correlations-agree")
+    c = named_check(v, "correlations-agree")
     assert (c.ok, c.witness, c.note) == (
         False, {"kind": "point", "point": "p"}, "first discrepancy at scale offset n=0")
     assert v.bounds == {"n_max": 1, "k_max": 0}
     shannon1 = StepFunction.indicator(integers(CFG2).translate(coset_rep(CFG2, 1)))
     v = equivalent_superwavelets([w], [shannon1])
-    c = v.check("correlations-agree")
+    c = named_check(v, "correlations-agree")
     assert (c.ok, c.witness, c.note) == (
         False, {"kind": "point", "point": "p"}, "first discrepancy at scale offset n=1")
     assert v.bounds == {"n_max": 1, "k_max": 3}
@@ -610,7 +612,7 @@ def test_correlation_witnesses_hold_by_direct_evaluation():
         sample = [FieldElement(cfg, {e: rng.randrange(cfg.q) for e in range(3)})
                   for _ in range(2)]
         v = verify_frame_pointwise(a)
-        c = v.check("dilation-square-sum")
+        c = named_check(v, "dilation-square-sum")
         if c.ok:
             assert all(square_sum_at(a, point_of_shell(cfg, rng, 0)) == rat(cfg, 1)
                        for _ in range(2))
@@ -618,7 +620,7 @@ def test_correlation_witnesses_hold_by_direct_evaluation():
             total = square_sum_at(a, parse_element(cfg, c.witness["point"]))
             assert total != rat(cfg, 1) and c.note == f"sum = {total!r}"
         seen["i", c.ok] += 1
-        c = v.check("translation-correlation")
+        c = named_check(v, "translation-correlation")
         j_max = v.bounds["j_max"]
         if c.ok:
             points = [point_of_shell(cfg, rng, rng.randrange(-3, 3)) for _ in range(2)]
@@ -631,7 +633,7 @@ def test_correlation_witnesses_hold_by_direct_evaluation():
         seen["ii", c.ok] += 1
 
         v = verify_super_functions(a)
-        c = v.check("(iii)-joint-correlation")
+        c = named_check(v, "(iii)-joint-correlation")
         if c.ok:
             assert all(correlation_at(a, j, x) == delta[j]
                        for j in range(v.bounds["j_max"] + 1) for x in sample)
@@ -651,7 +653,7 @@ def test_correlation_witnesses_hold_by_direct_evaluation():
         seen["mixed"] += mixed
 
         v = equivalent_superwavelets(a, b)
-        c = v.check("correlations-agree")
+        c = named_check(v, "correlations-agree")
         assert c.ok or b is not a
         if c.ok:
             assert all(correlation_at(a, n, x) == correlation_at(b, n, x)
@@ -679,7 +681,7 @@ def test_joint_correlation_reports_the_smallest_failing_offset():
     fns = [StepFunction(CFG2, [cell("1", 2, 1), cell("p^2", 3, -1)]),
            StepFunction(CFG2, [cell("p", 2, 1)]),
            StepFunction(CFG2, [cell("1 + p", 2, -1)])]
-    c = verify_super_functions(fns).check("(iii)-joint-correlation")
+    c = named_check(verify_super_functions(fns), "(iii)-joint-correlation")
     assert (c.ok, c.witness, c.note) == (False, {"kind": "point", "point": "0"}, "j=0, sum = 0")
     assert correlation_at(fns, 2, parse_element(CFG2, "p^2")) == [rat(CFG2, -1), rat(CFG2, 0)]
 
@@ -700,7 +702,7 @@ def test_correlations_of_mixed_half_grades_get_verdicts():
                              cell("p^2 + p^3", 4, half(CFG2, 1))])
     f3 = StepFunction(CFG2, [cell("p^-2", -1, rat(CFG2, 1)), cell("1", 2, rat(CFG2, -1))])
     fam = [f1, f2, f3]
-    assert equivalent_superwavelets(fam, fam).check("correlations-agree").ok
+    assert named_check(equivalent_superwavelets(fam, fam), "correlations-agree").ok
     assert correlation_at(fam, 2, FieldElement.one(CFG2)) == [rat(CFG2, -1), half(CFG2, -1)]
     # P_0 is 1 on O, and ball(1, 2) is p times the cell ball(p^-1, 1) of f
     # and g, so P_1 there is 1/3 * conj(q^(1/2)/2) from f plus
@@ -711,7 +713,7 @@ def test_correlations_of_mixed_half_grades_get_verdicts():
     g = StepFunction(CFG2, [cell("p^-1", 1, half(CFG2, Fraction(2, 3))),
                             cell("1", 2, half(CFG2, Fraction(1, 2)))])
     h = StepFunction(CFG2, [cell("1 + p", 2, rat(CFG2, 1))])
-    c = verify_super_functions([f, g, h]).check("(iii)-joint-correlation")
+    c = named_check(verify_super_functions([f, g, h]), "(iii)-joint-correlation")
     assert (c.ok, c.witness, c.note) == (
         False, {"kind": "point", "point": "1"}, "j=1, sum = 2/3 + (1/6)*qh^1")
     x = parse_element(CFG2, c.witness["point"])
