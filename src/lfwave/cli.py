@@ -122,7 +122,7 @@ _FORMS = {
     "ball": ("set", 2, 2, lambda cfg, a, env, ln:
              ClopenSet.from_ball(Ball(cfg, parse_element(cfg, a[0]), _int(a[1])))),
     "union": ("set", 0, None, lambda cfg, a, env, ln:
-              reduce(ClopenSet.union, _sets(cfg, a, env, ln), ClopenSet.empty(cfg))),
+              ClopenSet(cfg, [b for s in _sets(cfg, a, env, ln) for b in s.balls])),
     "inter": ("set", 1, None, lambda cfg, a, env, ln:
               reduce(ClopenSet.intersect, _sets(cfg, a, env, ln))),
     "diff": ("set", 2, 2, lambda cfg, a, env, ln: ClopenSet.subtract(*_sets(cfg, a, env, ln))),

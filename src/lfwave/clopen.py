@@ -9,8 +9,8 @@ order meet the balls kept so far by one ancestor-key lookup per kept scale
 (outer_balls), and intersection, difference, overlay and the fold's
 collisions all come from that pass.  Only the pointwise oracle `member`
 subtracts centres here.  intersect, subtract and translate are canonical by
-construction (see each), so they only sort, and shells() cuts key-ordered
-slices; a fold builds its coverage and overlap on first read.
+construction (see each), so they only sort.  A fold leaves its fragments
+unsorted and builds its coverage and overlap on first read.
 """
 
 from __future__ import annotations
@@ -365,26 +365,6 @@ class ClopenSet:
 
     # -- structure -------------------------------------------------------------
 
-    def shells(self):
-        """Split along shells of constant absolute value.
-
-        Returns (pieces, residual) where pieces is a sorted list of
-        (shell index, ClopenSet) and residual is the zero-containing ball,
-        if any.  Each piece is a key-ordered slice, so canonical.
-        """
-        by_shell: dict[int, list[Ball]] = {}
-        residual = None
-        for b in self.balls:
-            s = b.shell_index()
-            if s is None:
-                residual = b  # at most one: nesting is forbidden
-            else:
-                by_shell.setdefault(s, []).append(b)
-        pieces = [
-            (s, ClopenSet(self.config, bs, _canonical=True)) for s, bs in sorted(by_shell.items())
-        ]
-        return pieces, residual
-
     def fold(self) -> "FoldResult":
         """Translate every ball back into the ring of integers; see joint_fold."""
         return joint_fold(self.config, [self])
@@ -419,7 +399,7 @@ class FoldResult:
     in two or more (overlap) are built on first read."""
 
     config: FieldConfig
-    fragments: list  # (Ball inside O, source coset index)
+    fragments: list  # (Ball inside O, source coset index), in the sets' ball order
 
     @cached_property
     def coverage(self) -> ClopenSet:
@@ -434,10 +414,10 @@ class FoldResult:
         return sum((frag.measure() for frag, _ in self.fragments), Fraction(0))
 
 
-def overlay(config: FieldConfig, sets):
-    """(coverage, overlap): the union of the sets, and the points lying in
-    two or more of them (in two balls, so in the nested one)."""
-    balls = [b for s in sets for b in s.balls]
+def overlay(config: FieldConfig, balls):
+    """(coverage, overlap): the union of the balls, and the points lying in
+    two or more of them (so in the nested one)."""
+    balls = list(balls)
     return ClopenSet(config, balls), ClopenSet(config, _nested(balls))
 
 
@@ -461,9 +441,7 @@ def joint_fold(config: FieldConfig, sets) -> FoldResult:
     Each ball is folded by fold_ball.  The overlap set witnesses any
     collision between translates, within one set or across sets.
     """
-    fragments = [fr for s in sets for b in s.balls for fr in fold_ball(b)]
-    fragments.sort(key=lambda fr: (fr[1], fr[0].sort_key()))
-    return FoldResult(config, fragments)
+    return FoldResult(config, [fr for s in sets for b in s.balls for fr in fold_ball(b)])
 
 
 # ---------------------------------------------------------------------------

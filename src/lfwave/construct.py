@@ -6,7 +6,6 @@ super-wavelet at a stated finite resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 from .clopen import (Ball, ClopenSet, child_keys, fractional_ideal, integers, joint_fold,
                      parent_key, shell, translated_keys, units)
@@ -28,6 +27,7 @@ def shannon_family(config: FieldConfig):
 
 def shell_wavelet(config: FieldConfig, m: int) -> ClopenSet:
     """The shell p**m * O*: a Parseval frame wavelet set (not orthonormal)."""
+    check_ints("m", m)
     if m < 1:
         raise ValueError("shell exponent must be >= 1")
     return shell(config, m)
@@ -36,6 +36,7 @@ def shell_wavelet(config: FieldConfig, m: int) -> ClopenSet:
 def scaled_shannon_family(config: FieldConfig, m: int):
     """The contracted translates p**m * (O + u(i)): a Parseval frame
     multiwavelet family of order q-1."""
+    check_ints("m", m)
     if m < 1:
         raise ValueError("contraction exponent must be >= 1")
     return [W.scale_by(m) for W in shannon_family(config)]
@@ -43,6 +44,7 @@ def scaled_shannon_family(config: FieldConfig, m: int):
 
 def shell_tuple(config: FieldConfig, n: int):
     """(p*O*, ..., p**n*O*): a Parseval frame super-wavelet tuple."""
+    check_ints("n", n)
     if n < 1:
         raise ValueError("tuple length must be >= 1")
     return [shell(config, i) for i in range(1, n + 1)]
@@ -51,6 +53,7 @@ def shell_tuple(config: FieldConfig, n: int):
 def tower_components(config: FieldConfig, n: int):
     """The first n-1 shells O*, pO*, ..., p**(n-2)*O*: the fixed part of the
     length-n tower family whose last slot is a complement set."""
+    check_ints("n", n)
     if n < 2:
         raise ValueError("tower needs length >= 2")
     return [shell(config, i) for i in range(0, n - 1)]
@@ -106,8 +109,8 @@ def scaling_set(W: ClopenSet) -> ClopenSet:
         raise ValueError("dilates of W do not partition the field")
     shells = pre.bounds["shells"]
     smin, smax = shells[0], shells[-1]
-    dilates = (W.scale_by(j) for j in range(1, smax - smin + 1))
-    return reduce(ClopenSet.union, dilates, fractional_ideal(W.config, smax + 1))
+    dilates = [b.scale_by(j) for j in range(1, smax - smin + 1) for b in W.balls]
+    return ClopenSet(W.config, [Ball.integers(W.config, smax + 1), *dilates])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .clopen import INF, Ball, fractional_ideal
+from .clopen import INF, Ball
 from .cyclo import CycloScalar
 from .gfq import ConfigMismatch, FieldConfig, check_ints
 from .lfield import FieldElement, character, coset_rep
@@ -37,7 +37,7 @@ class FiniteModel:
         self.config = config
         self.R = R
         self.S = S
-        self.window = fractional_ideal(config, -R)
+        self.window = Ball.integers(config, -R)
 
     def check(self, f: StepFunction) -> StepFunction:
         self.check_analyzer(f)
@@ -60,18 +60,18 @@ class FiniteModel:
         return psi
 
     def atoms(self):
-        for b in self.window.balls:
-            yield from b.split_to(self.S)
+        return self.window.split_to(self.S)
 
     def _atom(self, i: int) -> Ball:
         """The i-th atom in the order of atoms(): the base-q digits of i, most
         significant first, at exponents -R..S-1, i.e. p**S * u(i)."""
-        return self.window.balls[0].sub_ball(self.S, i)
+        return self.window.sub_ball(self.S, i)
 
     def random_step(self, rng: random.Random, n_cells: int = 5) -> StepFunction:
         """Seeded random window function: distinct mesh atoms with nonzero
         cyclotomic values on a small rational lattice.  The atoms are drawn
         by index, which picks the same atoms as sampling the list atoms()."""
+        check_ints("n_cells", n_cells)
         cfg = self.config
         n = cfg.q ** (self.R + self.S)
         cells = []
@@ -123,6 +123,8 @@ def affine_coef(f: StepFunction, psi: StepFunction, j: int, k: int) -> CycloScal
     q**(-j/2) * conj(chi(u(k) p^j xi)) * psi^(p^j xi), and the character
     integrates exactly over each refinement cell (zero unless the character
     is constant on the cell)."""
+    check_ints("j", j)
+    check_ints("k", k)
     cfg = f.config
     if k < 0:
         raise ValueError("translation index must be non-negative")
@@ -312,8 +314,9 @@ def gram_entry(etas, a: tuple[int, int], b: tuple[int, int]) -> CycloScalar:
     direct-sum system.  Raises ValueError on an empty tuple."""
     if not etas:
         raise ValueError("empty tuple")
-    j1, k1 = a
-    j2, k2 = b
+    check_ints("a", *a)
+    check_ints("b", *b)
+    (j1, k1), (j2, k2) = a, b
     cfg = etas[0].config
     y = coset_rep(cfg, k2).scale_exponents(j2) - coset_rep(cfg, k1).scale_exponents(j1)
     total = CycloScalar.zero(cfg.p, cfg.q)

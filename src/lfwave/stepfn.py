@@ -64,11 +64,6 @@ class StepFunction:
 
     # -- pointwise algebra -------------------------------------------------------
 
-    def conj(self) -> "StepFunction":
-        return StepFunction(
-            self.config, [(b, v.conj()) for b, v in self.cells], _canonical=True
-        )
-
     def precompose(self, j: int = 0, shift: FieldElement | None = None) -> "StepFunction":
         """The function  xi -> f(p**-j * (xi + shift)).
 

@@ -135,26 +135,24 @@ def witness_measure(value):
 def check_dilation_tiling(W: ClopenSet) -> Verdict:
     """Do the dilates p**j * W (all integer j) partition the whole field?
 
-    Reduction: split W along shells of constant absolute value and pull each
-    piece back into the unit shell.  The dilates partition the field exactly
-    when those normalized pieces are pairwise disjoint and cover the unit
-    group exactly once.
+    Reduction: a ball away from zero lies in one shell of constant absolute
+    value, say p**s * O*, and p**-s pulls it back into the unit shell.  The
+    dilates partition the field exactly when the pulled-back balls are
+    pairwise disjoint and cover the unit group exactly once.
     """
     v = Verdict()
-    cfg = W.config
     if not v.add_nonempty("nonempty", W):
         return v
-    pieces, residual = W.shells()
+    residual = next((b for b in W.balls if b.contains_zero()), None)
     if residual is not None:
         # a ball around zero meets infinitely many of its own dilates
         v.add("no-ball-at-zero", False, witness_ball(residual))
         return v
     v.add("no-ball-at-zero", True)
-    target = units(cfg)
-    coverage, overlap = overlay(cfg, (piece.scale_by(-s) for s, piece in pieces))
+    coverage, overlap = overlay(W.config, [b.scale_by(-b.shell_index()) for b in W.balls])
     v.add_set("dilates-disjoint", overlap)
-    v.add_set("dilates-cover-unit-shell", target.subtract(coverage))
-    v.bounds["shells"] = [s for s, _ in pieces]
+    v.add_set("dilates-cover-unit-shell", units(W.config).subtract(coverage))
+    v.bounds["shells"] = sorted({b.shell_index() for b in W.balls})
     return v
 
 
@@ -187,7 +185,7 @@ def verify_multiwavelet_set(components, mode: str = "orthonormal") -> Verdict:
     if mode not in ("orthonormal", "parseval"):
         raise ValueError(f"unknown mode {mode!r}")
     v = Verdict()
-    union, bad = overlay(_config(components), components)
+    union, bad = overlay(_config(components), [b for W in components for b in W.balls])
     if not v.add_set("components-disjoint", bad):
         return v
     v.checks += [replace(c, name=f"union-dilation:{c.name}")

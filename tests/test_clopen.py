@@ -23,9 +23,10 @@ from lfwave.clopen import (
     translated_keys,
     units,
 )
+from lfwave.construct import scaled_shannon_family
 from lfwave.cyclo import CycloScalar
-from lfwave.gfq import FieldConfig
-from lfwave.lfield import FieldElement, coset_rep, parse_element, split_integral
+from lfwave.gfq import ConfigMismatch, FieldConfig
+from lfwave.lfield import FieldElement, coset_index, coset_rep, parse_element, split_integral
 from lfwave.stepfn import StepFunction, shell_range
 
 CFG2 = FieldConfig(2, 1)
@@ -166,12 +167,6 @@ def test_inv_norm_integral_examples():
         assert partial == 40 * Fraction(2, 3)  # diverges linearly in depth
 
 
-def test_shell_decomposition():
-    pieces, residual = units(CFG3).shells()
-    assert residual is None
-    assert pieces == [(0, units(CFG3))]
-
-
 def test_randomized_property_suite():
     rng = random.Random(24)
     for i in range(10_000):
@@ -246,6 +241,40 @@ def test_randomized_property_suite():
             weighted = [(b, Fraction(k, 3)) for k, b in enumerate(inside.balls)]
             assert inv_norm_integral(weighted + [(Ball.integers(cfg, 2), 0)]) == \
                 inv_norm_integral(weighted)
+
+
+# (call, outcome) of the documented errors and the repr that no other test
+# reaches: an outcome is (error type, message) or the value returned
+DOCUMENTED_OUTCOMES = {
+    "foreign-ball": (lambda: ClopenSet(CFG3, [Ball.integers(CFG2)]),
+                     (ConfigMismatch, "ball from a different field configuration")),
+    "foreign-union": (lambda: integers(CFG3).union(integers(CFG2)),
+                      (ConfigMismatch, "sets from different field configurations")),
+    "foreign-cell": (lambda: StepFunction(CFG3, [(Ball.integers(CFG2),
+                                                  CycloScalar.rational(3, 3, 1))]),
+                     (ConfigMismatch, "cell ball from a different configuration")),
+    "contraction-0": (lambda: scaled_shannon_family(CFG3, 0),
+                      (ValueError, "contraction exponent must be >= 1")),
+    "coset-rep-negative": (lambda: coset_rep(CFG3, -1),
+                           (ValueError, "index must be non-negative")),
+    "coset-index-integral": (lambda: coset_index(FieldElement.one(CFG3)),
+                             (ValueError, "element has digits at non-negative exponents")),
+    "inverse-of-zero": (lambda: CFG3.pow(0, -1),
+                        (ZeroDivisionError, "zero has no inverse in GF(q)")),
+    "repr": (lambda: [repr(ClopenSet.empty(CFG2)), repr(units(CFG2))], ["{}", "{ball(1, 1)}"]),
+}
+
+
+@pytest.mark.parametrize("call, outcome", DOCUMENTED_OUTCOMES.values(),
+                         ids=DOCUMENTED_OUTCOMES.keys())
+def test_documented_errors_and_repr(call, outcome):
+    if isinstance(outcome, list):
+        assert call() == outcome
+        return
+    error, message = outcome
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_canonical_json_serialization():
@@ -560,8 +589,8 @@ def forced_families(cfg, rng, A):
 
 def test_key_set_algebra_agrees_with_pairwise_reference():
     """Each operation agrees with the pairwise reference, and every result
-    that skips normalization (intersect, subtract, translate, the shells()
-    pieces, a fold's coverage and overlap) is already in canonical form."""
+    that skips normalization (intersect, subtract, translate, a fold's
+    coverage and overlap) is already in canonical form."""
     rng, shifts = random.Random(1414), random.Random(1415)
     for cfg in (CFG2, CFG3, CFG4, CFG5, FieldConfig(3, 2)):
         for _ in range(30):
@@ -579,11 +608,12 @@ def test_key_set_algebra_agrees_with_pairwise_reference():
                         assert A.contains_set(B) == ref_subtract(B, A).is_empty()
                         results += [meet, rest]
                     results.append(A.translate(rand_point(cfg, shifts)))
-                    results += [piece for _, piece in A.shells()[0]]
                 assert fam[0].subtract(fam[0]).is_empty()
-                assert overlay(cfg, fam) == ref_overlay(cfg, fam)
+                assert overlay(cfg, [b for A in fam for b in A.balls]) == ref_overlay(cfg, fam)
                 got = joint_fold(cfg, fam)
-                assert (got.fragments, got.coverage, got.overlap) == ref_joint_fold(cfg, fam)
+                # the fold keeps its fragments unsorted: compare them as a multiset
+                fragments = sorted(got.fragments, key=lambda fr: (fr[1], fr[0].sort_key()))
+                assert (fragments, got.coverage, got.overlap) == ref_joint_fold(cfg, fam)
                 results += [got.coverage, got.overlap]
                 for R in results:
                     assert ClopenSet(cfg, R.balls).balls == R.balls

@@ -25,9 +25,10 @@ from lfwave.construct import (
     tower_corrected_target,
     tower_printed_target,
 )
-from lfwave.framesim import FiniteModel
+from lfwave.framesim import FiniteModel, affine_coef, gram_entry
 from lfwave.gfq import ConfigMismatch, FieldConfig
 from lfwave.lfield import FieldElement, coset_rep
+from lfwave.stepfn import StepFunction
 from lfwave.verify import (
     mra_scaling_check,
     verify_multiwavelet_set,
@@ -233,6 +234,9 @@ def test_solver_result_serialization():
     assert js["complement"] == [{"center": "p^-1", "scale": 0}]
 
 
+# the spectrum the framesim probes analyze
+UNIT2 = StepFunction.indicator(units(CFG2))
+
 # the probes of non-int parameters, named by the parameter each one feeds
 INT_PROBES = [
     # a float exponent gave the float measure 0.19245...
@@ -257,6 +261,28 @@ INT_PROBES = [
     ("n", lambda: coset_rep(CFG3, 1.5)),
     ("n", lambda: coset_rep(CFG3, True)),
     ("n", lambda: Ball.integers(CFG3).sub_ball(2, 1.5)),
+    # a float exponent gave balls of scale 1.5 around centres p^0.5, and
+    # True the family for m = 1
+    ("m", lambda: scaled_shannon_family(CFG3, 1.5)),
+    ("m", lambda: scaled_shannon_family(CFG3, True)),
+    # these were refused under shell()'s name s
+    ("m", lambda: shell_wavelet(CFG2, 1.5)),
+    ("m", lambda: shell_wavelet(CFG2, True)),
+    # a float length raised a stray TypeError; True built the tuple of
+    # length 1, and tower() refused it as too short
+    ("n", lambda: shell_tuple(CFG2, 2.5)),
+    ("n", lambda: shell_tuple(CFG2, True)),
+    ("n", lambda: tower_components(CFG2, 2.5)),
+    ("n", lambda: tower_components(CFG2, True)),
+    # a float index raised a stray TypeError (>> on a float), and True was
+    # refused under coset_rep()'s name n
+    ("j", lambda: affine_coef(UNIT2, UNIT2, 0.5, 1)),
+    ("k", lambda: affine_coef(UNIT2, UNIT2, 0, True)),
+    ("a", lambda: gram_entry([UNIT2], (0.5, 0), (0, 0))),
+    ("b", lambda: gram_entry([UNIT2], (0, 0), (0, True))),
+    # a float count raised a stray TypeError, and True drew one cell
+    ("n_cells", lambda: FiniteModel(CFG2, 1, 1).random_step(random.Random(0), n_cells=1.5)),
+    ("n_cells", lambda: FiniteModel(CFG2, 1, 1).random_step(random.Random(0), n_cells=True)),
 ]
 
 

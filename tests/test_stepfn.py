@@ -238,7 +238,9 @@ def test_overlapping_cells_are_rejected():
 def test_scalar_mul_and_conj():
     z = CycloScalar.zeta_pow(3, 3, 1)
     f = StepFunction.indicator(units(CFG3), z)
-    assert f.conj().evaluate(FieldElement.one(CFG3)) == z.conj()
+    # products(1, f) is 1 * conj f on f's cells
+    one = StepFunction.indicator(units(CFG3))
+    assert products(one, f) == [(b, z.conj()) for b in units(CFG3).balls]
     g = StepFunction(CFG3, [(b, z * v) for b, v in f.cells])
     assert g.evaluate(FieldElement.one(CFG3)) == z * z
 
