@@ -6,20 +6,18 @@ sibling balls merged into their parent, deterministic ordering.  Equal
 point-sets therefore have identical representations, and measures are exact
 rationals.  The set algebra decides nesting on sort keys: balls in sort-key
 order meet the balls kept so far by one ancestor-key lookup per kept scale
-(outer_balls), and intersection, difference, overlay and the fold's
-collisions all come from that pass.  Only the pointwise oracle `member`
-subtracts centres here.  intersect, subtract and translate are canonical by
-construction (see each), so they only sort.  A fold leaves its fragments
-unsorted and builds its coverage and overlap on first read.
+(outer_balls), and intersection, difference and the points where given
+balls meet (nested_balls) all come from that pass.  Only the pointwise
+oracle `member` subtracts centres here.  intersect, subtract and translate
+are canonical by construction (see each), so they only sort.  A fold is its
+unsorted list of fragments; no set is built from them here.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .gfq import ConfigMismatch, FieldConfig, check_ints
 from .lfield import FieldElement, coset_rep
@@ -123,6 +121,7 @@ class Ball:
         """All sub-balls at the given finer (or equal) scale: the digit at
         this ball's scale is the most significant, each digit runs through
         index order 0..q-1."""
+        check_ints("scale", scale)
         cfg = self.config
         keys = [self._key]
         for e in range(self.scale, scale):
@@ -135,6 +134,7 @@ class Ball:
     def sub_ball(self, scale: int, n: int) -> "Ball":
         """The n-th ball of split_to(scale), without enumerating: the centre's
         digits followed by those of p**scale * u(n)."""
+        check_ints("scale", scale)
         cfg = self.config
         if not 0 <= n < cfg.q ** max(scale - self.scale, 0):
             raise ValueError(f"sub-ball index {n} out of range")
@@ -144,6 +144,7 @@ class Ball:
         return Ball._from_key(cfg, (scale, self._key[1] + tuple(tail)))
 
     def scale_by(self, j: int) -> "Ball":
+        check_ints("j", j)
         scale, digits = self._key
         return Ball._from_key(self.config, (scale + j, tuple([(e + j, i) for e, i in digits])))
 
@@ -225,7 +226,7 @@ def outer_balls(balls):
         yield outer, b
 
 
-def _nested(balls):
+def nested_balls(balls):
     """The given balls that lie inside, or equal, another given ball (of
     equal balls, all but the first), in sort-key order."""
     return [b for outer, b in outer_balls(sorted(balls, key=Ball.sort_key))
@@ -288,10 +289,6 @@ class ClopenSet:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def empty(cls, config: FieldConfig) -> "ClopenSet":
-        return cls(config, (), _canonical=True)
-
-    @classmethod
     def from_ball(cls, ball: Ball) -> "ClopenSet":
         return cls(ball.config, (ball,), _canonical=True)
 
@@ -312,7 +309,7 @@ class ClopenSet:
         # each set is disjoint, so a ball inside another lies in both sets,
         # and a complete sibling group of such balls would lie in one set
         self._check(other)
-        return ClopenSet(self.config, _nested(self.balls + other.balls), _canonical=True)
+        return ClopenSet(self.config, nested_balls(self.balls + other.balls), _canonical=True)
 
     def subtract(self, other: "ClopenSet") -> "ClopenSet":
         """Each ball of self carved around the balls of other inside it: one
@@ -354,6 +351,7 @@ class ClopenSet:
 
     def scale_by(self, j: int) -> "ClopenSet":
         """Image under multiplication by p**j (canonical form is preserved)."""
+        check_ints("j", j)
         return ClopenSet(
             self.config, [b.scale_by(j) for b in self.balls], _canonical=True
         )
@@ -365,9 +363,9 @@ class ClopenSet:
 
     # -- structure -------------------------------------------------------------
 
-    def fold(self) -> "FoldResult":
-        """Translate every ball back into the ring of integers; see joint_fold."""
-        return joint_fold(self.config, [self])
+    def fold(self) -> list:
+        """The fragments of joint_fold([self])."""
+        return joint_fold([self])
 
     def __repr__(self):
         if not self.balls:
@@ -393,55 +391,22 @@ def inv_norm_integral(cells):
     return total
 
 
-@dataclass
-class FoldResult:
-    """The fragments of a joint fold; their union (coverage) and the points
-    in two or more (overlap) are built on first read."""
-
-    config: FieldConfig
-    fragments: list  # (Ball inside O, source coset index), in the sets' ball order
-
-    @cached_property
-    def coverage(self) -> ClopenSet:
-        return ClopenSet(self.config, [frag for frag, _ in self.fragments])
-
-    @cached_property
-    def overlap(self) -> ClopenSet:
-        return ClopenSet(self.config, _nested([frag for frag, _ in self.fragments]))
-
-    def measure(self) -> Fraction:
-        """Total fragment measure: the coverage counted with multiplicity."""
-        return sum((frag.measure() for frag, _ in self.fragments), Fraction(0))
-
-
-def overlay(config: FieldConfig, balls):
-    """(coverage, overlap): the union of the balls, and the points lying in
-    two or more of them (so in the nested one)."""
-    balls = list(balls)
-    return ClopenSet(config, balls), ClopenSet(config, _nested(balls))
-
-
 def fold_ball(ball: Ball):
-    """(fragment, coset index) for the pieces of the ball at scale >= 0 (each
-    inside a single coset), shifted by the canonical coset representative
-    into the ring of integers."""
+    """The pieces of the ball at scale >= 0 (each inside a single coset),
+    shifted by the canonical coset representative into the ring of
+    integers: each piece without its digits below exponent 0."""
     cfg = ball.config
-    q = cfg.q
     for piece in ball.split_to(max(ball.scale, 0)):
-        # the digits below exponent 0 are the coset index, in base q
         scale, digits = piece._key
-        k = bisect_left(digits, (0,))
-        n = sum(i * q ** (-e - 1) for e, i in digits[:k])
-        yield Ball._from_key(cfg, (scale, digits[k:])), n
+        yield Ball._from_key(cfg, (scale, digits[bisect_left(digits, (0,)):]))
 
 
-def joint_fold(config: FieldConfig, sets) -> FoldResult:
-    """Translate every ball of every set back into the ring of integers.
-
-    Each ball is folded by fold_ball.  The overlap set witnesses any
-    collision between translates, within one set or across sets.
-    """
-    return FoldResult(config, [fr for s in sets for b in s.balls for fr in fold_ball(b)])
+def joint_fold(sets) -> list:
+    """Translate every ball of every set back into the ring of integers: the
+    fragments of fold_ball, in the sets' ball order.  The translates collide
+    exactly where two fragments meet, within one set or across sets, and
+    the fragments keep the sets' total measure."""
+    return [frag for s in sets for b in s.balls for frag in fold_ball(b)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ super-wavelet at a stated finite resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .clopen import (Ball, ClopenSet, child_keys, fractional_ideal, integers, joint_fold,
                      parent_key, shell, translated_keys, units)
@@ -76,7 +77,8 @@ def tower_audit(components, target) -> dict:
     translates fold bijectively onto `target` adds measure(target) to the
     joint fold, so the joint translates tile the integers only if the total
     is exactly 1."""
-    comp = joint_fold(target.config, components).measure()
+    # a fold cuts and shifts balls, so it keeps their total measure
+    comp = sum((W.measure() for W in components), Fraction(0))
     total = comp + target.measure()
     return {
         "component_fold_measure": comp,
@@ -136,8 +138,9 @@ class SolveResult:
 def _solver_preconditions(existing, config) -> tuple[Verdict, ClopenSet]:
     v = Verdict()
     v.add_components(existing, "existing-{}-dilation-tiling", "existing-{}-translation-packing")
-    fold = v.add_fold(config, existing, "existing-joint-packing")
-    target = integers(config).subtract(fold.coverage)
+    fragments = joint_fold(existing)
+    v.add_partition(config, fragments, "existing-joint-packing")
+    target = integers(config).subtract(ClopenSet(config, fragments))
     v.add_nonempty("complement-nonempty", target)
     return v, target
 

@@ -72,6 +72,8 @@ class FiniteModel:
         cyclotomic values on a small rational lattice.  The atoms are drawn
         by index, which picks the same atoms as sampling the list atoms()."""
         check_ints("n_cells", n_cells)
+        if n_cells < 0:
+            raise ValueError(f"n_cells must be non-negative, got {n_cells}")
         cfg = self.config
         n = cfg.q ** (self.R + self.S)
         cells = []
@@ -289,6 +291,9 @@ def truncation_spot_check(model: FiniteModel, psis, f: StepFunction,
     for the character to be constant on it, so every cell is dropped), so
     this checks that the two agree and cannot return False; it does not
     evaluate the integral independently."""
+    check_ints("samples", samples)
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     cfg = model.config
     flo, fhi, _ = shell_range([f])
     for psi in psis:

@@ -13,7 +13,7 @@ from operator import itemgetter
 
 from .clopen import INF, Ball, ClopenSet, child_keys, fold_ball, outer_balls
 from .cyclo import CycloScalar
-from .gfq import ConfigMismatch, FieldConfig
+from .gfq import ConfigMismatch, FieldConfig, check_ints
 from .lfield import FieldElement
 
 
@@ -69,6 +69,7 @@ class StepFunction:
 
         Cell preimages are balls again: B maps to p**j * B - shift.
         """
+        check_ints("j", j)
         if shift is None:
             # dilation keeps the cells disjoint and nonzero, and their order
             return StepFunction(self.config, [(b.scale_by(j), v) for b, v in self.cells],
@@ -216,7 +217,7 @@ def periodize(config: FieldConfig, cells) -> StepFunction:
     because every ball is bounded; the result is integral periodic by
     construction."""
     return cell_sum(config, [(frag, value) for ball, value in cells
-                             for frag, _ in fold_ball(ball)])
+                             for frag in fold_ball(ball)])
 
 
 def periodized_weight(f: StepFunction) -> StepFunction:

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .clopen import (INF, Ball, ClopenSet, FoldResult, integers, inv_norm_integral, joint_fold,
-                     overlay, units)
+from .clopen import (INF, Ball, ClopenSet, integers, inv_norm_integral, joint_fold, nested_balls,
+                     units)
 from .lfield import FieldElement, coset_rep, format_element
 from .stepfn import (StepFunction, cell_sum, common_refinement, periodize, periodized_weight,
                      products, shell_range)
@@ -68,16 +68,16 @@ class Verdict:
             return self.add(name, False, witness_measure(0))
         return self.add(name, True)
 
-    def add_fold(self, config, sets, disjoint, cover=None) -> FoldResult:
-        """Fold the sets jointly into the integers and add the check named
-        `disjoint` (no two translates meet, witness the overlap) and, when a
-        name is given, `cover` (the translates cover the integers, witness
-        the gap).  Returns the fold."""
-        fold = joint_fold(config, sets)
-        self.add_set(disjoint, fold.overlap)
+    def add_partition(self, config, pieces, disjoint, universe=None, cover=None) -> ClopenSet:
+        """Add the check named `disjoint` (no two of the balls `pieces` meet,
+        witness the points in two or more) and, when a name is given,
+        `cover` (the pieces cover the set `universe`, witness the gap); their
+        union is built only then.  Returns the points in two or more."""
+        overlap = ClopenSet(config, nested_balls(pieces))
+        self.add_set(disjoint, overlap)
         if cover is not None:
-            self.add_set(cover, integers(config).subtract(fold.coverage))
-        return fold
+            self.add_set(cover, universe.subtract(ClopenSet(config, pieces)))
+        return overlap
 
     def add_components(self, sets, dilation, packing):
         """Per set in order, the checks `dilation.format(i)` (it tiles under
@@ -86,7 +86,7 @@ class Verdict:
         first failing sub-check."""
         for i, W in enumerate(sets, 1):
             self.add(dilation.format(i), *check_dilation_tiling(W).outcome())
-            self.add_fold(W.config, [W], packing.format(i))
+            self.add_partition(W.config, joint_fold([W]), packing.format(i))
 
     def outcome(self, *names):
         """(ok, witness) of the named checks taken together (of all checks
@@ -149,9 +149,8 @@ def check_dilation_tiling(W: ClopenSet) -> Verdict:
         v.add("no-ball-at-zero", False, witness_ball(residual))
         return v
     v.add("no-ball-at-zero", True)
-    coverage, overlap = overlay(W.config, [b.scale_by(-b.shell_index()) for b in W.balls])
-    v.add_set("dilates-disjoint", overlap)
-    v.add_set("dilates-cover-unit-shell", units(W.config).subtract(coverage))
+    v.add_partition(W.config, [b.scale_by(-b.shell_index()) for b in W.balls],
+                    "dilates-disjoint", units(W.config), "dilates-cover-unit-shell")
     v.bounds["shells"] = sorted({b.shell_index() for b in W.balls})
     return v
 
@@ -163,17 +162,20 @@ def check_translation(W: ClopenSet, mode: str = "packing") -> Verdict:
     Translates beyond the diameter bound of W are disjoint automatically, so
     folding W into the ring of integers decides both questions.
 
-    bounds["fold_measure"] is measure(coverage) + measure(overlap) of the
-    fold.  That is the fold measure with multiplicity only while at most two
-    translates meet: a point in three or more is still counted twice (four
-    translates of pO at q = 2 give "1", where FoldResult.measure() is 2).
+    bounds["fold_measure"] is the measure of the fragments' union plus that
+    of the points in two or more fragments.  That is the fold measure with
+    multiplicity only while at most two translates meet: a point in three
+    or more is still counted twice (four translates of pO at q = 2 give
+    "1", where the fragments' measures sum to 2).
     """
     if mode not in ("packing", "tiling"):
         raise ValueError(f"unknown mode {mode!r}")
     v = Verdict()
-    fold = v.add_fold(W.config, [W], "translates-disjoint",
-                      "translates-cover" if mode == "tiling" else None)
-    v.bounds["fold_measure"] = str(fold.coverage.measure() + fold.overlap.measure())
+    cfg = W.config
+    fragments = joint_fold([W])
+    overlap = v.add_partition(cfg, fragments, "translates-disjoint", integers(cfg),
+                              "translates-cover" if mode == "tiling" else None)
+    v.bounds["fold_measure"] = str(ClopenSet(cfg, fragments).measure() + overlap.measure())
     return v
 
 
@@ -185,14 +187,16 @@ def verify_multiwavelet_set(components, mode: str = "orthonormal") -> Verdict:
     if mode not in ("orthonormal", "parseval"):
         raise ValueError(f"unknown mode {mode!r}")
     v = Verdict()
-    union, bad = overlay(_config(components), [b for W in components for b in W.balls])
-    if not v.add_set("components-disjoint", bad):
+    cfg = _config(components)
+    balls = [b for W in components for b in W.balls]
+    v.add_partition(cfg, balls, "components-disjoint")
+    if not v.passed:
         return v
     v.checks += [replace(c, name=f"union-dilation:{c.name}")
-                 for c in check_dilation_tiling(union).checks]
+                 for c in check_dilation_tiling(ClopenSet(cfg, balls)).checks]
     for i, W in enumerate(components, 1):
-        v.add_fold(W.config, [W], f"component-{i}:translates-disjoint",
-                   f"component-{i}:translates-cover" if mode == "orthonormal" else None)
+        v.add_partition(cfg, joint_fold([W]), f"component-{i}:translates-disjoint", integers(cfg),
+                        f"component-{i}:translates-cover" if mode == "orthonormal" else None)
     v.bounds["order"] = len(components)
     return v
 
@@ -208,9 +212,10 @@ def verify_superwavelet(components, mode: str = "orthonormal") -> Verdict:
     cfg = _config(components)
     v.add_components(components, "(a)-component-{}-dilation-tiling",
                      "(b)-component-{}-translation-packing")
-    fold = v.add_fold(cfg, components, "(c)-joint-translates-disjoint",
-                      "(c)-joint-translates-cover" if mode == "orthonormal" else None)
-    v.bounds["joint_fold_measure"] = str(fold.measure())
+    v.add_partition(cfg, joint_fold(components), "(c)-joint-translates-disjoint", integers(cfg),
+                    "(c)-joint-translates-cover" if mode == "orthonormal" else None)
+    # a fold cuts and shifts balls, so it keeps their total measure
+    v.bounds["joint_fold_measure"] = str(sum((W.measure() for W in components), Fraction(0)))
     v.bounds["length"] = len(components)
     return v
 
@@ -444,12 +449,12 @@ def mra_scaling_check(W: ClopenSet, S: ClopenSet) -> Verdict:
     v.add_set("wavelet-is-dilation-layer", layer.subtract(W).union(W.subtract(layer)))
     ok = S.measure() * (q - 1) == W.measure()
     v.add("measure-law", ok, None if ok else witness_measure(S.measure()))
-    tr = Verdict()
-    tr.add_fold(cfg, [S], "translates-disjoint", "translates-cover")
-    packing, witness = tr.outcome("translates-disjoint")
-    tiling = tr.passed
-    v.add("translates-pack", packing, witness)
-    v.add("translates-tile", tiling, binding=False,
-          note="multiresolution analysis" if tiling else "Parseval frame multiresolution analysis")
+    overlap = v.add_partition(cfg, joint_fold([S]), "translates-pack", integers(cfg),
+                              "translates-tile")
+    # tiling is packing and covering; it names the kind of analysis only
+    tiling = overlap.is_empty() and v.checks[-1].ok
+    v.checks[-1] = Check("translates-tile", tiling, binding=False,
+                         note="multiresolution analysis" if tiling
+                         else "Parseval frame multiresolution analysis")
     v.bounds["mra_kind"] = "orthonormal" if tiling else "parseval"
     return v

@@ -18,7 +18,6 @@ from lfwave.clopen import (
     inv_norm_integral,
     joint_fold,
     outer_balls,
-    overlay,
     shell,
     translated_keys,
     units,
@@ -28,6 +27,7 @@ from lfwave.cyclo import CycloScalar
 from lfwave.gfq import ConfigMismatch, FieldConfig
 from lfwave.lfield import FieldElement, coset_index, coset_rep, parse_element, split_integral
 from lfwave.stepfn import StepFunction, shell_range
+from lfwave.verify import Verdict, verify_superwavelet, witness_set
 
 CFG2 = FieldConfig(2, 1)
 CFG3 = FieldConfig(3, 1)
@@ -132,24 +132,36 @@ def test_translated_integer_coset_has_constant_absolute_value():
             assert xi.valuation() == -1
 
 
+def partition_witnesses(cfg, pieces, universe):
+    """The witnesses of add_partition's two checks: the points in two or
+    more pieces, and the points of universe outside them (None for a check
+    that passes)."""
+    v = Verdict()
+    v.add_partition(cfg, pieces, "disjoint", universe, "cover")
+    return [c.witness for c in v.checks]
+
+
+def set_witnesses(*sets):
+    """The witnesses add_set gives the sets: None for an empty one."""
+    return [None if S.is_empty() else witness_set(S) for S in sets]
+
+
 def test_fold_examples():
+    O = integers(CFG2)
+    empty = ClopenSet(CFG2, ())
     # single translate of O comes straight back
-    W = integers(CFG2).translate(coset_rep(CFG2, 1))
-    res = W.fold()
-    assert res.overlap.is_empty()
-    assert res.coverage == integers(CFG2)
-    assert [(frag, n) for frag, n in res.fragments] == \
-        [(Ball.integers(CFG2), 1)]
+    W = O.translate(coset_rep(CFG2, 1))
+    assert joint_fold([W]) == [Ball.integers(CFG2)]
+    assert partition_witnesses(CFG2, joint_fold([W]), O) == set_witnesses(empty, empty)
     # a shell folds onto itself, a strict subset of O
     for m in (1, 2):
-        res = shell(CFG2, m).fold()
-        assert res.overlap.is_empty()
-        assert res.coverage == shell(CFG2, m)
-        assert all(n == 0 for _, n in res.fragments)
+        S = shell(CFG2, m)
+        assert joint_fold([S]) == list(S.balls)
+        assert partition_witnesses(CFG2, joint_fold([S]), O) == \
+            set_witnesses(empty, O.subtract(S))
     # two overlapping translates collide on all of O
-    W = integers(CFG2).union(integers(CFG2).translate(coset_rep(CFG2, 1)))
-    res = W.fold()
-    assert res.overlap == integers(CFG2)
+    W = O.union(O.translate(coset_rep(CFG2, 1)))
+    assert partition_witnesses(CFG2, joint_fold([W]), O) == set_witnesses(O, empty)
 
 
 def test_inv_norm_integral_examples():
@@ -228,10 +240,8 @@ def test_randomized_property_suite():
                 min(hit, default=math.inf), max(hit, default=-math.inf),
                 next((c for c in cells if c[0].contains_point(zero)), None))
         else:
-            res = A.fold()
-            if res.overlap.is_empty():
-                total = sum((f.measure() for f, _ in res.fragments), Fraction(0))
-                assert total == A.measure()
+            # a fold cuts and shifts balls, so it keeps their measure
+            assert sum((f.measure() for f in joint_fold([A])), Fraction(0)) == A.measure()
             inside = A.intersect(integers(cfg))
             got = inv_norm_integral((b, 1) for b in inside.balls)
             if got != math.inf:
@@ -261,7 +271,7 @@ DOCUMENTED_OUTCOMES = {
                              (ValueError, "element has digits at non-negative exponents")),
     "inverse-of-zero": (lambda: CFG3.pow(0, -1),
                         (ZeroDivisionError, "zero has no inverse in GF(q)")),
-    "repr": (lambda: [repr(ClopenSet.empty(CFG2)), repr(units(CFG2))], ["{}", "{ball(1, 1)}"]),
+    "repr": (lambda: [repr(ClopenSet(CFG2, ())), repr(units(CFG2))], ["{}", "{ball(1, 1)}"]),
 }
 
 
@@ -287,15 +297,16 @@ def test_canonical_json_serialization():
 
 def test_joint_fold_finds_collisions_across_sets():
     for cfg in (CFG2, CFG3):
-        U = units(cfg)
+        U, O = units(cfg), integers(cfg)
+        gap = fractional_ideal(cfg, 1)
         # one copy of O* packs; two copies collide on all of O*
-        assert U.fold().overlap.is_empty()
-        res = joint_fold(cfg, [U, U])
-        assert res.overlap == U and res.coverage == U
-        assert res.measure() == 2 * U.measure()
+        assert partition_witnesses(cfg, joint_fold([U]), O) == set_witnesses(ClopenSet(cfg, ()), gap)
+        fragments = joint_fold([U, U])
+        assert partition_witnesses(cfg, fragments, O) == set_witnesses(U, gap)
+        assert sum(f.measure() for f in fragments) == 2 * U.measure()
         # the one-set case is ClopenSet.fold, and no sets fold to nothing
-        assert joint_fold(cfg, [U]) == U.fold()
-        assert joint_fold(cfg, []).coverage.is_empty()
+        assert joint_fold([U]) == U.fold()
+        assert joint_fold([]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +423,11 @@ def rand_key(cfg, rng):
 
 
 def reference_fold_ball(ball):
-    """fold_ball by field arithmetic: split each piece's centre at exponent 0."""
+    """fold_ball by field arithmetic: split each piece's centre at exponent 0
+    and keep the part at exponents >= 0."""
     for piece in ball.split_to(max(ball.scale, 0)):
-        n, rem = split_integral(piece.center)
-        yield Ball(ball.config, rem, piece.scale), n
+        _, rem = split_integral(piece.center)
+        yield Ball(ball.config, rem, piece.scale)
 
 
 def test_key_only_balls_agree_with_centre_built_balls():
@@ -437,7 +449,7 @@ def test_key_only_balls_agree_with_centre_built_balls():
             assert folded == list(fold_ball(ref)) == list(reference_fold_ball(ref))
             # none of the above reads a centre
             assert lazy._center is None
-            assert all(frag._center is None for frag, _ in folded)
+            assert all(frag._center is None for frag in folded)
             assert repr(lazy) == repr(ref) and lazy.as_json() == ref.as_json()
             assert lazy.center == ref.center
             assert lazy.center is lazy.center  # built once, then kept
@@ -538,8 +550,8 @@ def ref_subtract(A, B):
 
 
 def ref_overlay(config, sets):
-    coverage = ClopenSet.empty(config)
-    overlap = ClopenSet.empty(config)
+    coverage = ClopenSet(config, ())
+    overlap = ClopenSet(config, ())
     for s in sets:
         overlap = overlap.union(ref_intersect(coverage, s))
         coverage = coverage.union(s)
@@ -547,10 +559,9 @@ def ref_overlay(config, sets):
 
 
 def ref_joint_fold(config, sets):
-    fragments = [fr for s in sets for b in s.balls for fr in fold_ball(b)]
-    fragments.sort(key=lambda fr: (fr[1], fr[0].sort_key()))
-    coverage, overlap = ref_overlay(
-        config, (ClopenSet.from_ball(frag) for frag, _ in fragments))
+    fragments = sorted((frag for s in sets for b in s.balls for frag in reference_fold_ball(b)),
+                       key=Ball.sort_key)
+    coverage, overlap = ref_overlay(config, (ClopenSet.from_ball(frag) for frag in fragments))
     return fragments, coverage, overlap
 
 
@@ -570,7 +581,7 @@ def forced_families(cfg, rng, A):
     """Families that pin the corner cases: equal sets, empty sets, a set
     inside one ball of the other, equal balls across sets, and a chain
     nested three deep across three sets."""
-    empty = ClopenSet.empty(cfg)
+    empty = ClopenSet(cfg, ())
     yield [A, A]
     yield [A, empty]
     yield [empty, empty]
@@ -587,33 +598,55 @@ def forced_families(cfg, rng, A):
                ClopenSet.from_ball(low), A]
 
 
-def test_key_set_algebra_agrees_with_pairwise_reference():
-    """Each operation agrees with the pairwise reference, and every result
-    that skips normalization (intersect, subtract, translate, a fold's
-    coverage and overlap) is already in canonical form."""
-    rng, shifts = random.Random(1414), random.Random(1415)
+def overlapping_families(seed):
+    """(config, family) for seeded families of overlapping_set sets and
+    the forced_families of each family's first set."""
+    rng = random.Random(seed)
     for cfg in (CFG2, CFG3, CFG4, CFG5, FieldConfig(3, 2)):
         for _ in range(30):
             # roots at scales -3..3, descendants down to scale 5
             roots = [Ball._from_key(cfg, rand_key(cfg, rng)).scale_by(-1) for _ in range(3)]
             sets = [overlapping_set(cfg, rng, roots) for _ in range(rng.randrange(2, 5))]
-            families = [sets, *forced_families(cfg, rng, sets[0])]
-            for fam in families:
-                results = []
-                for A in fam:
-                    for B in fam:
-                        meet, rest = A.intersect(B), A.subtract(B)
-                        assert meet == ref_intersect(A, B)
-                        assert rest == ref_subtract(A, B)
-                        assert A.contains_set(B) == ref_subtract(B, A).is_empty()
-                        results += [meet, rest]
-                    results.append(A.translate(rand_point(cfg, shifts)))
-                assert fam[0].subtract(fam[0]).is_empty()
-                assert overlay(cfg, [b for A in fam for b in A.balls]) == ref_overlay(cfg, fam)
-                got = joint_fold(cfg, fam)
-                # the fold keeps its fragments unsorted: compare them as a multiset
-                fragments = sorted(got.fragments, key=lambda fr: (fr[1], fr[0].sort_key()))
-                assert (fragments, got.coverage, got.overlap) == ref_joint_fold(cfg, fam)
-                results += [got.coverage, got.overlap]
-                for R in results:
-                    assert ClopenSet(cfg, R.balls).balls == R.balls
+            for fam in [sets, *forced_families(cfg, rng, sets[0])]:
+                yield cfg, fam
+
+
+def test_key_set_algebra_agrees_with_pairwise_reference():
+    """Each operation agrees with the pairwise reference, add_partition's
+    witnesses agree with the pairwise overlay, and every result that skips
+    normalization (intersect, subtract, translate) is already in canonical
+    form."""
+    shifts = random.Random(1415)
+    for cfg, fam in overlapping_families(1414):
+        results = []
+        for A in fam:
+            for B in fam:
+                meet, rest = A.intersect(B), A.subtract(B)
+                assert meet == ref_intersect(A, B)
+                assert rest == ref_subtract(A, B)
+                assert A.contains_set(B) == ref_subtract(B, A).is_empty()
+                results += [meet, rest]
+            results.append(A.translate(rand_point(cfg, shifts)))
+        assert fam[0].subtract(fam[0]).is_empty()
+        # the sets' balls against the ideal p**-3 O, which holds some of
+        # them, and their fold against the ring of integers
+        box, O = fractional_ideal(cfg, -3), integers(cfg)
+        coverage, overlap = ref_overlay(cfg, fam)
+        assert partition_witnesses(cfg, [b for A in fam for b in A.balls], box) == \
+            set_witnesses(overlap, ref_subtract(box, coverage))
+        fragments, coverage, overlap = ref_joint_fold(cfg, fam)
+        # the fold keeps its fragments unsorted: compare them as a multiset
+        assert sorted(joint_fold(fam), key=Ball.sort_key) == fragments
+        assert partition_witnesses(cfg, joint_fold(fam), O) == \
+            set_witnesses(overlap, ref_subtract(O, coverage))
+        for R in results:
+            assert ClopenSet(cfg, R.balls).balls == R.balls
+
+
+def test_fold_keeps_the_total_measure():
+    """A fold cuts and shifts balls, so its fragments keep the sets' total
+    measure: the joint fold measure verify_superwavelet reports."""
+    for cfg, fam in overlapping_families(1414):
+        total = sum((A.measure() for A in fam), Fraction(0))
+        assert sum((f.measure() for f in joint_fold(fam)), Fraction(0)) == total
+        assert verify_superwavelet(fam, "parseval").bounds["joint_fold_measure"] == str(total)

@@ -25,7 +25,7 @@ from lfwave.construct import (
     tower_corrected_target,
     tower_printed_target,
 )
-from lfwave.framesim import FiniteModel, affine_coef, gram_entry
+from lfwave.framesim import FiniteModel, affine_coef, gram_entry, truncation_spot_check
 from lfwave.gfq import ConfigMismatch, FieldConfig
 from lfwave.lfield import FieldElement, coset_rep
 from lfwave.stepfn import StepFunction
@@ -140,7 +140,7 @@ def test_scaling_set_matches_the_dilate_union_shell_by_shell():
         smin, smax = min(shells), max(shells)
         assert S.contains_set(fractional_ideal(cfg, smax + 1))
         # the union of p^j W for 1 <= j <= s - smin, restricted to shell s
-        dilates = ClopenSet.empty(cfg)
+        dilates = ClopenSet(cfg, ())
         for s in range(smin - 1, smax + 3):
             if s - smin >= 1:
                 dilates = dilates.union(W.scale_by(s - smin))
@@ -283,6 +283,16 @@ INT_PROBES = [
     # a float count raised a stray TypeError, and True drew one cell
     ("n_cells", lambda: FiniteModel(CFG2, 1, 1).random_step(random.Random(0), n_cells=1.5)),
     ("n_cells", lambda: FiniteModel(CFG2, 1, 1).random_step(random.Random(0), n_cells=True)),
+    # a float count raised a stray TypeError, and True ran one sample
+    ("samples", lambda: truncation_spot_check(FiniteModel(CFG2, 1, 1), [UNIT2], UNIT2, 1.5)),
+    ("samples", lambda: truncation_spot_check(FiniteModel(CFG2, 1, 1), [UNIT2], UNIT2, True)),
+    # a float scale raised a stray TypeError in split_to; sub_ball and
+    # both scale_by built ball(0, 1.5), and precompose a cell ball(p^0.5, 1.5)
+    ("scale", lambda: list(Ball.integers(CFG3).split_to(1.5))),
+    ("scale", lambda: Ball.integers(CFG3).sub_ball(1.5, 0)),
+    ("j", lambda: integers(CFG3).scale_by(1.5)),
+    ("j", lambda: Ball.integers(CFG3).scale_by(1.5)),
+    ("j", lambda: UNIT2.precompose(0.5)),
 ]
 
 
@@ -301,6 +311,20 @@ def _probe_ids(names):
                          ids=_probe_ids(name for name, _ in INT_PROBES))
 def test_integer_parameters_are_refused_unless_int(name, call):
     with pytest.raises(ValueError, match=f"^{name} takes only ints, got "):
+        call()
+
+
+# the probes of negative counts: samples=-2 returned True, and n_cells=-1
+# raised random's "Sample larger than population"
+NEGATIVE_PROBES = [
+    ("samples", lambda: truncation_spot_check(FiniteModel(CFG2, 1, 1), [UNIT2], UNIT2, -2)),
+    ("n_cells", lambda: FiniteModel(CFG2, 1, 1).random_step(random.Random(0), n_cells=-1)),
+]
+
+
+@pytest.mark.parametrize("name, call", NEGATIVE_PROBES, ids=[name for name, _ in NEGATIVE_PROBES])
+def test_negative_counts_are_refused(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -"):
         call()
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from lfwave.clopen import Ball, ClopenSet, fractional_ideal, integers, shell, units
+from lfwave.clopen import Ball, ClopenSet, fractional_ideal, integers, joint_fold, shell, units
 from lfwave.construct import _solver_preconditions
 from lfwave.cyclo import CycloScalar
 from lfwave.framesim import gram_entry
@@ -67,7 +67,7 @@ def test_dilation_tiling_examples():
     v = check_dilation_tiling(integers(CFG2))
     assert not v.passed
     assert named_check(v, "no-ball-at-zero").witness is not None
-    assert not check_dilation_tiling(ClopenSet.empty(CFG2)).passed
+    assert not check_dilation_tiling(ClopenSet(CFG2, ())).passed
 
 
 def rand_bounded_set(cfg, rng):
@@ -143,11 +143,11 @@ def test_translation_examples():
     assert not v.passed
     assert named_check(v, "translates-disjoint").witness == {
         "kind": "set", "balls": integers(CFG2).as_json()}
-    # four translates of pO all fold onto pO: multiplicity measure 2, while
-    # the bound adds coverage and overlap (1/2 + 1/2)
+    # four translates of pO all fold onto pO: the fragments' measures sum to
+    # 2, while the bound adds coverage and overlap (1/2 + 1/2)
     W = ClopenSet(CFG2, [fractional_ideal(CFG2, 1).translate(coset_rep(CFG2, k)).balls[0]
                          for k in range(4)])
-    assert W.fold().measure() == 2
+    assert sum(frag.measure() for frag in joint_fold([W])) == 2
     v = check_translation(W)
     assert v.bounds["fold_measure"] == "1"
     assert not v.passed
@@ -405,7 +405,7 @@ def test_singular_integral_monotone_in_support():
 
 def test_mra_scaling_examples():
     for cfg in (CFG2, CFG3):
-        W = ClopenSet.empty(cfg)
+        W = ClopenSet(cfg, ())
         for Wi in shannon(cfg):
             W = W.union(Wi)
         v = mra_scaling_check(W, integers(cfg))
@@ -759,7 +759,7 @@ def failing_verdicts():
     a, b = (ind(shell(CFG2, m)) for m in (1, 2))
     return [
         check_dilation_tiling(integers(CFG2)),
-        check_dilation_tiling(ClopenSet.empty(CFG2)),
+        check_dilation_tiling(ClopenSet(CFG2, ())),
         check_translation(shell(CFG2, 1), "tiling"),
         check_translation(double, "packing"),
         verify_multiwavelet_set([integers(CFG2)], mode="parseval"),
