@@ -26,6 +26,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, neg
 
+from .gfq import check_ints
+
 
 class GradeMismatch(ValueError):
     """Adding a scalar of grade 0 to one of grade 1."""
@@ -97,6 +99,7 @@ class CycloScalar:
     @classmethod
     def q_power(cls, p: int, q: int, e: int) -> "CycloScalar":
         """The rational q**e at grade 0 (a ball of scale s has measure q**-s)."""
+        check_ints("e", e)
         if e >= 0:
             return cls._from_parts(p, q, (q ** e,) + (0,) * (p - 2), 1, 0)
         return cls._from_parts(p, q, (1,) + (0,) * (p - 2), q ** -e, 0)
@@ -104,6 +107,7 @@ class CycloScalar:
     @classmethod
     def zeta_pow(cls, p: int, q: int, t: int) -> "CycloScalar":
         """zeta_p**t."""
+        check_ints("t", t)
         t %= p
         if t == p - 1:
             nums = (-1,) * (p - 1)
@@ -198,6 +202,7 @@ class CycloScalar:
     def q_half_shift(self, e: int) -> "CycloScalar":
         """Multiply by q**(e/2).  A nonzero scalar landing on grade 0 or 1
         keeps its canonical nums and den."""
+        check_ints("e", e)
         grade = self.grade + e
         if grade >> 1 or not any(self.nums):
             return CycloScalar._reduced(self.p, self.q, self.nums, self.den, grade)

@@ -81,7 +81,7 @@ class StepFunction:
     def __eq__(self, other):
         if not isinstance(other, StepFunction) or self.config != other.config:
             return NotImplemented
-        return all(a == b for _, (a, b) in common_refinement(self.config, [self, other]))
+        return not difference(self, other)
 
     def __repr__(self):
         if not self.cells:
@@ -208,6 +208,21 @@ def cell_sum(config: FieldConfig, cells) -> StepFunction:
     out.sort(key=itemgetter(0))
     return StepFunction(config, [(Ball._from_key(config, k), v) for k, v in out],
                         _canonical=True)
+
+
+def by_grade(cells):
+    """The (ball, value) cells of half-grade 0 and of half-grade 1, apart:
+    the grades are independent coordinates of a scalar (q**(1/2) is kept
+    formal), so a sum of cells is zero, or equal to another, exactly when
+    it is in each grade."""
+    return [[c for c in cells if c[1].grade == g] for g in (0, 1)]
+
+
+def difference(x: StepFunction, y: StepFunction) -> list:
+    """The nonzero (ball, value) cells of x - y, per half-grade the cell_sum
+    of x's cells and y's negated cells: empty exactly when x == y."""
+    cells = [*x.cells, *((b, -v) for b, v in y.cells)]
+    return [c for part in by_grade(cells) for c in cell_sum(x.config, part).cells]
 
 
 def periodize(config: FieldConfig, cells) -> StepFunction:

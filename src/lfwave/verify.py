@@ -13,7 +13,7 @@ from fractions import Fraction
 from .clopen import (INF, Ball, ClopenSet, integers, inv_norm_integral, joint_fold, nested_balls,
                      units)
 from .lfield import FieldElement, coset_rep, format_element
-from .stepfn import (StepFunction, cell_sum, common_refinement, periodize, periodized_weight,
+from .stepfn import (StepFunction, by_grade, cell_sum, difference, periodize, periodized_weight,
                      products, shell_range)
 
 
@@ -68,16 +68,35 @@ class Verdict:
             return self.add(name, False, witness_measure(0))
         return self.add(name, True)
 
-    def add_partition(self, config, pieces, disjoint, universe=None, cover=None) -> ClopenSet:
+    def add_partition(self, config, pieces, disjoint, universe=None, cover=None):
         """Add the check named `disjoint` (no two of the balls `pieces` meet,
         witness the points in two or more) and, when a name is given,
         `cover` (the pieces cover the set `universe`, witness the gap); their
-        union is built only then.  Returns the points in two or more."""
+        union is built only then.  Returns (the points in two or more, the
+        union or None)."""
         overlap = ClopenSet(config, nested_balls(pieces))
         self.add_set(disjoint, overlap)
-        if cover is not None:
-            self.add_set(cover, universe.subtract(ClopenSet(config, pieces)))
-        return overlap
+        if cover is None:
+            return overlap, None
+        union = ClopenSet(config, pieces)
+        self.add_set(cover, universe.subtract(union))
+        return overlap, union
+
+    def add_agreement(self, name, offsets, pair, note):
+        """Add the check `name`: at each offset n in turn, pair(n) gives
+        (xs, ys), step functions one per half-grade, and the check fails at
+        the first n where they differ, with the centre of the least cell of
+        their difference as witness and the note note.format(n, x), x the
+        value of xs there as the sum of its nonzero grades."""
+        for n in offsets:
+            xs, ys = pair(n)
+            cells = [b for x, y in zip(xs, ys) for b, _ in difference(x, y)]
+            if cells:
+                point = min(cells, key=Ball.sort_key).center
+                values = [f.evaluate(point) for f in xs]
+                value = " + ".join(repr(t) for t in values if not t.is_zero()) or "0"
+                return self.add(name, False, witness_point(point), note=note.format(n, value))
+        return self.add(name, True)
 
     def add_components(self, sets, dilation, packing):
         """Per set in order, the checks `dilation.format(i)` (it tiles under
@@ -173,9 +192,11 @@ def check_translation(W: ClopenSet, mode: str = "packing") -> Verdict:
     v = Verdict()
     cfg = W.config
     fragments = joint_fold([W])
-    overlap = v.add_partition(cfg, fragments, "translates-disjoint", integers(cfg),
-                              "translates-cover" if mode == "tiling" else None)
-    v.bounds["fold_measure"] = str(ClopenSet(cfg, fragments).measure() + overlap.measure())
+    overlap, union = v.add_partition(cfg, fragments, "translates-disjoint", integers(cfg),
+                                     "translates-cover" if mode == "tiling" else None)
+    if union is None:
+        union = ClopenSet(cfg, fragments)
+    v.bounds["fold_measure"] = str(union.measure() + overlap.measure())
     return v
 
 
@@ -244,31 +265,24 @@ def verify_frame_pointwise(fns) -> Verdict:
     # there only under the dilation by p**-s.  With no cells the sum is 0
     squares = cell_sum(cfg, [(b.scale_by(-b.shell_index()), x.abs_sq())
                              for f in fns for b, x in f.cells])
-    bad = _first_discrepancy(cfg, 0, lambda _: ([squares], [StepFunction.indicator(units(cfg))]))
-    v.add("dilation-square-sum", bad is None,
-          None if bad is None else witness_point(bad[1].center),
-          note="" if bad is None else f"sum = {bad[2]}")
+    v.add_agreement("dilation-square-sum", [0],
+                    lambda _: ([squares], [StepFunction.indicator(units(cfg))]), "sum = {1}")
 
     # translated correlations vanish
     j_max = max(-smin - 1, -1)
     s_max = cfg.q ** max(-smin, 0) - 1
     v.bounds["j_max"] = j_max
     v.bounds["s_max"] = s_max
-    bad = None
-    for s in range(1, s_max + 1):
-        if s % cfg.q == 0:
-            continue
+    nothing = [StepFunction.zero(cfg)] * 2
+
+    def t(s):  # t_s, one step function per half-grade, against zero
         us = coset_rep(cfg, s)
         terms = [c for f in fns for j in range(j_max + 1)
                  for c in products(f.precompose(j), f.precompose(j, shift=us))]
-        # t_s vanishes where each half-grade sums to 0
-        cells = [b for part in _by_grade(terms) for b, _ in cell_sum(cfg, part).cells]
-        if cells:
-            bad = (s, min(cells, key=Ball.sort_key))
-            break
-    v.add("translation-correlation", bad is None,
-          None if bad is None else witness_point(bad[1].center),
-          note="" if bad is None else f"nonzero at translation index s={bad[0]}")
+        return [cell_sum(cfg, part) for part in by_grade(terms)], nothing
+
+    v.add_agreement("translation-correlation", [s for s in range(1, s_max + 1) if s % cfg.q], t,
+                    "nonzero at translation index s={0}")
     return v
 
 
@@ -335,21 +349,11 @@ def verify_super_functions(fns) -> Verdict:
     v.bounds["j_max"] = j_max
     v.bounds["k_max"] = cfg.q ** max(-smin, 0) - 1
     # P_0 must be one on the integers and every other P_j zero, in each grade
-    zero = StepFunction.zero(cfg)
-    delta = [[StepFunction.indicator(integers(cfg)), zero]] + [[zero, zero]] * j_max
-    bad = _first_discrepancy(cfg, j_max, lambda j: (_correlation(fns, j), delta[j]))
-    v.add("(iii)-joint-correlation", bad is None,
-          None if bad is None else witness_point(bad[1].center),
-          note="" if bad is None else f"j={bad[0]}, sum = {bad[2]}")
+    zero, one = StepFunction.zero(cfg), StepFunction.indicator(integers(cfg))
+    v.add_agreement("(iii)-joint-correlation", range(j_max + 1),
+                    lambda j: (_correlation(fns, j), [zero if j else one, zero]),
+                    "j={0}, sum = {1}")
     return v
-
-
-def _by_grade(terms):
-    """The (ball, value) terms of half-grade 0 and of half-grade 1, apart:
-    the grades are independent coordinates of a scalar (q**(1/2) is kept
-    formal), so a sum of terms is zero, or equal to another, exactly when
-    it is in each grade."""
-    return [[c for c in terms if c[1].grade == g] for g in (0, 1)]
 
 
 def _correlation(fns, n):
@@ -357,21 +361,7 @@ def _correlation(fns, n):
     periodization of the products f(p**-n * x) * conj f(x), f in fns, as one
     step function per half-grade."""
     terms = [c for f in fns for c in products(f.precompose(n), f)]
-    return [periodize(fns[0].config, part) for part in _by_grade(terms)]
-
-
-def _first_discrepancy(cfg, n_max, pair):
-    """(n, cell, x) at the smallest scale offset n <= n_max and the first
-    cell where pair(n) = (xs, ys) differ, lists of step functions, one per
-    half-grade, refined together: x is the value of xs there, printed as
-    the sum of its nonzero grades.  None when they agree at every offset."""
-    for n in range(n_max + 1):
-        xs, ys = pair(n)
-        k = len(xs)
-        for cell, values in common_refinement(cfg, [*xs, *ys]):
-            if values[:k] != values[k:]:
-                return n, cell, " + ".join(repr(x) for x in values[:k] if not x.is_zero()) or "0"
-    return None
+    return [periodize(fns[0].config, part) for part in by_grade(terms)]
 
 
 def equivalent_superwavelets(a_fns, b_fns) -> Verdict:
@@ -387,11 +377,9 @@ def equivalent_superwavelets(a_fns, b_fns) -> Verdict:
     n_max = max(smax - smin, 0)
     v.bounds["n_max"] = n_max
     v.bounds["k_max"] = cfg.q ** max(-smin, 0) - 1
-    bad = _first_discrepancy(cfg, n_max, lambda n: (_correlation(a_fns, n),
-                                                    _correlation(b_fns, n)))
-    v.add("correlations-agree", bad is None,
-          None if bad is None else witness_point(bad[1].center),
-          note="" if bad is None else f"first discrepancy at scale offset n={bad[0]}")
+    v.add_agreement("correlations-agree", range(n_max + 1),
+                    lambda n: (_correlation(a_fns, n), _correlation(b_fns, n)),
+                    "first discrepancy at scale offset n={0}")
     return v
 
 
@@ -449,8 +437,8 @@ def mra_scaling_check(W: ClopenSet, S: ClopenSet) -> Verdict:
     v.add_set("wavelet-is-dilation-layer", layer.subtract(W).union(W.subtract(layer)))
     ok = S.measure() * (q - 1) == W.measure()
     v.add("measure-law", ok, None if ok else witness_measure(S.measure()))
-    overlap = v.add_partition(cfg, joint_fold([S]), "translates-pack", integers(cfg),
-                              "translates-tile")
+    overlap, _ = v.add_partition(cfg, joint_fold([S]), "translates-pack", integers(cfg),
+                                 "translates-tile")
     # tiling is packing and covering; it names the kind of analysis only
     tiling = overlap.is_empty() and v.checks[-1].ok
     v.checks[-1] = Check("translates-tile", tiling, binding=False,

@@ -25,6 +25,7 @@ from lfwave.construct import (
     tower_corrected_target,
     tower_printed_target,
 )
+from lfwave.cyclo import CycloScalar
 from lfwave.framesim import FiniteModel, affine_coef, gram_entry, truncation_spot_check
 from lfwave.gfq import ConfigMismatch, FieldConfig
 from lfwave.lfield import FieldElement, coset_rep
@@ -293,6 +294,13 @@ INT_PROBES = [
     ("j", lambda: integers(CFG3).scale_by(1.5)),
     ("j", lambda: Ball.integers(CFG3).scale_by(1.5)),
     ("j", lambda: UNIT2.precompose(0.5)),
+    # a float exponent raised a stray TypeError, and True was read as 1
+    ("t", lambda: CycloScalar.zeta_pow(3, 3, 1.5)),
+    ("t", lambda: CycloScalar.zeta_pow(3, 3, True)),
+    ("e", lambda: CycloScalar.q_power(3, 3, 1.5)),
+    ("e", lambda: CycloScalar.q_power(3, 3, True)),
+    ("e", lambda: CycloScalar.rational(3, 3, 1).q_half_shift(1.5)),
+    ("e", lambda: CycloScalar.rational(3, 3, 1).q_half_shift(True)),
 ]
 
 

@@ -185,7 +185,8 @@ def test_equality_is_refinement_stable():
 
 
 def test_step_functions_are_unhashable():
-    # equality goes through a common refinement, so no hash can agree with it
+    # equality compares by the cell_sum of the difference, so equal functions
+    # may have different cells, and no hash of the cells can agree with it
     with pytest.raises(TypeError):
         hash(StepFunction.indicator(units(CFG2)))
 

@@ -9,13 +9,15 @@ from fractions import Fraction
 import pytest
 
 from lfwave.clopen import Ball, ClopenSet, fractional_ideal, integers, joint_fold, shell, units
-from lfwave.construct import _solver_preconditions
+from lfwave.construct import (_solver_preconditions, scaled_shannon_family, shannon_family,
+                              shell_wavelet)
 from lfwave.cyclo import CycloScalar
 from lfwave.framesim import gram_entry
 from lfwave.gfq import FieldConfig
 from lfwave.lfield import FieldElement, coset_rep, parse_element
-from lfwave.stepfn import StepFunction, common_refinement, shell_range
+from lfwave.stepfn import StepFunction, common_refinement, difference, shell_range
 from lfwave.verify import (
+    Verdict,
     _correlation,
     check_dilation_tiling,
     check_translation,
@@ -28,6 +30,7 @@ from lfwave.verify import (
     verify_super_functions,
     verify_superwavelet,
     verify_translates,
+    witness_point,
 )
 
 from verdict_checks import named_check
@@ -153,6 +156,24 @@ def test_translation_examples():
     assert not v.passed
 
 
+def test_translation_check_builds_the_fragment_union_once(monkeypatch):
+    # the points in two or more fragments and the fragments' union are the
+    # two sets normalized, in either mode: tiling reads the union its cover
+    # check built.  The bound keeps its value (1 + 1 on the p=5 shell -1)
+    W = shell(FieldConfig(5, 1), -1)
+    normalize, calls = ClopenSet._normalize, []
+
+    def counted(config, raw):
+        calls.append(config)
+        return normalize(config, raw)
+
+    monkeypatch.setattr(ClopenSet, "_normalize", staticmethod(counted))
+    for mode in ("packing", "tiling"):
+        calls.clear()
+        assert check_translation(W, mode).bounds["fold_measure"] == "2"
+        assert len(calls) == 2, mode
+
+
 # -- multiwavelet set criteria -----------------------------------------------
 
 
@@ -227,38 +248,55 @@ def test_translation_correlation_sums_each_half_grade():
     assert named_check(verify_frame_pointwise([f, g] + negated), "translation-correlation").ok
 
 
-def rand_disjoint_family(cfg, rng):
-    pool = rand_bounded_set(cfg, rng)
-    if pool.is_empty():
-        return [pool]
-    k = rng.randrange(1, min(3, len(pool.balls)) + 1)
-    balls = list(pool.balls)
+def random_shell_set(cfg, rng):
+    """1-3 random balls on shells -2..2, up to two digits below the shell."""
+    balls = []
+    for _ in range(rng.randrange(1, 4)):
+        s = rng.randrange(-2, 3)
+        scale = s + rng.randrange(0, 3)
+        digits = {s: rng.randrange(1, cfg.q)}
+        digits.update((e, rng.randrange(cfg.q)) for e in range(s + 1, scale))
+        balls.append(Ball(cfg, FieldElement(cfg, digits), scale))
+    return ClopenSet(cfg, balls)
+
+
+def indicator_family(cfg, rng):
+    """(kind, sets): a stock family (Shannon, scaled Shannon, a shell); the
+    balls of one, each split to one level finer, dealt out to 1-3 sets,
+    with one of them moved by some u(k) about half the time; or 1-3 random
+    sets in shells -2..2, which may overlap."""
+    kind = rng.choice(["stock", "dealt", "random"])
+    if kind == "random":
+        return kind, [random_shell_set(cfg, rng) for _ in range(rng.randrange(1, 4))]
+    fam = rng.choice([shannon_family(cfg), scaled_shannon_family(cfg, rng.randrange(1, 3)),
+                      [shell_wavelet(cfg, rng.randrange(1, 3))]])
+    if kind == "stock":
+        return kind, fam
+    balls = [c for W in fam for b in W.balls for c in b.split_to(b.scale + 1)]
     rng.shuffle(balls)
-    cuts = sorted(rng.sample(range(1, len(balls)), k - 1)) if k > 1 else []
-    parts, prev = [], 0
-    for cut in cuts + [len(balls)]:
-        parts.append(ClopenSet(cfg, balls[prev:cut]))
-        prev = cut
-    return [p for p in parts if not p.is_empty()]
+    if rng.random() < 0.5:
+        balls[0] = balls[0].translate(coset_rep(cfg, rng.randrange(1, cfg.q ** 2)))
+    k = rng.randrange(1, 4)
+    return kind, [ClopenSet(cfg, balls[i::k]) for i in range(k)]
 
 
 def test_set_and_pointwise_criteria_agree_on_indicator_families():
+    # verify's two engines decide the Parseval frame property of a family of
+    # sets alike: the set criterion passes exactly when the pointwise one
+    # passes on the indicators
     rng = random.Random(42)
-    done = 0
-    while done < 20:
-        cfg = CFG2 if done % 2 else CFG3
-        fam = rand_disjoint_family(cfg, rng)
-        if any(W.is_empty() or any(b.contains_zero() for b in W.balls)
-               for W in fam):
-            continue
-        done += 1
-        set_v = verify_multiwavelet_set(fam, mode="parseval")
-        pt_v = verify_frame_pointwise([StepFunction.indicator(W) for W in fam])
-        packs = all(check_translation(W, "packing").passed for W in fam)
-        if set_v.passed:
-            assert pt_v.passed
-        if pt_v.passed and packs:
-            assert set_v.passed
+    configs = [CFG2, CFG3, FieldConfig(2, 2), FieldConfig(5, 1)]
+    seen = Counter()
+    for seed in range(600):
+        cfg = configs[seed % 4]
+        kind, fam = indicator_family(cfg, rng)
+        passed = verify_multiwavelet_set(fam, "parseval").passed
+        assert passed == verify_frame_pointwise([StepFunction.indicator(W) for W in fam]).passed, \
+            (seed, fam)
+        seen[kind, passed] += 1
+    # the stock families pass, and dealt ones both pass and fail
+    assert seen["stock", False] == 0 and seen["dealt", True] >= 20, seen
+    assert seen["dealt", False] >= 20 and seen["random", False] >= 100, seen
 
 
 # -- translate systems ---------------------------------------------------------
@@ -670,6 +708,154 @@ def test_correlation_witnesses_hold_by_direct_evaluation():
                for ok, later in ((True, True), (False, False), (False, True))), seen
     # and families whose P_n holds both half-grades on one cell
     assert seen["mixed"] >= 20, seen
+
+
+def first_discrepancy(offsets, pair):
+    """The refinement-based reference, verify's former _first_discrepancy
+    over any offsets: (n, cell, x) at the first offset n and the first cell
+    where pair(n) = (xs, ys), step functions one per half-grade, refined
+    together by common_refinement, differ; x is the value of xs there as
+    the sum of its nonzero grades.  None when they agree at every offset."""
+    for n in offsets:
+        xs, ys = pair(n)
+        k = len(xs)
+        for cell, values in common_refinement(xs[0].config, [*xs, *ys]):
+            if values[:k] != values[k:]:
+                return n, cell, " + ".join(repr(x) for x in values[:k] if not x.is_zero()) or "0"
+    return None
+
+
+def reference_agreement(self, name, offsets, pair, note):
+    """Verdict.add_agreement decided by first_discrepancy.  t_s had its
+    half-grades summed and searched apart: its witness is the least first
+    cell of either grade at the first failing s."""
+    bad = first_discrepancy(offsets, pair)
+    if bad is not None and name == "translation-correlation":
+        s = bad[0]
+        hits = [first_discrepancy([s], lambda _, x=x, y=y: ([x], [y])) for x, y in zip(*pair(s))]
+        bad = min((h for h in hits if h is not None), key=lambda h: h[1].sort_key())
+    if bad is None:
+        return self.add(name, True)
+    n, cell, x = bad
+    return self.add(name, False, witness_point(cell.center), note=note.format(n, x))
+
+
+def graded_spectrum(cfg, rng):
+    """1-4 disjoint balls on shells -2..1, up to three digits below the
+    shell, with small cyclotomic values, times q**(1/2) or q**(-1/2) on
+    about 40 % of the cells."""
+    cells = []
+    for _ in range(rng.randrange(1, 5)):
+        s = rng.randrange(-2, 2)
+        scale = s + rng.randrange(1, 4)
+        digits = {s: rng.randrange(1, cfg.q)}
+        digits.update((e, rng.randrange(cfg.q)) for e in range(s + 1, scale))
+        ball = Ball(cfg, FieldElement(cfg, digits), scale)
+        if all(ball.is_disjoint(b) for b, _ in cells):
+            coeffs = [0] * (cfg.p - 1)
+            while not any(coeffs):
+                coeffs = [rng.randrange(-1, 2) for _ in coeffs]
+            e = rng.choice([-1, 1]) if rng.random() < 0.4 else 0
+            cells.append((ball, CycloScalar(cfg.p, cfg.q, coeffs).q_half_shift(e)))
+    return StepFunction(cfg, cells)
+
+
+def agreement_reports(monkeypatch, agreement, a, b):
+    """The checks and bounds of check frame, check super-functions on a and
+    check equivalent a, b, with Verdict.add_agreement replaced by
+    `agreement`, and the last pair function each named check was given."""
+    pairs = {}
+
+    def recorded(self, name, offsets, pair, note):
+        pairs[name] = pair
+        return agreement(self, name, offsets, pair, note)
+
+    monkeypatch.setattr(Verdict, "add_agreement", recorded)
+    verdicts = [verify_frame_pointwise(a), verify_super_functions(a),
+                equivalent_superwavelets(a, b)]
+    return [v.as_json() for v in verdicts], pairs
+
+
+def test_agreement_check_matches_the_refinement_reference(monkeypatch):
+    # on seeded families with mixed half-grades, the four function checks
+    # (check frame's two sums, (iii) and correlations-agree) report what
+    # the parent's refinement-based search reported, and == agrees with
+    # equality on a common refinement.  The one known difference: past
+    # offset 0, a ball of the other half-grade strictly inside the least
+    # differing cell splits the reference's mesh, so its first cell can
+    # lie elsewhere in that cell; both points then witness the failure
+    new = Verdict.add_agreement
+    rng = random.Random(35)
+    seen = Counter()
+    for seed in range(400):
+        cfg = rng.choice([CFG2, CFG3, FieldConfig(2, 2), FieldConfig(5, 1)])
+        if seed % 5 < 2:
+            a, b = correlation_family(cfg, rng)
+        else:
+            a = [graded_spectrum(cfg, rng) for _ in range(rng.randrange(1, 3))]
+            b = rng.choice([a, [graded_spectrum(cfg, rng) for _ in range(rng.randrange(1, 3))],
+                            [StepFunction(cfg, [(ball, v * CycloScalar.zeta_pow(
+                                cfg.p, cfg.q, rng.randrange(cfg.p))) for ball, v in f.cells])
+                             for f in a]])
+        got, pairs = agreement_reports(monkeypatch, new, a, b)
+        want, _ = agreement_reports(monkeypatch, reference_agreement, a, b)
+        for g, w in zip(got, want):
+            assert g["bounds"] == w["bounds"] and len(g["checks"]) == len(w["checks"])
+            for c, r in zip(g["checks"], w["checks"]):
+                seen[c["status"]] += c["name"] in pairs
+                if c == r:
+                    continue
+                assert c["name"] in ("(iii)-joint-correlation", "correlations-agree"), (seed, c, r)
+                n = int(c["note"].split(",")[0].rsplit("=", 1)[1])
+                assert n > 0 and c["status"] == r["status"] == "fail", (seed, c, r)
+                assert c["note"].split(",")[0] == r["note"].split(",")[0]
+                xs, ys = pairs[c["name"]](n)
+                least = min((ball for x, y in zip(xs, ys) for ball, _ in difference(x, y)),
+                            key=Ball.sort_key)
+                assert c["witness"] == witness_point(least.center), (seed, c)
+                assert any(least.contains_ball(ball) and ball != least
+                           for f in (*xs, *ys) for ball, _ in f.cells), (seed, c, r)
+                for witness in (c["witness"], r["witness"]):
+                    x = parse_element(cfg, witness["point"])
+                    assert [f.evaluate(x) for f in xs] != [f.evaluate(x) for f in ys]
+                seen["moved"] += 1
+        # == against equality on a common refinement: f, f with every cell
+        # cut into its children (equal), that copy with one child's value
+        # replaced (grade 0 or 1), and the first spectrum of b
+        f = a[0]
+        split = [(child, v) for ball, v in f.cells for child in ball.children()]
+        i = rng.randrange(len(split))
+        changed = split[:i] + [(split[i][0], split[i][1].q_half_shift(rng.choice([0, 1])) *
+                                CycloScalar.zeta_pow(cfg.p, cfg.q, 1))] + split[i + 1:]
+        for g in (f, StepFunction(cfg, split), StepFunction(cfg, changed), b[0]):
+            same = all(x == y for _, (x, y) in common_refinement(cfg, [f, g]))
+            assert (f == g) is same, (seed, f, g)
+            seen["==", same] += 1
+    # passes and failures of the function checks, moved witnesses, and
+    # both answers of == all occur
+    assert seen["pass"] >= 200 and seen["fail"] >= 200, seen
+    assert seen["==", True] >= 400 and seen["==", False] >= 400, seen
+
+
+def test_agreement_witness_is_the_least_cell_of_its_grade(monkeypatch):
+    # the spectra differ only in sign on the shell -2 ball p^-2 + p^-1 O, so
+    # P_0 agrees and P_1 is 1 and -1 on O in grade 0.  The grade-1 parts of
+    # P_1 have cells at scale 4 inside p^3 O: the parent refined them
+    # together with grade 0, so its first differing cell was 1 + pO, while
+    # the least cell of the grade-0 difference is O itself
+    def spectrum(sign):
+        return StepFunction(CFG2, [(Ball(CFG2, parse_element(CFG2, x), scale), value)
+                                   for x, scale, value in [("p^-2", -1, rat(CFG2, sign)),
+                                                           ("p^-1", 0, rat(CFG2, 1)),
+                                                           ("p^-4", 2, rat(CFG2, 1)),
+                                                           ("p^-3", 3, half(CFG2, 1))]])
+    a, b = [spectrum(1)], [spectrum(-1)]
+    c = named_check(equivalent_superwavelets(a, b), "correlations-agree")
+    assert (c.ok, c.witness, c.note) == (
+        False, {"kind": "point", "point": "0"}, "first discrepancy at scale offset n=1")
+    monkeypatch.setattr(Verdict, "add_agreement", reference_agreement)
+    c = named_check(equivalent_superwavelets(a, b), "correlations-agree")
+    assert (c.ok, c.witness["point"]) == (False, "1")
 
 
 def test_joint_correlation_reports_the_smallest_failing_offset():
